@@ -31,14 +31,8 @@ from .geometry import (
     scene_to_json,
     shoelace_area,
 )
-from .rational import Rational, arith, compare, fmt, normalize, parse, pow_int
+from .rational import Rational, fmt, parse
 from .render import RenderOptions, format_coordinate, layout, render
-from .series import (
-    SeriesSpec,
-    closed_limit,
-    layer_term,
-    partial_sum_closed,
-    partial_sum_naive,
-)
+from .series import layer_term, partial_sum_closed, partial_sum_naive
 
 __version__ = "0.1.0"

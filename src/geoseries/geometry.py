@@ -111,37 +111,6 @@ def build_layered_scene(
     polygons = [Polygon((c_pt, b_pt, a_pt), ROLE_OUTLINE)]
 
     shrink = ONE - p.r
-    for k in range(1, layers + 1):
-        t = shrink ** (k - 1)
-        step = p.r * t  # half-base of each small triangle
-        x0 = -t
-        y_bot = ONE - t
-        y_top = ONE - t * shrink
-        downs = []
-        for j in range(m - 1):
-            left = x0 + (2 * j + 1) * step
-            downs.append(
-                (
-                    Point(left + step, y_bot),
-                    Point(left + 2 * step, y_top),
-                    Point(left, y_top),
-                )
-            )
-        ups = []
-        for i in range(m):
-            left = x0 + 2 * i * step
-            ups.append(
-                (
-                    Point(left, y_bot),
-                    Point(left + 2 * step, y_bot),
-                    Point(left + step, y_top),
-                )
-            )
-        # coloring order: downward triangles left to right, then upward
-        for idx, verts in enumerate(downs + ups):
-            role = ROLE_COLORED if idx < colored else ROLE_BLANK
-            polygons.append(Polygon(verts, role, layer_index=k))
-
     labels = [
         (Point(ZERO, ONE + Fraction(1, 20)), "A"),
         (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
@@ -149,11 +118,26 @@ def build_layered_scene(
         (Point(shrink + Fraction(1, 20), p.r), "D"),
         (Point(-shrink - Fraction(1, 20), p.r), "E"),
     ]
+    t = ONE  # shrink ** (k - 1): half-width of layer k's bottom edge
     for k in range(1, layers + 1):
-        t = shrink ** (k - 1)
-        mid_x = (t + t * shrink) / 2 + Fraction(1, 4)
-        mid_y = ONE - (t + t * shrink) / 2
-        labels.append((Point(mid_x, mid_y), f"layer {k}"))
+        t_next = t * shrink
+        step = p.r * t  # half-base of each small triangle
+        y_bot = ONE - t
+        y_top = ONE - t_next
+        x = [i * step - t for i in range(2 * m + 1)]  # triangle corners, left to right
+        # coloring order: m-1 downward triangles left to right, then m upward
+        for idx in range(p.n):
+            if idx < m - 1:
+                i = 2 * idx + 1
+                verts = (Point(x[i + 1], y_bot), Point(x[i + 2], y_top), Point(x[i], y_top))
+            else:
+                i = 2 * (idx - m + 1)
+                verts = (Point(x[i], y_bot), Point(x[i + 2], y_bot), Point(x[i + 1], y_top))
+            role = ROLE_COLORED if idx < colored else ROLE_BLANK
+            polygons.append(Polygon(verts, role, layer_index=k))
+        mid = (t + t_next) / 2
+        labels.append((Point(mid + Fraction(1, 4), ONE - mid), f"layer {k}"))
+        t = t_next
 
     return Scene(
         polygons=tuple(polygons),
@@ -180,27 +164,23 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
     c_pt = Point(h - 1, ZERO)
     polygons = [Polygon((c_pt, b_pt, a_pt), ROLE_OUTLINE)]
 
-    w_prev = b_pt
-    for k in range(1, layers + 1):
-        leg = q.s ** (k - 1)
-        r_k = Point(w_prev.x - leg, w_prev.y)
-        w_k = Point(r_k.x, r_k.y + leg)
-        r_next = Point(w_k.x - q.s**k, w_k.y)
-        polygons.append(Polygon((r_k, w_prev, w_k), ROLE_COLORED, layer_index=k))
-        polygons.append(Polygon((r_k, w_k, r_next), ROLE_BLANK, layer_index=k))
-        w_prev = w_k
-
     labels = [
         (Point(ZERO, h + h / 20), "A"),
         (Point(h + h / 20, -h / 20), "B"),
         (Point(h - 1, -h / 20), "C"),
     ]
+    label_dx = h / 10
     w_prev = b_pt
+    leg = ONE  # q.s ** (k - 1)
     for k in range(1, layers + 1):
-        leg = q.s ** (k - 1)
-        w_k = Point(w_prev.x - leg, w_prev.y + leg)
+        r_k = Point(w_prev.x - leg, w_prev.y)
+        w_k = Point(r_k.x, r_k.y + leg)
+        leg *= q.s
+        r_next = Point(w_k.x - leg, w_k.y)
+        polygons.append(Polygon((r_k, w_prev, w_k), ROLE_COLORED, layer_index=k))
+        polygons.append(Polygon((r_k, w_k, r_next), ROLE_BLANK, layer_index=k))
         labels.append(
-            (Point((w_prev.x + w_k.x) / 2 + h / 10, (w_prev.y + w_k.y) / 2), f"layer {k}")
+            (Point((w_prev.x + w_k.x) / 2 + label_dx, (w_prev.y + w_k.y) / 2), f"layer {k}")
         )
         w_prev = w_k
 
@@ -280,18 +260,23 @@ def _audit_layers(scene, expected_counts, expected_colored, expected_total):
         by_layer[poly.layer_index].append(poly)
     for k in range(1, scene.layers_rendered + 1):
         polys = by_layer[k]
-        colored = [poly for poly in polys if poly.role == ROLE_COLORED]
-        colored_area = sum((shoelace_area(poly) for poly in colored), ZERO)
-        total_area = sum((shoelace_area(poly) for poly in polys), ZERO)
+        colored_count = 0
+        colored_area = total_area = ZERO
+        for poly in polys:
+            area = shoelace_area(poly)
+            total_area += area
+            if poly.role == ROLE_COLORED:
+                colored_count += 1
+                colored_area += area
         tiled += total_area
         want_count, want_colored_count = expected_counts(k)
         want_colored = expected_colored(k)
         want_total = expected_total(k)
         ok = True
-        if len(polys) != want_count or len(colored) != want_colored_count:
+        if len(polys) != want_count or colored_count != want_colored_count:
             ok = False
             mismatches.append(
-                f"layer {k}: polygon counts ({len(polys)}, {len(colored)} colored) "
+                f"layer {k}: polygon counts ({len(polys)}, {colored_count} colored) "
                 f"!= expected ({want_count}, {want_colored_count} colored)"
             )
         if colored_area != want_colored:
@@ -310,7 +295,7 @@ def _audit_layers(scene, expected_counts, expected_colored, expected_total):
             LayerAudit(
                 layer_index=k,
                 polygon_count=len(polys),
-                colored_count=len(colored),
+                colored_count=colored_count,
                 colored_area=colored_area,
                 total_area=total_area,
                 colored_fraction=colored_area / total_area,

@@ -1,10 +1,10 @@
-"""Exact rational arithmetic and the "p/q" text form used everywhere else.
+"""Exact rationals and the "p/q" text form used everywhere else.
 
 Values are plain ``fractions.Fraction`` objects: arbitrary-precision,
 gcd-reduced at construction, denominator always positive, immutable.
-This module adds the handful of named operations the rest of the package
-(and the CLI) speak in, plus strict parsing/formatting of the canonical
-"p/q" string form.
+Arithmetic is Fraction's own operators; this module adds only the
+shared constants and strict parsing/formatting of the canonical "p/q"
+string form.
 """
 
 from __future__ import annotations
@@ -15,46 +15,6 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_OPS = ("add", "sub", "mul", "div")
-
-
-def normalize(num: int, den: int) -> Rational:
-    """Canonical fraction num/den; sign lives on the numerator."""
-    if den == 0:
-        raise ZeroDivisionError(f"zero denominator: {num}/0 is not a rational")
-    return Fraction(num, den)
-
-
-def arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Apply one of add/sub/mul/div exactly; result is canonical."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError(f"division of {fmt(a)} by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}, expected one of {_OPS}")
-
-
-def pow_int(q: Rational, k: int) -> Rational:
-    """Exact k-th power for k >= 0; 0**0 is the empty product, 1."""
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    return q**k
-
-
-def compare(a: Rational, b: Rational) -> str:
-    """Total order on rationals: "less", "equal" or "greater"."""
-    if a < b:
-        return "less"
-    if a == b:
-        return "equal"
-    return "greater"
 
 
 def parse(text: str) -> Rational:

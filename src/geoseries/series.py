@@ -1,35 +1,15 @@
-"""Geometric series engine: partial sums, closed forms, per-layer terms.
+"""Geometric series engine: partial sums (closed form and naive), per-layer terms.
 
 partial_sum_naive is a deliberate duplicate of partial_sum_closed: it
-accumulates term by term and ships with the library so the CLI table can
-print both columns side by side as a self-check.
+accumulates term by term and is the oracle the closed form is checked
+against.  The CLI table keeps its own running sum for its naive column,
+so a table of N rows costs N additions rather than N naive sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .construction import LayeredParams, triangle_area
-from .rational import ONE, ZERO, Rational, fmt
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A geometric series c + c*x + c*x^2 + ... or c*(x + x^2 + ...).
-
-    starts_at_one selects the first form (leading term is first_term
-    itself); otherwise the series starts at first_term * ratio.
-    """
-
-    ratio: Rational
-    first_term: Rational = ONE
-    starts_at_one: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.ratio < 1:
-            raise ValueError(f"ratio must lie strictly in (0,1), got {fmt(self.ratio)}")
-        if self.first_term <= 0:
-            raise ValueError(f"first_term must be positive, got {fmt(self.first_term)}")
+from .rational import ONE, ZERO, Rational
 
 
 def partial_sum_closed(x: Rational, n: int) -> Rational:
@@ -51,13 +31,6 @@ def partial_sum_naive(x: Rational, n: int) -> Rational:
         total += power
         power *= x
     return total
-
-
-def closed_limit(spec: SeriesSpec) -> Rational:
-    """Exact limit of the series described by spec."""
-    if spec.starts_at_one:
-        return spec.first_term / (ONE - spec.ratio)
-    return spec.first_term * spec.ratio / (ONE - spec.ratio)
 
 
 def layer_term(params: LayeredParams, k: int) -> Rational:

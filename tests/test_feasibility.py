@@ -102,6 +102,12 @@ def test_square_constraint_holds_identically_on_derived_family():
         # with the square condition identically true, feasibility reduces
         # to a < n, and that cutoff coincides with the bound on r
         assert (p.a < p.n) == check_bound(p.r)
+    # both cutoffs are the one inequality m^2 - 4m + 2 < 0
+    for rep in enumerate_feasible(10_000):
+        m = rep.candidate_m
+        assert rep.feasible == rep.passes_bound == (rep.derived_a < rep.derived_n) == (
+            m * m - 4 * m + 2 < 0
+        )
 
 
 def test_brute_force_scan_finds_exactly_the_two_pictures():

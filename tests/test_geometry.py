@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,25 @@ class TestAudit:
         assert not report.ok
         assert any("layer 1" in msg for msg in report.mismatches)
         assert report.as_dict()["check"] == "fail"
+
+    def test_swapped_roles_fail_only_the_colored_area(self):
+        s = Fraction(3, 5)
+        scene = build_staircase_scene(StaircaseParams(s), 4)
+        swap = {ROLE_COLORED: ROLE_BLANK, ROLE_BLANK: ROLE_COLORED}
+        polygons = tuple(
+            replace(poly, role=swap[poly.role]) if poly.layer_index == 2 else poly
+            for poly in scene.polygons
+        )
+        report = audit_scene(replace(scene, polygons=polygons))
+        assert not report.ok
+        assert len(report.mismatches) == 1
+        assert report.mismatches[0].startswith("layer 2: colored area ")
+        assert [layer.ok for layer in report.layers] == [True, False, True, True]
+        second = report.layers[1]
+        assert (second.polygon_count, second.colored_count) == (2, 1)
+        assert second.total_area == second.expected_total_area
+        # the blank piece has legs s and s^2, the colored one s and s
+        assert second.colored_area == s * second.expected_colored_area
 
 
 class TestSceneJson:

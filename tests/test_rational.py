@@ -4,81 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoseries.rational import arith, compare, fmt, normalize, parse, pow_int
+from geoseries.rational import fmt, parse
 
 rationals = st.fractions(max_denominator=10**6)
-
-
-def test_normalize_reduces_gcd():
-    assert normalize(2, 4) == Fraction(1, 2)
-
-
-def test_normalize_moves_sign_to_numerator():
-    q = normalize(-3, -6)
-    assert (q.numerator, q.denominator) == (1, 2)
-
-
-def test_normalize_zero():
-    q = normalize(0, 7)
-    assert (q.numerator, q.denominator) == (0, 1)
-
-
-def test_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        normalize(5, 0)
-
-
-@pytest.mark.parametrize(
-    "a, b, op, expected",
-    [
-        (Fraction(1, 4), Fraction(1, 16), "add", Fraction(5, 16)),
-        (Fraction(4, 9), Fraction(4, 9), "mul", Fraction(16, 81)),
-        (Fraction(1, 3), Fraction(3, 4), "div", Fraction(4, 9)),
-        (Fraction(1, 2), Fraction(1, 3), "sub", Fraction(1, 6)),
-    ],
-)
-def test_arith_examples(a, b, op, expected):
-    assert arith(a, b, op) == expected
-
-
-def test_arith_rejects_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        arith(Fraction(1, 3), Fraction(0), "div")
-
-
-def test_arith_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        arith(Fraction(1), Fraction(1), "mod")
-
-
-@pytest.mark.parametrize(
-    "q, k, expected",
-    [
-        (Fraction(1, 2), 4, Fraction(1, 16)),
-        (Fraction(2, 3), 2, Fraction(4, 9)),
-        (Fraction(5, 7), 0, Fraction(1)),
-        (Fraction(0), 0, Fraction(1)),
-    ],
-)
-def test_pow_int_examples(q, k, expected):
-    assert pow_int(q, k) == expected
-
-
-def test_pow_int_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        pow_int(Fraction(1, 2), -1)
-
-
-@pytest.mark.parametrize(
-    "a, b, expected",
-    [
-        (Fraction(1, 3), Fraction(1, 2), "less"),
-        (Fraction(2, 4), Fraction(1, 2), "equal"),
-        (Fraction(4, 5), Fraction(1, 3), "greater"),
-    ],
-)
-def test_compare_examples(a, b, expected):
-    assert compare(a, b) == expected
 
 
 @given(rationals, rationals, rationals)
@@ -86,24 +14,6 @@ def test_field_laws(a, b, c):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(lambda d: d != 0))
-def test_normalize_idempotent(num, den):
-    once = normalize(num, den)
-    assert normalize(once.numerator, once.denominator) == once
-
-
-@given(rationals, st.integers(0, 20), st.integers(0, 20))
-def test_pow_int_additive_in_exponent(q, j, k):
-    assert pow_int(q, j + k) == pow_int(q, j) * pow_int(q, k)
-
-
-@given(rationals, rationals)
-def test_compare_agrees_with_sign_of_difference(a, b):
-    diff = a - b
-    expected = "less" if diff < 0 else ("equal" if diff == 0 else "greater")
-    assert compare(a, b) == expected
 
 
 @pytest.mark.parametrize(

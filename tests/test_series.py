@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geoseries.construction import LayeredParams
-from geoseries.series import (
-    SeriesSpec,
-    closed_limit,
-    layer_term,
-    partial_sum_closed,
-    partial_sum_naive,
-)
+from geoseries.series import layer_term, partial_sum_closed, partial_sum_naive
 
 MABRY = LayeredParams(3, 1, Fraction(1, 2))
 EDGAR = LayeredParams(5, 4, Fraction(1, 3))
@@ -52,27 +46,6 @@ def test_partial_sum_naive_examples(x, n, expected):
 )
 def test_closed_form_matches_naive_oracle(x, n):
     assert partial_sum_closed(x, n) == partial_sum_naive(x, n)
-
-
-def test_closed_limit_starting_at_one():
-    assert closed_limit(SeriesSpec(ratio=Fraction(1, 4))) == Fraction(4, 3)
-
-
-def test_closed_limit_mabry_series():
-    spec = SeriesSpec(ratio=Fraction(1, 4), starts_at_one=False)
-    assert closed_limit(spec) == Fraction(1, 3)
-
-
-def test_closed_limit_edgar_series():
-    spec = SeriesSpec(ratio=Fraction(4, 9), starts_at_one=False)
-    assert closed_limit(spec) == Fraction(4, 5)
-
-
-def test_series_spec_validates_ratio_and_first_term():
-    with pytest.raises(ValueError):
-        SeriesSpec(ratio=Fraction(1))
-    with pytest.raises(ValueError):
-        SeriesSpec(ratio=Fraction(1, 2), first_term=Fraction(0))
 
 
 @pytest.mark.parametrize(
