@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .construction import StaircaseParams
-from .feasibility import derive_config, enumerate_feasible
+from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
 from .geometry import (
     audit_scene,
     build_layered_scene,
@@ -37,48 +39,97 @@ def _rational(text: str) -> Rational:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+# rows per write: few enough that a chunk of `feasible` output stays a few
+# hundred KiB, enough that the writes themselves cost little
+_CHUNK_ROWS = 4096
+
+# largest --max-m: the acceptance gate's scan (about 5 s and 310 MiB peak
+# RSS with Python 3.11 on a 2-core x86 host); a larger scan costs more
+# and finds nothing new
+MAX_M_LIMIT = 10**6
+
+_YES = ("no", "yes")
+_JSON_BOOL = ("false", "true")
+
+_FEASIBLE_HEADERS = ("m", "r", "n", "a", "sum", "integral", "square", "bound", "a<n", "feasible")
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _widths(headers, rows) -> list[int]:
+    """Each column's width: its longest cell, header included."""
+    return [max(len(str(cell)) for cell in column) for column in zip(headers, *rows)]
+
+
+def _write_table(headers, widths, rows) -> None:
+    """Print the headers, a dash rule and every row, each cell left-justified to its width.
+
+    rows is any iterable of tuples of str or int cells; it is consumed in
+    chunks, each written at once from one %-format line, so a long table
+    is never held whole.
+    """
+    line = "  ".join(f"%-{w}s" for w in widths)
+    write = sys.stdout.write
+    write((line % tuple(headers)).rstrip() + "\n")
+    write("  ".join("-" * w for w in widths) + "\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        write("".join([(line % row).rstrip() + "\n" for row in chunk]))
+
+
+def _feasible_rows(reports):
+    """Table rows of _FEASIBLE_HEADERS, one per report."""
+    for m, r, integral, n, a, square, bound, feasible in reports:
+        # sum = a/n is already in lowest terms: n = 2m-1 = 2(m-1)+1 shares
+        # no factor with a = (m-1)^2, and n >= 3
+        yield (
+            m, fmt(r), n, a, f"{a}/{n}",
+            _YES[integral], _YES[square], _YES[bound], _YES[a < n], _YES[feasible],
+        )
+
+
+def _write_feasible_json(max_m: int, reports) -> None:
+    """Print json.dumps(doc, indent=2) of {"schema": 1, "max_m", "reports"}, chunk by chunk.
+
+    Each report is filled into one template built from the field names,
+    so the document is never held whole; json.dumps with indent would run
+    the pure-Python encoder and join millions of pieces at the end.
+    """
+    item = (
+        "    {\n"
+        + ",\n".join(f"      {json.dumps(name)}: %s" for name in FeasibilityReport._fields)
+        + "\n    }"
+    )
+    write = sys.stdout.write
+    write('{\n  "schema": 1,\n  "max_m": %d,\n  "reports": [\n' % max_m)
+    lead = ""
+    for start in range(0, len(reports), _CHUNK_ROWS):
+        items = [
+            item
+            % (
+                m, encode_basestring_ascii(fmt(r)), _JSON_BOOL[integral], n, a,
+                _JSON_BOOL[square], _JSON_BOOL[bound], _JSON_BOOL[feasible],
+            )
+            for m, r, integral, n, a, square, bound, feasible in reports[
+                start : start + _CHUNK_ROWS
+            ]
+        ]
+        write(lead + ",\n".join(items))
+        lead = ",\n"
+    write("\n  ]\n}\n")
 
 
 def cmd_feasible(args: argparse.Namespace) -> int:
     if args.max_m < 2:
         raise CliError(f"--max-m must be >= 2, got {args.max_m}")
+    if args.max_m > MAX_M_LIMIT:
+        raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     reports = enumerate_feasible(args.max_m)
     if args.format == "json":
-        doc = {"schema": 1, "max_m": args.max_m, "reports": [r.as_dict() for r in reports]}
-        print(json.dumps(doc, indent=2))
+        _write_feasible_json(args.max_m, reports)
         return 0
-    rows = []
-    for r in reports:
-        rows.append(
-            [
-                str(r.candidate_m),
-                fmt(r.r),
-                str(r.derived_n),
-                str(r.derived_a),
-                fmt(Rational(r.derived_a, r.derived_n)),
-                _yes(r.passes_integrality),
-                _yes(r.passes_square_constraint),
-                _yes(r.passes_bound),
-                _yes(r.derived_a < r.derived_n),
-                _yes(r.feasible),
-            ]
-        )
-    _print_table(
-        ["m", "r", "n", "a", "sum", "integral", "square", "bound", "a<n", "feasible"],
-        rows,
-    )
+    # a cell never gets shorter as m grows, except yes/no, which never
+    # outgrows its header: the last report fixes every width
+    widths = _widths(_FEASIBLE_HEADERS, _feasible_rows(reports[-1:]))
+    _write_table(_FEASIBLE_HEADERS, widths, _feasible_rows(reports))
     feasible_ms = [str(r.candidate_m) for r in reports if r.feasible]
     print(f"feasible m: {{{', '.join(feasible_ms)}}}")
     return 0
@@ -121,7 +172,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             doc = json.loads(Path(args.from_scene).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
-        scene = scene_from_json(doc)
+        try:
+            scene = scene_from_json(doc)
+        except ValueError as exc:
+            raise CliError(f"invalid scene file {args.from_scene}: {exc}") from exc
     else:
         if args.construction is None:
             raise CliError("verify needs --construction or --from-scene")
@@ -133,8 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
         return 0
+    headers = ("layer", "polygons", "colored", "colored_area", "layer_area", "fraction", "check")
     rows = [
-        [
+        (
             str(layer.layer_index),
             str(layer.polygon_count),
             str(layer.colored_count),
@@ -142,13 +197,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fmt(layer.total_area),
             fmt(layer.colored_fraction),
             "ok" if layer.ok else "MISMATCH",
-        ]
+        )
         for layer in report.layers
     ]
-    _print_table(
-        ["layer", "polygons", "colored", "colored_area", "layer_area", "fraction", "check"],
-        rows,
-    )
+    _write_table(headers, _widths(headers, rows), rows)
     print(
         f"tiled {fmt(report.tiled_area)} + remainder {fmt(report.apex_remainder)} "
         f"= figure {fmt(report.figure_area)}"
@@ -169,15 +221,22 @@ def cmd_render(args: argparse.Namespace) -> int:
         equilateral_look=not args.no_equilateral,
     )
     out = Path(args.out)
-    out.write_bytes(render(scene, opts).encode("utf-8"))
+    _write_output(out, render(scene, opts))
     print(f"wrote {out}")
     if args.emit_scene:
         scene_path = out.with_suffix(".json")
-        scene_path.write_text(
-            json.dumps(scene_to_json(scene), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_output(scene_path, json.dumps(scene_to_json(scene), indent=2) + "\n")
         print(f"wrote {scene_path}")
     return 0
+
+
+def _write_output(path: Path, text: str) -> None:
+    """Write text to path as UTF-8 bytes; a file that cannot be written is a usage error."""
+    data = text.encode("utf-8")
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -188,15 +247,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.terms < 1:
         raise CliError(f"--terms must be >= 1, got {args.terms}")
     limit = args.first_term / (1 - args.ratio)
+    headers = ("k", "term", "partial_naive", "partial_closed", "limit")
     rows = []
     running = parse("0")
     term = args.first_term
     for k in range(1, args.terms + 1):
         running += term  # naive column: honest term-by-term accumulation
         closed = args.first_term * partial_sum_closed(args.ratio, k - 1)
-        rows.append([str(k), fmt(term), fmt(running), fmt(closed), fmt(limit)])
+        rows.append((str(k), fmt(term), fmt(running), fmt(closed), fmt(limit)))
         term *= args.ratio
-    _print_table(["k", "term", "partial_naive", "partial_closed", "limit"], rows)
+    _write_table(headers, _widths(headers, rows), rows)
     return 0
 
 
@@ -211,7 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_feasible = sub.add_parser(
         "feasible", help="enumerate which r = 1/m admit a layered picture"
     )
-    p_feasible.add_argument("--max-m", type=int, default=10)
+    p_feasible.add_argument(
+        "--max-m",
+        type=int,
+        default=10,
+        help=f"scan m = 2..MAX_M, at most {MAX_M_LIMIT} (default: 10)",
+    )
     p_feasible.add_argument("--format", choices=("table", "json"), default="table")
     p_feasible.set_defaults(func=cmd_feasible)
 

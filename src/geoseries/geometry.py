@@ -298,7 +298,7 @@ def _audit_layers(scene, expected_counts, expected_colored, expected_total):
                 colored_count=colored_count,
                 colored_area=colored_area,
                 total_area=total_area,
-                colored_fraction=colored_area / total_area,
+                colored_fraction=colored_area / total_area if polys else ZERO,
                 expected_colored_area=want_colored,
                 expected_total_area=want_total,
                 ok=ok,
@@ -381,27 +381,99 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(doc: dict) -> Scene:
-    """Inverse of scene_to_json; validates the schema version."""
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported scene schema: {doc.get('schema')!r}")
-    polygons = tuple(
-        Polygon(
-            vertices=tuple(Point(parse(x), parse(y)) for x, y in entry["vertices"]),
-            role=entry["role"],
-            layer_index=entry.get("layer_index"),
-            label=entry.get("label"),
-        )
-        for entry in doc["polygons"]
-    )
-    labels = tuple(
-        (Point(parse(entry["x"]), parse(entry["y"])), entry["text"])
-        for entry in doc.get("labels", [])
-    )
+# params the audit reads back, per construction kind
+_AUDITED_PARAMS = {"layered": ("n", "a", "r"), "staircase": ("s",)}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _fits(value, kind: type, optional: bool) -> bool:
+    """True if value is a `kind` (bool never counts as int), or None when optional."""
+    return (value is None and optional) or (isinstance(value, kind) and not isinstance(value, bool))
+
+
+def _wrong_type(value, kind: type, path: str) -> ValueError:
+    return ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
+
+
+def _typed(value, kind: type, path: str):
+    """value if it is a `kind`, else ValueError naming path."""
+    if _fits(value, kind, False):
+        return value
+    raise _wrong_type(value, kind, path)
+
+
+def _member(obj: dict, key: str, kind: type, path: str, optional: bool = False):
+    """obj[key] if it is a `kind`; a missing key is None when optional."""
+    value = obj.get(key)
+    if _fits(value, kind, optional):
+        return value
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise ValueError(f"{where} is missing")
+    raise _wrong_type(value, kind, where)
+
+
+def _point(pair) -> Point:
+    """The Point of an ["x", "y"] pair of "p/q" strings."""
+    if isinstance(pair, list) and len(pair) == 2:
+        x, y = pair
+        if isinstance(x, str) and isinstance(y, str):
+            return Point(parse(x), parse(y))
+    raise ValueError(f'must be an ["x", "y"] pair of "p/q" strings, got {pair!r:.40}')
+
+
+def scene_from_json(doc) -> Scene:
+    """Inverse of scene_to_json; checks the schema version and the document's shape.
+
+    Anything malformed raises ValueError naming where, e.g.
+    ``polygons[3].vertices[1]: invalid literal for int() ...``.
+    """
+    _typed(doc, dict, "scene")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != 1:
+        raise ValueError(f"unsupported scene schema: {schema!r:.40}")
+    kind = _member(doc, "construction_kind", str, "")
+    if kind not in _AUDITED_PARAMS:
+        raise ValueError(f"construction_kind: unknown construction {kind!r:.40}")
+    params = _member(doc, "params", dict, "")
+    for key in _AUDITED_PARAMS[kind]:
+        if key not in params:
+            raise ValueError(f"params.{key} is missing")
+    layers = _member(doc, "layers_rendered", int, "")
+    if layers < 1:
+        raise ValueError(f"layers_rendered must be >= 1, got {layers}")
+    polygons = []
+    for i, entry in enumerate(_member(doc, "polygons", list, "")):
+        path = f"polygons[{i}]"
+        _typed(entry, dict, path)
+        vertices = _member(entry, "vertices", list, path)
+        points = []
+        for j, pair in enumerate(vertices):
+            try:
+                points.append(_point(pair))
+            except ValueError as exc:
+                raise ValueError(f"{path}.vertices[{j}]: {exc}") from None
+        role = _member(entry, "role", str, path)
+        layer_index = _member(entry, "layer_index", int, path, optional=True)
+        label = _member(entry, "label", str, path, optional=True)
+        try:
+            polygons.append(Polygon(tuple(points), role, layer_index, label))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    labels = []
+    for i, entry in enumerate(_member(doc, "labels", list, "", optional=True) or ()):
+        path = f"labels[{i}]"
+        _typed(entry, dict, path)
+        pair = [_member(entry, "x", str, path), _member(entry, "y", str, path)]
+        try:
+            point = _point(pair)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        labels.append((point, _member(entry, "text", str, path)))
     return Scene(
-        polygons=polygons,
-        labels=labels,
-        construction_kind=doc["construction_kind"],
-        params_echo={k: str(v) for k, v in doc["params"].items()},
-        layers_rendered=int(doc["layers_rendered"]),
+        polygons=tuple(polygons),
+        labels=tuple(labels),
+        construction_kind=kind,
+        params_echo={k: str(v) for k, v in params.items()},
+        layers_rendered=layers,
     )

@@ -38,6 +38,12 @@ class TestFeasible:
         assert code == 2
         assert "max-m" in err
 
+    def test_help_states_the_max_m_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["feasible", "--help"])
+        assert exc.value.code == 0
+        assert "at most 1000000" in capsys.readouterr().out
+
 
 class TestTable:
     def test_partial_sums_and_limit(self, capsys):
@@ -121,6 +127,53 @@ class TestVerify:
         assert diagnostic["check"] == "fail"
         assert diagnostic["mismatches"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schema":1}', "construction_kind is missing"),
+            ("[1,2]", "scene must be an object, got [1, 2]"),
+        ],
+    )
+    def test_malformed_scene_is_usage_error(self, capsys, tmp_path, text, message):
+        scene_path = tmp_path / "bad.json"
+        scene_path.write_text(text)
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid scene file {scene_path}: {message}\n"
+
+    def test_bad_coordinate_names_its_path(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "staircase", "--s", "1/2",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["polygons"][3]["vertices"][1] = ["1/2", "1/0"]
+        scene_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 2
+        assert err.startswith(f"error: invalid scene file {scene_path}: polygons[3].vertices[1]: ")
+        assert err.count("\n") == 1
+
+    def test_scene_missing_a_layer_is_an_audit_mismatch(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "staircase", "--s", "1/2",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["polygons"] = [p for p in doc["polygons"] if p["layer_index"] != 2]
+        scene_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 1
+        diagnostic = json.loads(out)
+        assert diagnostic["layers"][1]["polygons"] == 0
+        assert diagnostic["layers"][1]["colored_fraction"] == "0"
+        assert diagnostic["mismatches"][0].startswith("layer 2: polygon counts (0, 0 colored)")
+
 
 class TestRender:
     def test_writes_svg_and_scene(self, capsys, tmp_path):
@@ -154,6 +207,30 @@ class TestRender:
         )
         assert code == 0
         assert json.loads(from_scene) == json.loads(direct)
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "nodir" / "x.svg"
+        code, out, err = run(
+            capsys,
+            "render", "--construction", "layered", "--m", "2",
+            "--layers", "2", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_scene_is_usage_error(self, capsys, tmp_path):
+        (tmp_path / "pic.json").mkdir()  # the scene's path is taken by a directory
+        code, out, err = run(
+            capsys,
+            "render", "--construction", "layered", "--m", "2", "--layers", "2",
+            "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        assert code == 2
+        assert out == f"wrote {tmp_path / 'pic.svg'}\n"
+        assert err.startswith(f"error: cannot write {tmp_path / 'pic.json'}: ")
+        assert err.count("\n") == 1
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

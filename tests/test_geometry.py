@@ -1,7 +1,10 @@
+import copy
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geoseries.construction import (
     LayeredParams,
@@ -16,6 +19,7 @@ from geoseries.geometry import (
     ROLE_OUTLINE,
     Point,
     Polygon,
+    Scene,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
@@ -251,3 +255,80 @@ class TestSceneJson:
         doc = scene_to_json(build_staircase_scene(StaircaseParams(Fraction(1, 2)), 1))
         roles = {p["role"] for p in doc["polygons"]}
         assert roles == {ROLE_OUTLINE, ROLE_COLORED, ROLE_BLANK}
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("polygons", 3, "vertices", 1), ["1/2"], "polygons[3].vertices[1]: must be an"),
+            (("polygons", 2, "vertices", 0, 1), 7, "polygons[2].vertices[0]: must be an"),
+            (("polygons", 2, "vertices", 2, 0), "1/x", "polygons[2].vertices[2]: invalid literal"),
+            (("polygons", 1, "role"), "red", "polygons[1]: unknown polygon role 'red'"),
+            (("polygons", 4, "layer_index"), "2", "polygons[4].layer_index must be an integer"),
+            (("labels", 0, "x"), "1/0", "labels[0]: denominator must be positive"),
+            (("labels", 1, "y"), None, "labels[1].y must be a string"),
+            (("params",), {"r": "1/4"}, "params.s is missing"),
+            (("layers_rendered",), 0, "layers_rendered must be >= 1"),
+            (("construction_kind",), "spiral", "construction_kind: unknown construction"),
+        ],
+    )
+    def test_malformed_document_names_the_path(self, path, value, message):
+        doc = scene_to_json(build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            scene_from_json(doc)
+        assert str(exc.value).startswith(message)
+
+
+def _paths(node, prefix=()):
+    """Every key path inside a JSON value, the empty path first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+SCENE_KEYS = ["schema", "construction_kind", "params", "layers_rendered", "polygons",
+              "labels", "vertices", "role", "layer_index", "label", "x", "y", "text", "s"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1/2", "3/4", "-1", "0/1", "colored", "staircase", "layered"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(SCENE_KEYS) | st.text(max_size=4), children, max_size=5),
+    max_leaves=12,
+)
+VALID_DOC = scene_to_json(build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2))
+VALID_PATHS = list(_paths(VALID_DOC))[1:]
+
+
+def _scene_or_value_error(doc):
+    try:
+        scene = scene_from_json(doc)
+    except ValueError:
+        return
+    assert isinstance(scene, Scene)
+
+
+@given(JSON_VALUES)
+def test_scene_from_arbitrary_json_is_a_scene_or_value_error(doc):
+    _scene_or_value_error(doc)
+
+
+@given(st.sampled_from(VALID_PATHS), JSON_VALUES, st.booleans())
+def test_scene_from_damaged_document_is_a_scene_or_value_error(path, value, delete):
+    doc = copy.deepcopy(VALID_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    _scene_or_value_error(doc)
