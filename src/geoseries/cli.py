@@ -23,7 +23,7 @@ from .geometry import (
     scene_from_json,
     scene_to_json,
 )
-from .rational import Rational, fmt, parse
+from .rational import MAX_DENOMINATOR_BITS, Rational, check_depth, fmt, parse
 from .render import RenderOptions, render
 from .series import partial_sum_closed
 
@@ -142,6 +142,7 @@ def _build_scene(args: argparse.Namespace):
         if args.s is not None:
             raise CliError("--s applies to the staircase construction only")
         params = derive_config(args.m)
+        check_depth(args.layers, params.r, "--layers")
         colored = None
         if not params.drawable:
             if not args.allow_infeasible:
@@ -163,6 +164,7 @@ def _build_scene(args: argparse.Namespace):
         raise CliError("--m applies to the layered construction only")
     if not 0 < args.s < 1:
         raise CliError(f"--s must lie strictly in (0,1), got {fmt(args.s)}")
+    check_depth(args.layers, args.s, "--layers")
     return build_staircase_scene(StaircaseParams(args.s), args.layers)
 
 
@@ -246,6 +248,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise CliError(f"--first-term must be positive, got {fmt(args.first_term)}")
     if args.terms < 1:
         raise CliError(f"--terms must be >= 1, got {args.terms}")
+    check_depth(args.terms, args.ratio, "--terms")
     limit = args.first_term / (1 - args.ratio)
     headers = ("k", "term", "partial_naive", "partial_closed", "limit")
     rows = []
@@ -284,14 +287,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--construction", choices=("layered", "staircase"))
         p.add_argument("--m", type=int, help="layered: r = 1/m")
         p.add_argument("--s", type=_rational, help="staircase: s = P/Q, ratio r = s^2")
-        p.add_argument("--layers", type=int, default=4)
+        p.add_argument(
+            "--layers",
+            type=int,
+            default=4,
+            help="layers to draw (default: 4); layers x bit length of the denominator "
+            f"of r = 1/m or of s is at most {MAX_DENOMINATOR_BITS}",
+        )
         p.add_argument("--allow-infeasible", action="store_true")
 
     p_verify = sub.add_parser(
         "verify", help="build a scene and audit every area against the formulas"
     )
     add_scene_args(p_verify)
-    p_verify.add_argument("--from-scene", metavar="PATH", help="audit a scene JSON file")
+    p_verify.add_argument(
+        "--from-scene",
+        metavar="PATH",
+        help="audit a scene JSON file; its layers_rendered has the cap of --layers",
+    )
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -313,7 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--ratio", type=_rational, required=True)
     p_table.add_argument("--first-term", type=_rational, default=parse("1"))
-    p_table.add_argument("--terms", type=int, default=10)
+    p_table.add_argument(
+        "--terms",
+        type=int,
+        default=10,
+        help="rows to print (default: 10); terms x bit length of the ratio's "
+        f"denominator is at most {MAX_DENOMINATOR_BITS}",
+    )
     p_table.set_defaults(func=cmd_table)
 
     return parser

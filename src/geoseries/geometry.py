@@ -13,6 +13,7 @@ W_k = R_k + (0, s^(k-1)).  Every W_k lies on AB and every R_k on AC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .construction import (
     staircase_total_area,
     triangle_area,
 )
-from .rational import ONE, ZERO, Rational, fmt, parse
+from .rational import ONE, ZERO, Rational, check_depth, fmt, parse
 
 ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
@@ -68,12 +69,17 @@ class Scene:
 
 
 def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
-    total = ZERO
-    m = len(vertices)
-    for i in range(m):
-        p, q = vertices[i], vertices[(i + 1) % m]
-        total += p.x * q.y - q.x * p.y
-    return total
+    """Twice the signed area, positive when counterclockwise (the shoelace sum).
+
+    Every coordinate is put over one common denominator d, the lcm of the
+    polygon's denominators, so the cross products are summed in plain ints
+    and the only gcd is the one that reduces the result, total / d^2.
+    """
+    d = math.lcm(*[c.denominator for v in vertices for c in (v.x, v.y)])
+    xs = [v.x.numerator * (d // v.x.denominator) for v in vertices]
+    ys = [v.y.numerator * (d // v.y.denominator) for v in vertices]
+    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
+    return Fraction(total, d * d)
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
@@ -381,8 +387,11 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-# params the audit reads back, per construction kind
+# params the audit reads back, per construction kind; the last is the ratio
+# whose denominator sets how deep layers_rendered may go
 _AUDITED_PARAMS = {"layered": ("n", "a", "r"), "staircase": ("s",)}
+_COUNT_PARAMS = ("n", "a", "colored_per_layer")
+_RATIO_PARAMS = ("r", "s")
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
@@ -422,6 +431,26 @@ def _point(pair) -> Point:
     raise ValueError(f'must be an ["x", "y"] pair of "p/q" strings, got {pair!r:.40}')
 
 
+def _check_param(key: str, value) -> None:
+    """ValueError naming params.<key> unless value is what the audit reads.
+
+    Counts are integers >= 1, as decimal strings or JSON integers; ratios
+    are "p/q" strings in (0, 1).
+    """
+    try:
+        if key in _COUNT_PARAMS:
+            want = "an integer >= 1"
+            text = str(value) if _fits(value, int, False) else value
+            ok = isinstance(text, str) and text.isascii() and text.isdigit() and int(text) >= 1
+        else:
+            want = 'a "p/q" string in (0, 1)'
+            ok = isinstance(value, str) and 0 < parse(value) < 1
+    except ValueError:  # not a rational, or too many digits to convert
+        ok = False
+    if not ok:
+        raise ValueError(f"params.{key} must be {want}, got {value!r:.40}")
+
+
 def scene_from_json(doc) -> Scene:
     """Inverse of scene_to_json; checks the schema version and the document's shape.
 
@@ -439,9 +468,13 @@ def scene_from_json(doc) -> Scene:
     for key in _AUDITED_PARAMS[kind]:
         if key not in params:
             raise ValueError(f"params.{key} is missing")
+    for key in _COUNT_PARAMS + _RATIO_PARAMS:
+        if key in params:
+            _check_param(key, params[key])
     layers = _member(doc, "layers_rendered", int, "")
     if layers < 1:
         raise ValueError(f"layers_rendered must be >= 1, got {layers}")
+    check_depth(layers, parse(params[_AUDITED_PARAMS[kind][-1]]), "layers_rendered")
     polygons = []
     for i, entry in enumerate(_member(doc, "polygons", list, "")):
         path = f"polygons[{i}]"

@@ -1,10 +1,13 @@
 """Deterministic SVG output: same scene and options, same bytes, always.
 
-No binary floating point anywhere: layout runs in exact rationals and
-coordinates are printed through format_coordinate, which expands the
-decimal digits from integers with half-away-from-zero rounding.  The
-equilateral look for layered scenes is a cosmetic y-stretch by a fixed
-rational stand-in for sqrt(3); the audit never sees these coordinates.
+No binary floating point anywhere.  layout finds the bounding box in exact
+rationals and turns it into one exact affine map per axis, px = ax*x + bx,
+held as integers over one shared denominator.  A vertex x = p/q then maps
+to the unreduced fraction (ax*p + bx*q) / (den*q), with no gcd, and is
+printed by the one rounding rule format_coordinate also uses: decimal
+digits expanded from integers, half away from zero.  The equilateral
+look for layered scenes is a cosmetic y-stretch by a fixed rational
+stand-in for sqrt(3); the audit never sees these coordinates.
 """
 
 from __future__ import annotations
@@ -40,6 +43,19 @@ class RenderOptions:
             )
 
 
+def _fixed(num: int, den: int, decimal_places: int) -> str:
+    """num/den (den > 0, not necessarily reduced) as format_coordinate prints it."""
+    units = (2 * abs(num) * 10**decimal_places + den) // (2 * den)
+    if decimal_places == 0:
+        text = str(units)
+    else:
+        digits = str(units).rjust(decimal_places + 1, "0")
+        text = f"{digits[:-decimal_places]}.{digits[-decimal_places:]}"
+    if num < 0 and units != 0:
+        text = "-" + text
+    return text
+
+
 def format_coordinate(q: Rational, decimal_places: int) -> str:
     """Fixed-point decimal, exactly decimal_places digits, half away from zero.
 
@@ -48,41 +64,28 @@ def format_coordinate(q: Rational, decimal_places: int) -> str:
     """
     if decimal_places < 0:
         raise ValueError(f"decimal_places must be >= 0, got {decimal_places}")
-    scaled = abs(q) * 10**decimal_places
-    num, den = scaled.numerator, scaled.denominator
-    units = (2 * num + den) // (2 * den)
-    if decimal_places == 0:
-        text = str(units)
-    else:
-        digits = str(units).rjust(decimal_places + 1, "0")
-        text = f"{digits[:-decimal_places]}.{digits[-decimal_places:]}"
-    if q < 0 and units != 0:
-        text = "-" + text
-    return text
+    return _fixed(q.numerator, q.denominator, decimal_places)
 
 
 @dataclass(frozen=True)
 class Layout:
-    """Exact scene-to-pixel transform; area_scale converts exact areas to px^2."""
+    """Exact scene-to-pixel map, one affine map per axis over one denominator:
+    px = (ax*x + bx) / den and py = (ay*y + by) / den, all five integers.
 
-    scale: Fraction
-    y_stretch: Fraction
-    x_min: Fraction
-    y_max: Fraction
-    margin: Fraction
+    area_scale converts exact scene areas to px^2.
+    """
+
+    ax: int
+    bx: int
+    ay: int
+    by: int
+    den: int
     width_px: int
     height_px: int
 
     @property
     def area_scale(self) -> Fraction:
-        return self.scale * self.scale * self.y_stretch
-
-    def to_px(self, pt: Point) -> tuple[Fraction, Fraction]:
-        sy = pt.y * self.y_stretch
-        return (
-            (pt.x - self.x_min + self.margin) * self.scale,
-            (self.y_max + self.margin - sy) * self.scale,
-        )
+        return Fraction(-self.ax * self.ay, self.den * self.den)
 
 
 def layout(scene: Scene, opts: RenderOptions) -> Layout:
@@ -91,31 +94,32 @@ def layout(scene: Scene, opts: RenderOptions) -> Layout:
         SQRT3 if scene.construction_kind == "layered" and opts.equilateral_look else ONE
     )
     xs = [v.x for poly in scene.polygons for v in poly.vertices]
-    ys = [v.y * stretch for poly in scene.polygons for v in poly.vertices]
+    ys = [v.y for poly in scene.polygons for v in poly.vertices]
     x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    y_min, y_max = min(ys) * stretch, max(ys) * stretch  # stretch > 0
     width = x_max - x_min
     height = y_max - y_min
     margin = max(width, height) / 10
     scale = Fraction(opts.canvas_width_px) / (width + 2 * margin)
     height_px = math.ceil((height + 2 * margin) * scale)
-    return Layout(
-        scale=scale,
-        y_stretch=stretch,
-        x_min=x_min,
-        y_max=y_max,
-        margin=margin,
-        width_px=opts.canvas_width_px,
-        height_px=height_px,
+    # px = (x - x_min + margin) * scale, py = (y_max + margin - y * stretch) * scale
+    coefficients = (scale, (margin - x_min) * scale, -stretch * scale, (y_max + margin) * scale)
+    den = math.lcm(*[c.denominator for c in coefficients])
+    ax, bx, ay, by = [c.numerator * (den // c.denominator) for c in coefficients]
+    return Layout(ax, bx, ay, by, den, opts.canvas_width_px, height_px)
+
+
+def _px(lay: Layout, pt: Point, dp: int) -> tuple[str, str]:
+    """pt's pixel coordinates as printed, from the unreduced numerators."""
+    x, y = pt.x, pt.y
+    return (
+        _fixed(lay.ax * x.numerator + lay.bx * x.denominator, lay.den * x.denominator, dp),
+        _fixed(lay.ay * y.numerator + lay.by * y.denominator, lay.den * y.denominator, dp),
     )
 
 
 def _points_attr(poly, lay: Layout, dp: int) -> str:
-    pairs = []
-    for v in poly.vertices:
-        px, py = lay.to_px(v)
-        pairs.append(f"{format_coordinate(px, dp)},{format_coordinate(py, dp)}")
-    return " ".join(pairs)
+    return " ".join(",".join(_px(lay, v, dp)) for v in poly.vertices)
 
 
 def render(scene: Scene, opts: RenderOptions | None = None) -> str:
@@ -155,10 +159,10 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
             continue
         if not is_annotation and not opts.show_labels:
             continue
-        px, py = lay.to_px(pt)
+        px, py = _px(lay, pt, dp)
         anchor = "start" if is_annotation else "middle"
         lines.append(
-            f'<text x="{format_coordinate(px, dp)}" y="{format_coordinate(py, dp)}" '
+            f'<text x="{px}" y="{py}" '
             f'font-family="sans-serif" font-size="{font_px}" '
             f'text-anchor="{anchor}">{escape(text)}</text>'
         )

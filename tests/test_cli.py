@@ -69,6 +69,22 @@ class TestTable:
         assert exc.value.code == 2
 
 
+    def test_terms_cap_is_checked_before_the_table(self, capsys):
+        # 3 terms of a ratio with a 2001-bit denominator predict 6003 bits
+        code, out, err = run(capsys, "table", "--ratio", f"1/{2**2000}", "--terms", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --terms 3 is too deep")
+        assert "over the cap of 4096 bits (at most 2 here)" in err
+        assert err.count("\n") == 1
+
+    def test_help_states_the_terms_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--help"])
+        assert exc.value.code == 0
+        assert "is at most 4096" in " ".join(capsys.readouterr().out.split())
+
+
 class TestVerify:
     def test_staircase_json_reports_colored_fraction(self, capsys):
         code, out, _ = run(
@@ -132,6 +148,10 @@ class TestVerify:
         [
             ('{"schema":1}', "construction_kind is missing"),
             ("[1,2]", "scene must be an object, got [1, 2]"),
+            (
+                '{"schema":1,"construction_kind":"staircase","params":{"s":"1"}}',
+                'params.s must be a "p/q" string in (0, 1), got \'1\'',
+            ),
         ],
     )
     def test_malformed_scene_is_usage_error(self, capsys, tmp_path, text, message):
@@ -156,6 +176,46 @@ class TestVerify:
         assert code == 2
         assert err.startswith(f"error: invalid scene file {scene_path}: polygons[3].vertices[1]: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_layers_cap_is_checked_before_the_build(self, capsys, tmp_path, command):
+        # 3 layers of an s with a 2001-bit denominator predict 6003 bits
+        out_args = ("--out", str(tmp_path / "deep.svg")) if command == "render" else ()
+        code, out, err = run(
+            capsys,
+            command, "--construction", "staircase", "--s", f"1/{2**2000}", "--layers", "3",
+            *out_args,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --layers 3 is too deep")
+        assert "over the cap of 4096 bits (at most 2 here)" in err
+        assert not (tmp_path / "deep.svg").exists()
+
+    def test_layers_rendered_cap_is_checked_before_the_audit(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "staircase", "--s", "1/2",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["params"]["s"] = f"1/{2**2000}"
+        doc["layers_rendered"] = 3
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: invalid scene file {scene_path}: layers_rendered 3 is too deep"
+        )
+        assert "over the cap of 4096 bits" in err
+
+    def test_help_states_the_layers_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "of s is at most 4096" in " ".join(capsys.readouterr().out.split())
 
     def test_scene_missing_a_layer_is_an_audit_mismatch(self, capsys, tmp_path):
         run(

@@ -269,6 +269,14 @@ class TestSceneJson:
             (("params",), {"r": "1/4"}, "params.s is missing"),
             (("layers_rendered",), 0, "layers_rendered must be >= 1"),
             (("construction_kind",), "spiral", "construction_kind: unknown construction"),
+            (("params", "n"), "abc", "params.n must be an integer >= 1, got 'abc'"),
+            (("params", "a"), 0, "params.a must be an integer >= 1, got 0"),
+            (("params", "colored_per_layer"), "-1", "params.colored_per_layer must be an integer"),
+            (("params", "r"), {"a": 1}, 'params.r must be a "p/q" string in (0, 1), got {'),
+            (("params", "r"), "0", 'params.r must be a "p/q" string in (0, 1), got \'0\''),
+            (("params", "s"), "1", 'params.s must be a "p/q" string in (0, 1), got \'1\''),
+            (("params", "s"), "1/x", 'params.s must be a "p/q" string in (0, 1)'),
+            (("layers_rendered",), 2049, "layers_rendered 2049 is too deep"),
         ],
     )
     def test_malformed_document_names_the_path(self, path, value, message):

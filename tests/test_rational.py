@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoseries.rational import fmt, parse
+from geoseries.rational import MAX_DENOMINATOR_BITS, check_depth, fmt, parse
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -44,3 +44,11 @@ def test_fmt_drops_unit_denominator():
 @given(rationals)
 def test_parse_fmt_round_trip(q):
     assert parse(fmt(q)) == q
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 5), Fraction(254, 255)])
+def test_depth_cap_is_layers_times_denominator_bits(ratio):
+    deepest = MAX_DENOMINATOR_BITS // ratio.denominator.bit_length()
+    check_depth(deepest, ratio, "--layers")
+    with pytest.raises(ValueError, match=rf"^--layers {deepest + 1} is too deep"):
+        check_depth(deepest + 1, ratio, "--layers")

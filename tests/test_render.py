@@ -1,8 +1,13 @@
+import hashlib
+import importlib.util
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from geoseries.cli import main
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.geometry import build_layered_scene, build_staircase_scene, shoelace_area
 from geoseries.render import RenderOptions, format_coordinate, layout, render
@@ -154,3 +159,27 @@ class TestGoldenFiles:
     def test_matches_frozen_golden(self, fixtures_dir, name, scene):
         golden = (fixtures_dir / name).read_bytes()
         assert render(scene, RenderOptions()).encode("utf-8") == golden
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize(
+    "name, scene_args",
+    [
+        ("layered-m3-L200.svg", ("--construction", "layered", "--m", "3", "--layers", "200")),
+        ("staircase-s3_5-L500.svg", ("--construction", "staircase", "--s", "3/5", "--layers", "500")),
+    ],
+)
+def test_deep_svg_bytes_match_the_benchmark_pins(
+    tmp_path, capsys, monkeypatch, name, scene_args
+):
+    """At 300- to 1200-bit denominators a rounding slip shows where L = 3 or 4 cannot."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    out = tmp_path / name
+    assert main(["render", *scene_args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == workloads.DEEP_SVG_SHA256[name]
