@@ -43,6 +43,12 @@ def _rational(text: str) -> Rational:
 # hundred KiB, enough that the writes themselves cost little
 _CHUNK_ROWS = 4096
 
+# largest picture, in polygons (layers x n + 1 for layered m, 2 x layers + 1
+# for a staircase): layered m = 3 at the depth cap, 2048 x 5 + 1, so only a
+# clamped infeasible picture can exceed it.  At the cap a clamped picture
+# costs no more than m = 3 at 2048 layers (see MAX_DENOMINATOR_BITS)
+MAX_POLYGONS = 10_241
+
 # largest --max-m: the acceptance gate's scan (about 5 s and 310 MiB peak
 # RSS with Python 3.11 on a 2-core x86 host); a larger scan costs more
 # and finds nothing new
@@ -143,7 +149,6 @@ def _build_scene(args: argparse.Namespace):
             raise CliError("--s applies to the staircase construction only")
         params = derive_config(args.m)
         check_depth(args.layers, params.r, "--layers")
-        colored = None
         if not params.drawable:
             if not args.allow_infeasible:
                 raise CliError(
@@ -151,13 +156,19 @@ def _build_scene(args: argparse.Namespace):
                     f"only m=2 and m=3 are feasible, see `geoseries feasible`); "
                     f"pass --allow-infeasible to draw a clamped picture anyway"
                 )
-            colored = min(params.a, params.n)
+            count = args.layers * params.n + 1
+            if count > MAX_POLYGONS:
+                raise CliError(
+                    f"--m {args.m} with --layers {args.layers} draws {args.layers} x "
+                    f"{params.n} + 1 = {count} polygons, over the cap of {MAX_POLYGONS}"
+                )
+            # a = (m-1)^2 >= n = 2m-1, so the builder colors all n
             print(
                 f"warning: m={args.m} is infeasible; coloring clamped to "
-                f"{colored} of {params.n} triangles per layer",
+                f"{params.n} of {params.n} triangles per layer",
                 file=sys.stderr,
             )
-        return build_layered_scene(params, args.layers, colored_per_layer=colored)
+        return build_layered_scene(params, args.layers)
     if args.s is None:
         raise CliError("staircase construction requires --s P/Q")
     if args.m is not None:
@@ -246,6 +257,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise CliError(f"--ratio must lie strictly in (0,1), got {fmt(args.ratio)}")
     if args.first_term <= 0:
         raise CliError(f"--first-term must be positive, got {fmt(args.first_term)}")
+    first = args.first_term
+    for part, value in (("numerator", first.numerator), ("denominator", first.denominator)):
+        bits = value.bit_length()
+        if bits > MAX_DENOMINATOR_BITS:
+            raise CliError(
+                f"--first-term has a {bits}-bit {part}, over the cap of "
+                f"{MAX_DENOMINATOR_BITS} bits for its numerator and its denominator"
+            )
     if args.terms < 1:
         raise CliError(f"--terms must be >= 1, got {args.terms}")
     check_depth(args.terms, args.ratio, "--terms")
@@ -285,7 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scene_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--construction", choices=("layered", "staircase"))
-        p.add_argument("--m", type=int, help="layered: r = 1/m")
+        p.add_argument(
+            "--m",
+            type=int,
+            help="layered: r = 1/m; an infeasible m (with --allow-infeasible) draws "
+            f"layers x (2m - 1) + 1 polygons, at most {MAX_POLYGONS}",
+        )
         p.add_argument("--s", type=_rational, help="staircase: s = P/Q, ratio r = s^2")
         p.add_argument(
             "--layers",
@@ -325,7 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="print partial sums of a geometric series, naive and closed"
     )
     p_table.add_argument("--ratio", type=_rational, required=True)
-    p_table.add_argument("--first-term", type=_rational, default=parse("1"))
+    p_table.add_argument(
+        "--first-term",
+        type=_rational,
+        default=parse("1"),
+        help=f"first term P/Q (default: 1); P and Q are at most {MAX_DENOMINATOR_BITS} bits each",
+    )
     p_table.add_argument(
         "--terms",
         type=int,

@@ -35,11 +35,6 @@ class FeasibilityReport(NamedTuple):
     passes_bound: bool
     feasible: bool
 
-    def as_dict(self) -> dict:
-        d = self._asdict()
-        d["r"] = fmt(self.r)
-        return d
-
 
 def check_square_constraint(p: LayeredParams) -> bool:
     """True iff (1-r)^2 / (1-(1-r)^2) == a/n exactly."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .construction import (
     LayeredParams,
@@ -41,7 +42,10 @@ class Point:
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon with distinct vertices in counterclockwise order."""
+    """Simple polygon with distinct vertices in counterclockwise order.
+
+    `area` is its shoelace area, computed once by the orientation check.
+    """
 
     vertices: tuple[Point, ...]
     role: str
@@ -53,8 +57,13 @@ class Polygon:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(self.vertices)}")
         if self.role not in (ROLE_COLORED, ROLE_BLANK, ROLE_OUTLINE):
             raise ValueError(f"unknown polygon role {self.role!r}")
-        if signed_area_twice(self.vertices) <= 0:
+        if self.area <= 0:
             raise ValueError("polygon must be counterclockwise with nonzero area")
+
+    @cached_property
+    def area(self) -> Rational:
+        """Exact area; not a field, so ==, repr and scene JSON never see it."""
+        return signed_area_twice(self.vertices) / 2
 
 
 @dataclass(frozen=True)
@@ -83,20 +92,16 @@ def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
-    """Exact positive area of a polygon via the shoelace formula."""
-    doubled = signed_area_twice(polygon.vertices)
-    if doubled == 0:
-        raise ValueError("degenerate polygon: zero signed area")
-    return abs(doubled) / 2
+    """Exact positive area of a polygon: the shoelace area kept at its construction."""
+    return polygon.area
 
 
-def build_layered_scene(
-    p: LayeredParams, layers: int, colored_per_layer: int | None = None
-) -> Scene:
+def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
     """Tessellated layered picture for r = 1/m, n = 2m-1.
 
-    colored_per_layer overrides p.a (used for the clamped infeasible
-    rendering); it may equal n but not exceed it.
+    Each layer colors min(a, n) of its n triangles: an infeasible m has
+    a = (m-1)^2 >= n, so its picture is the clamped one with every
+    triangle colored.  The count is echoed as colored_per_layer.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
@@ -107,9 +112,7 @@ def build_layered_scene(
     m = p.r.denominator
     if p.n != 2 * m - 1:
         raise ValueError(f"r = 1/{m} forces n = {2 * m - 1} triangles per layer, got n = {p.n}")
-    colored = p.a if colored_per_layer is None else colored_per_layer
-    if not 1 <= colored <= p.n:
-        raise ValueError(f"colored count must lie in [1, {p.n}], got {colored}")
+    colored = min(p.a, p.n)
 
     a_pt = Point(ZERO, ONE)
     b_pt = Point(ONE, ZERO)
@@ -252,8 +255,11 @@ class AuditReport:
         }
 
 
-def _audit_layers(scene, expected_counts, expected_colored, expected_total):
-    """Shared per-layer tally loop; expectation callbacks take the layer index."""
+def _audit_layers(scene, expected):
+    """Shared per-layer tally loop.
+
+    expected(k) is layer k's (polygon count, colored count, colored area, layer area).
+    """
     layers = []
     mismatches = []
     tiled = ZERO
@@ -275,9 +281,7 @@ def _audit_layers(scene, expected_counts, expected_colored, expected_total):
                 colored_count += 1
                 colored_area += area
         tiled += total_area
-        want_count, want_colored_count = expected_counts(k)
-        want_colored = expected_colored(k)
-        want_total = expected_total(k)
+        want_count, want_colored_count, want_colored, want_total = expected(k)
         ok = True
         if len(polys) != want_count or colored_count != want_colored_count:
             ok = False
@@ -328,20 +332,14 @@ def audit_scene(scene: Scene) -> AuditReport:
         )
         colored_n = int(scene.params_echo.get("colored_per_layer", str(p.a)))
         layers, mismatches, tiled = _audit_layers(
-            scene,
-            expected_counts=lambda k: (p.n, colored_n),
-            expected_colored=lambda k: colored_n * triangle_area(p, k),
-            expected_total=lambda k: layer_area(p, k),
+            scene, lambda k: (p.n, colored_n, colored_n * triangle_area(p, k), layer_area(p, k))
         )
         remainder = (ONE - p.r) ** (2 * L)
         figure = ONE
     elif scene.construction_kind == "staircase":
         q = StaircaseParams(s=parse(scene.params_echo["s"]))
         layers, mismatches, tiled = _audit_layers(
-            scene,
-            expected_counts=lambda k: (2, 1),
-            expected_colored=lambda k: staircase_piece_area(q, k),
-            expected_total=lambda k: staircase_layer_area(q, k),
+            scene, lambda k: (2, 1, staircase_piece_area(q, k), staircase_layer_area(q, k))
         )
         figure = staircase_total_area(q)
         remainder = q.s ** (2 * L) * figure
@@ -493,6 +491,11 @@ def scene_from_json(doc) -> Scene:
             polygons.append(Polygon(tuple(points), role, layer_index, label))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if role != ROLE_OUTLINE and not (layer_index is not None and 1 <= layer_index <= layers):
+            raise ValueError(
+                f"{path}.layer_index must be an integer in [1, {layers}] for a {role} "
+                f"polygon, got {layer_index!r}"
+            )
     labels = []
     for i, entry in enumerate(_member(doc, "labels", list, "", optional=True) or ()):
         path = f"labels[{i}]"

@@ -43,8 +43,8 @@ def fmt(q: Rational) -> str:
 # printed is about the square of that denominator, so at the cap it has about
 # 2466 digits, below Python's 4300-digit limit on int-to-str conversion.  At
 # the cap the slowest commands measured, render --emit-scene and verify of
-# layered m = 3 with 2048 layers, take 3.6 s each (the render peaks at
-# 225 MiB) with Python 3.11 on a 2-core x86 host; the benchmark's deep
+# layered m = 3 with 2048 layers, take 3.2 s and 2.4 s (the render peaks at
+# 234 MiB) with Python 3.11 on a 2-core x86 host; the benchmark's deep
 # scenes predict 400 and 1500 bits.
 MAX_DENOMINATOR_BITS = 4096
 

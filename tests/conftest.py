@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 import pytest
@@ -8,4 +7,4 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture
 def fixtures_dir() -> Path:
-    return Path(os.environ.get("GEOSERIES_FIXTURES", str(REPO_ROOT / "fixtures")))
+    return REPO_ROOT / "fixtures"

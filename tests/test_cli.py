@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from geoseries.cli import main
+from geoseries.cli import MAX_POLYGONS, main
+from geoseries.rational import MAX_DENOMINATOR_BITS
 
 
 def run(capsys, *argv):
@@ -78,6 +79,30 @@ class TestTable:
         assert "over the cap of 4096 bits (at most 2 here)" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "first_term, part",
+        [(f"1/{10**4200}", "13953-bit denominator"), (f"{2**4096}/3", "4097-bit numerator")],
+    )
+    def test_first_term_cap_is_checked_before_the_table(self, capsys, first_term, part):
+        code, out, err = run(
+            capsys, "table", "--ratio", "1/2", "--first-term", first_term, "--terms", "1000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --first-term has a {part}, over the cap of 4096 bits "
+            "for its numerator and its denominator\n"
+        )
+
+    def test_largest_table_within_both_caps_passes(self, capsys):
+        # 4096-bit first term, and --terms at its cap for --ratio 1/3
+        code, out, err = run(
+            capsys, "table", "--ratio", "1/3", "--first-term", f"{2**4096 - 3}/{2**4096 - 1}",
+            "--terms", "2048",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2 + 2048
+
     def test_help_states_the_terms_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--help"])
@@ -120,6 +145,46 @@ class TestVerify:
         )
         assert code == 0
         assert "clamped" in err
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_polygon_cap_is_checked_before_the_build(self, capsys, tmp_path, command):
+        # m = 5121 draws 10241 triangles per layer, plus the outline
+        out_args = ("--out", str(tmp_path / "wide.svg")) if command == "render" else ()
+        code, out, err = run(
+            capsys,
+            command, "--construction", "layered", "--m", "5121", "--layers", "1",
+            "--allow-infeasible", *out_args,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --m 5121 with --layers 1 draws 1 x 10241 + 1 = 10242 polygons, "
+            "over the cap of 10241\n"
+        )
+        assert not (tmp_path / "wide.svg").exists()
+
+    def test_polygon_cap_admits_every_feasible_picture(self):
+        # the deepest m = 2 and m = 3 pictures the depth cap admits
+        for m in (2, 3):
+            layers = MAX_DENOMINATOR_BITS // m.bit_length()
+            assert layers * (2 * m - 1) + 1 <= MAX_POLYGONS
+
+    def test_largest_clamped_picture_passes(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--construction", "layered", "--m", "5120", "--layers", "1",
+            "--allow-infeasible",
+        )
+        assert code == 0
+        assert "check: pass" in out
+        assert err == "warning: m=5120 is infeasible; coloring clamped to 10239 of 10239 " \
+            "triangles per layer\n"
+
+    def test_help_states_the_polygon_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--help"])
+        assert exc.value.code == 0
+        assert "at most 10241" in " ".join(capsys.readouterr().out.split())
 
     def test_requires_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--construction", "layered")
@@ -210,6 +275,24 @@ class TestVerify:
             f"error: invalid scene file {scene_path}: layers_rendered 3 is too deep"
         )
         assert "over the cap of 4096 bits" in err
+
+    def test_bad_layer_index_names_its_path(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "staircase", "--s", "1/2",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["polygons"][1]["layer_index"] = None
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: invalid scene file {scene_path}: polygons[1].layer_index must be "
+            "an integer in [1, 2] for a colored polygon, got None\n"
+        )
 
     def test_help_states_the_layers_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:

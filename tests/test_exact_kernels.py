@@ -12,7 +12,7 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from geoseries.construction import LayeredParams, StaircaseParams
@@ -20,8 +20,10 @@ from geoseries.feasibility import derive_config
 from geoseries.geometry import (
     ROLE_OUTLINE,
     Point,
+    Polygon,
     build_layered_scene,
     build_staircase_scene,
+    shoelace_area,
     signed_area_twice,
 )
 from geoseries.render import SQRT3, RenderOptions, _fixed, format_coordinate, render
@@ -179,6 +181,17 @@ def test_signed_area_twice_matches_fraction_reference(vertices):
     assert area == reference_signed_area_twice(vertices)
 
 
+@given(st.lists(POINTS, min_size=3, max_size=8))
+def test_polygon_area_is_half_the_fraction_reference(vertices):
+    doubled = reference_signed_area_twice(tuple(vertices))
+    assume(doubled != 0)
+    if doubled < 0:
+        vertices.reverse()
+    polygon = Polygon(tuple(vertices), ROLE_OUTLINE)
+    assert polygon.area == abs(doubled) / 2
+    assert shoelace_area(polygon) == polygon.area
+
+
 @given(
     st.integers(-(10**30), 10**30),
     st.integers(1, 10**30),
@@ -207,7 +220,7 @@ STAIRCASE_3_5 = StaircaseParams(Fraction(3, 5))
 SCENES = {
     "layered m=2 L=4": lambda: build_layered_scene(derive_config(2), 4),
     "layered m=3 L=3": lambda: build_layered_scene(LayeredParams(5, 4, Fraction(1, 3)), 3),
-    "clamped m=4 L=2": lambda: build_layered_scene(derive_config(4), 2, colored_per_layer=7),
+    "clamped m=4 L=2": lambda: build_layered_scene(derive_config(4), 2),
     "staircase 3/5 L=3": lambda: build_staircase_scene(STAIRCASE_3_5, 3),
     "staircase 3/5 L=40": lambda: build_staircase_scene(STAIRCASE_3_5, 40),
 }

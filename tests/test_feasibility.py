@@ -125,11 +125,3 @@ def test_brute_force_scan_agrees_with_closed_form_enumeration():
         if rep.feasible
     }
     assert from_scan == from_formula
-
-
-def test_report_as_dict_uses_exact_strings():
-    rep = enumerate_feasible(4)[-1]
-    d = rep.as_dict()
-    assert d["candidate_m"] == 4
-    assert d["r"] == "1/4"
-    assert d["feasible"] is False

@@ -54,7 +54,8 @@ def reference_table(reports) -> str:
 
 
 def reference_json(max_m, reports) -> str:
-    doc = {"schema": 1, "max_m": max_m, "reports": [r.as_dict() for r in reports]}
+    reports = [{**r._asdict(), "r": fmt(r.r)} for r in reports]
+    doc = {"schema": 1, "max_m": max_m, "reports": reports}
     return json.dumps(doc, indent=2) + "\n"
 
 

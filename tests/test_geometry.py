@@ -13,6 +13,7 @@ from geoseries.construction import (
     staircase_total_area,
     triangle_area,
 )
+from geoseries.feasibility import derive_config
 from geoseries.geometry import (
     ROLE_BLANK,
     ROLE_COLORED,
@@ -118,10 +119,22 @@ class TestLayeredScene:
 
     def test_clamped_coloring_override(self):
         p = LayeredParams(7, 9, Fraction(1, 4))
-        scene = build_layered_scene(p, 2, colored_per_layer=7)
+        scene = build_layered_scene(p, 2)
         for k in (1, 2):
             in_layer = [q for q in scene.polygons if q.layer_index == k]
             assert sum(q.role == ROLE_COLORED for q in in_layer) == 7
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_infeasible_m_colors_every_triangle(self, m):
+        params = derive_config(m)
+        assert params.a >= params.n
+        scene = build_layered_scene(params, 2)
+        for k in (1, 2):
+            in_layer = [q for q in scene.polygons if q.layer_index == k]
+            assert len(in_layer) == params.n
+            assert all(q.role == ROLE_COLORED for q in in_layer)
+        assert scene.params_echo["colored_per_layer"] == str(params.n)
+        assert audit_scene(scene).ok
 
     def test_vertex_labels_present(self):
         scene = build_layered_scene(MABRY, 2)
@@ -226,6 +239,23 @@ class TestAudit:
         # the blank piece has legs s and s^2, the colored one s and s
         assert second.colored_area == s * second.expected_colored_area
 
+    def test_scaled_triangle_fails_its_layer_areas(self):
+        scene = build_layered_scene(MABRY, 3)
+        i, small = next((i, p) for i, p in enumerate(scene.polygons) if p.layer_index == 1)
+        double = tuple(Point(2 * v.x, 2 * v.y) for v in small.vertices)
+        polygons = list(scene.polygons)
+        polygons[i] = replace(small, vertices=double)
+        assert polygons[i].area == 4 * small.area  # recomputed, never copied
+        report = audit_scene(replace(scene, polygons=tuple(polygons)))
+        assert not report.ok
+        assert [layer.ok for layer in report.layers] == [False, True, True]
+        first = report.layers[0]
+        assert first.total_area == first.expected_total_area + 3 * small.area
+        assert first.colored_area == first.expected_colored_area + 3 * small.area
+        assert report.mismatches[0].startswith("layer 1: colored area ")
+        assert report.mismatches[1].startswith("layer 1: layer area ")
+        assert report.mismatches[2].startswith("tiling: ")
+
 
 class TestSceneJson:
     @pytest.mark.parametrize(
@@ -277,6 +307,9 @@ class TestSceneJson:
             (("params", "s"), "1", 'params.s must be a "p/q" string in (0, 1), got \'1\''),
             (("params", "s"), "1/x", 'params.s must be a "p/q" string in (0, 1)'),
             (("layers_rendered",), 2049, "layers_rendered 2049 is too deep"),
+            (("polygons", 1, "layer_index"), 0, "polygons[1].layer_index must be an integer in [1, 2]"),
+            (("polygons", 1, "layer_index"), 3, "polygons[1].layer_index must be an integer in [1, 2]"),
+            (("polygons", 2, "layer_index"), None, "polygons[2].layer_index must be an integer in [1, 2]"),
         ],
     )
     def test_malformed_document_names_the_path(self, path, value, message):
