@@ -9,6 +9,14 @@ The staircase triangle is A=(0,h), B=(h,0), C=(h-1,0) with h = 1/(1-s);
 colored piece k is the right triangle (R_k, W_{k-1}, W_k) with legs
 s^(k-1), where W_0 = B, R_k = W_{k-1} - (s^(k-1), 0) and
 W_k = R_k + (0, s^(k-1)).  Every W_k lies on AB and every R_k on AC.
+
+Both pictures hold a shrunken copy of themselves: layer k is layer 1
+shrunk toward the apex A by lam^(k-1), with lam = 1 - r for layered and
+lam = s for the staircase, so its area is layer 1's times x^(k-1), where
+x = lam^2 is the series ratio.  One loop builds every layer of both
+pictures from layer 1 and lam, and the audit evaluates the area formulas
+at layer 1 only; the apex copy left after L layers has area x^L times
+the figure's.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .construction import (
     LayeredParams,
@@ -27,6 +34,7 @@ from .construction import (
     staircase_total_area,
     triangle_area,
 )
+from .feasibility import derive_config
 from .rational import ONE, ZERO, Rational, check_depth, fmt, parse
 
 ROLE_COLORED = "colored"
@@ -44,26 +52,23 @@ class Point:
 class Polygon:
     """Simple polygon with distinct vertices in counterclockwise order.
 
-    `area` is its shoelace area, computed once by the orientation check.
+    `area` is its exact shoelace area, set once by the orientation check;
+    it is not a field, so ==, repr and scene JSON never see it.
     """
 
     vertices: tuple[Point, ...]
     role: str
     layer_index: int | None = None
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(self.vertices)}")
         if self.role not in (ROLE_COLORED, ROLE_BLANK, ROLE_OUTLINE):
             raise ValueError(f"unknown polygon role {self.role!r}")
-        if self.area <= 0:
+        total, d = _shoelace(self.vertices)
+        if total <= 0:
             raise ValueError("polygon must be counterclockwise with nonzero area")
-
-    @cached_property
-    def area(self) -> Rational:
-        """Exact area; not a field, so ==, repr and scene JSON never see it."""
-        return signed_area_twice(self.vertices) / 2
+        object.__setattr__(self, "area", Fraction(total, 2 * d * d))
 
 
 @dataclass(frozen=True)
@@ -77,23 +82,58 @@ class Scene:
     layers_rendered: int
 
 
-def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
-    """Twice the signed area, positive when counterclockwise (the shoelace sum).
+def _shoelace(vertices: tuple[Point, ...]) -> tuple[int, int]:
+    """(total, d): twice the signed area is total / d^2, in plain ints.
 
     Every coordinate is put over one common denominator d, the lcm of the
     polygon's denominators, so the cross products are summed in plain ints
-    and the only gcd is the one that reduces the result, total / d^2.
+    and no gcd is taken.
     """
     d = math.lcm(*[c.denominator for v in vertices for c in (v.x, v.y)])
     xs = [v.x.numerator * (d // v.x.denominator) for v in vertices]
     ys = [v.y.numerator * (d // v.y.denominator) for v in vertices]
-    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
+    return sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs))), d
+
+
+def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
+    """Twice the signed area, positive when counterclockwise (the shoelace sum)."""
+    total, d = _shoelace(vertices)
     return Fraction(total, d * d)
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
     """Exact positive area of a polygon: the shoelace area kept at its construction."""
     return polygon.area
+
+
+def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, xs, tiles,
+                 label_mid, label_dx) -> Scene:
+    """The picture of `layers` layers: layer k is layer 1 shrunk toward A by shrink^(k-1).
+
+    outline is (C, B, A), C and B on the base y = 0 and the apex A = (0, apex_y),
+    so AB lies on x + y = apex_y.  Layer 1, from the base to y = apex_y (1 -
+    shrink), is given by its distinct x-coordinates xs and its tiles (role,
+    corners), a corner being an (xs index, 0 bottom or 1 top line) pair; its
+    label sits label_dx, a shift that does not shrink, right of the point
+    of AB with x = label_mid.
+    """
+    if layers < 1:
+        raise ValueError(f"need at least one layer, got {layers}")
+    apex_y = outline[-1].y
+    polygons = [Polygon(outline, ROLE_OUTLINE)]
+    labels = list(vertex_labels)
+    t = ONE
+    y_bottom = ZERO
+    for k in range(1, layers + 1):
+        x = [t * v for v in xs]
+        mid = t * label_mid
+        t *= shrink
+        y = (y_bottom, apex_y - t * apex_y)
+        for role, corners in tiles:
+            polygons.append(Polygon(tuple([Point(x[i], y[j]) for i, j in corners]), role, k))
+        labels.append((Point(mid + label_dx, apex_y - mid), f"layer {k}"))
+        y_bottom = y[1]
+    return Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
 
 
 def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
@@ -103,8 +143,6 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
     a = (m-1)^2 >= n, so its picture is the clamped one with every
     triangle colored.  The count is echoed as colored_per_layer.
     """
-    if layers < 1:
-        raise ValueError(f"need at least one layer, got {layers}")
     if p.r.numerator != 1:
         raise ValueError(
             f"layered tessellation requires a unit fraction r, got r = {fmt(p.r)}"
@@ -113,92 +151,55 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
     if p.n != 2 * m - 1:
         raise ValueError(f"r = 1/{m} forces n = {2 * m - 1} triangles per layer, got n = {p.n}")
     colored = min(p.a, p.n)
-
-    a_pt = Point(ZERO, ONE)
-    b_pt = Point(ONE, ZERO)
-    c_pt = Point(-ONE, ZERO)
-    polygons = [Polygon((c_pt, b_pt, a_pt), ROLE_OUTLINE)]
-
     shrink = ONE - p.r
-    labels = [
-        (Point(ZERO, ONE + Fraction(1, 20)), "A"),
-        (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
-        (Point(-ONE - Fraction(1, 20), -Fraction(1, 20)), "C"),
-        (Point(shrink + Fraction(1, 20), p.r), "D"),
-        (Point(-shrink - Fraction(1, 20), p.r), "E"),
-    ]
-    t = ONE  # shrink ** (k - 1): half-width of layer k's bottom edge
-    for k in range(1, layers + 1):
-        t_next = t * shrink
-        step = p.r * t  # half-base of each small triangle
-        y_bot = ONE - t
-        y_top = ONE - t_next
-        x = [i * step - t for i in range(2 * m + 1)]  # triangle corners, left to right
-        # coloring order: m-1 downward triangles left to right, then m upward
-        for idx in range(p.n):
-            if idx < m - 1:
-                i = 2 * idx + 1
-                verts = (Point(x[i + 1], y_bot), Point(x[i + 2], y_top), Point(x[i], y_top))
-            else:
-                i = 2 * (idx - m + 1)
-                verts = (Point(x[i], y_bot), Point(x[i + 2], y_bot), Point(x[i + 1], y_top))
-            role = ROLE_COLORED if idx < colored else ROLE_BLANK
-            polygons.append(Polygon(verts, role, layer_index=k))
-        mid = (t + t_next) / 2
-        labels.append((Point(mid + Fraction(1, 4), ONE - mid), f"layer {k}"))
-        t = t_next
-
-    return Scene(
-        polygons=tuple(polygons),
-        labels=tuple(labels),
-        construction_kind="layered",
-        params_echo={
-            "n": str(p.n),
-            "a": str(p.a),
-            "r": fmt(p.r),
-            "m": str(m),
-            "colored_per_layer": str(colored),
-        },
-        layers_rendered=layers,
+    # coloring order: m-1 downward triangles left to right, then m upward;
+    # corner i of layer 1 lies at x = i r - 1, between y = 0 and y = r
+    tiles = []
+    for idx in range(p.n):
+        if idx < m - 1:
+            i = 2 * idx + 1
+            corners = ((i + 1, 0), (i + 2, 1), (i, 1))
+        else:
+            i = 2 * (idx - m + 1)
+            corners = ((i, 0), (i + 2, 0), (i + 1, 1))
+        tiles.append((ROLE_COLORED if idx < colored else ROLE_BLANK, corners))
+    return _build_scene(
+        "layered",
+        {"n": str(p.n), "a": str(p.a), "r": fmt(p.r), "m": str(m),
+         "colored_per_layer": str(colored)},
+        layers,
+        outline=(Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE)),
+        vertex_labels=[
+            (Point(ZERO, ONE + Fraction(1, 20)), "A"),
+            (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
+            (Point(-ONE - Fraction(1, 20), -Fraction(1, 20)), "C"),
+            (Point(shrink + Fraction(1, 20), p.r), "D"),
+            (Point(-shrink - Fraction(1, 20), p.r), "E"),
+        ],
+        shrink=shrink, xs=[Fraction(i - m, m) for i in range(2 * m + 1)], tiles=tiles,
+        label_mid=(ONE + shrink) / 2, label_dx=Fraction(1, 4),  # midpoint of B and D
     )
 
 
 def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
-    """Repositioned staircase picture with L colored pieces and blank remainders."""
-    if layers < 1:
-        raise ValueError(f"need at least one layer, got {layers}")
+    """Repositioned staircase picture with L colored pieces and blank remainders.
+
+    Layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s.
+    """
     h = ONE / (ONE - q.s)
-    a_pt = Point(ZERO, h)
-    b_pt = Point(h, ZERO)
-    c_pt = Point(h - 1, ZERO)
-    polygons = [Polygon((c_pt, b_pt, a_pt), ROLE_OUTLINE)]
-
-    labels = [
-        (Point(ZERO, h + h / 20), "A"),
-        (Point(h + h / 20, -h / 20), "B"),
-        (Point(h - 1, -h / 20), "C"),
-    ]
-    label_dx = h / 10
-    w_prev = b_pt
-    leg = ONE  # q.s ** (k - 1)
-    for k in range(1, layers + 1):
-        r_k = Point(w_prev.x - leg, w_prev.y)
-        w_k = Point(r_k.x, r_k.y + leg)
-        leg *= q.s
-        r_next = Point(w_k.x - leg, w_k.y)
-        polygons.append(Polygon((r_k, w_prev, w_k), ROLE_COLORED, layer_index=k))
-        polygons.append(Polygon((r_k, w_k, r_next), ROLE_BLANK, layer_index=k))
-        labels.append(
-            (Point((w_prev.x + w_k.x) / 2 + label_dx, (w_prev.y + w_k.y) / 2), f"layer {k}")
-        )
-        w_prev = w_k
-
-    return Scene(
-        polygons=tuple(polygons),
-        labels=tuple(labels),
-        construction_kind="staircase",
-        params_echo={"s": fmt(q.s), "r": fmt(q.ratio)},
-        layers_rendered=layers,
+    return _build_scene(
+        "staircase",
+        {"s": fmt(q.s), "r": fmt(q.ratio)},
+        layers,
+        outline=(Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h)),
+        vertex_labels=[
+            (Point(ZERO, h + h / 20), "A"),
+            (Point(h + h / 20, -h / 20), "B"),
+            (Point(h - 1, -h / 20), "C"),
+        ],
+        shrink=q.s, xs=[h - 1 - q.s, h - 1, h],
+        tiles=[(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))],
+        label_mid=h - Fraction(1, 2), label_dx=h / 10,  # midpoint of B and W_1
     )
 
 
@@ -255,10 +256,12 @@ class AuditReport:
         }
 
 
-def _audit_layers(scene, expected):
-    """Shared per-layer tally loop.
+def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_area_1, x):
+    """Shared per-layer tally loop, against layer 1 shrunk by x^(k-1).
 
-    expected(k) is layer k's (polygon count, colored count, colored area, layer area).
+    Layer k must hold want_count polygons, want_colored_count of them
+    colored, with colored area colored_area_1 x^(k-1) and layer area
+    layer_area_1 x^(k-1).  Returns (layer audits, mismatches, tiled area, x^L).
     """
     layers = []
     mismatches = []
@@ -270,6 +273,7 @@ def _audit_layers(scene, expected):
         if poly.layer_index is None or not 1 <= poly.layer_index <= scene.layers_rendered:
             raise ValueError("non-outline polygon without a valid layer index")
         by_layer[poly.layer_index].append(poly)
+    scale = ONE  # x^(k-1)
     for k in range(1, scene.layers_rendered + 1):
         polys = by_layer[k]
         colored_count = 0
@@ -281,7 +285,9 @@ def _audit_layers(scene, expected):
                 colored_count += 1
                 colored_area += area
         tiled += total_area
-        want_count, want_colored_count, want_colored, want_total = expected(k)
+        want_colored = colored_area_1 * scale
+        want_total = layer_area_1 * scale
+        scale *= x
         ok = True
         if len(polys) != want_count or colored_count != want_colored_count:
             ok = False
@@ -314,38 +320,55 @@ def _audit_layers(scene, expected):
                 ok=ok,
             )
         )
-    return layers, mismatches, tiled
+    return layers, mismatches, tiled, scale
+
+
+def _layered_params(r: Rational) -> LayeredParams:
+    """derive_config(m) for r = 1/m; ValueError naming params.r for any other r."""
+    if r.numerator != 1:
+        raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(r)!r:.40}")
+    return derive_config(r.denominator)
 
 
 def audit_scene(scene: Scene) -> AuditReport:
     """Check every polygon area against the construction formulas, exactly.
 
-    Never raises on mismatch: failures come back as a report with
-    ok=False and one message per broken equality.
+    Only the ratio is read: layered r = 1/m gives n, a and the colored
+    count through derive_config, and staircase s gives r = s^2.  Every
+    other echoed param must equal its derived value.  Layer k is layer 1
+    shrunk by x^(k-1) in area, x the series ratio, so the formulas are
+    evaluated at layer 1 only and the apex remainder is x^L times the
+    figure.  Never raises on mismatch: failures come back as a report
+    with ok=False and one message per broken equality.
     """
-    L = scene.layers_rendered
+    echo = scene.params_echo
     if scene.construction_kind == "layered":
-        p = LayeredParams(
-            n=int(scene.params_echo["n"]),
-            a=int(scene.params_echo["a"]),
-            r=parse(scene.params_echo["r"]),
-        )
-        colored_n = int(scene.params_echo.get("colored_per_layer", str(p.a)))
-        layers, mismatches, tiled = _audit_layers(
-            scene, lambda k: (p.n, colored_n, colored_n * triangle_area(p, k), layer_area(p, k))
-        )
-        remainder = (ONE - p.r) ** (2 * L)
+        r = parse(echo["r"])
+        p = _layered_params(r)
+        colored = min(p.a, p.n)
+        basis = f"r = {fmt(r)}"
+        derived = {"n": p.n, "a": p.a, "m": r.denominator, "colored_per_layer": colored}
+        layer_1 = (p.n, colored, colored * triangle_area(p, 1), layer_area(p, 1))
+        x = (ONE - r) ** 2
         figure = ONE
     elif scene.construction_kind == "staircase":
-        q = StaircaseParams(s=parse(scene.params_echo["s"]))
-        layers, mismatches, tiled = _audit_layers(
-            scene, lambda k: (2, 1, staircase_piece_area(q, k), staircase_layer_area(q, k))
-        )
+        q = StaircaseParams(s=parse(echo["s"]))
+        basis = f"s = {fmt(q.s)}"
+        derived = {"r": q.ratio}
+        layer_1 = (2, 1, staircase_piece_area(q, 1), staircase_layer_area(q, 1))
+        x = q.ratio
         figure = staircase_total_area(q)
-        remainder = q.s ** (2 * L) * figure
     else:
         raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
 
+    mismatches = [
+        f"params.{key}: echoed {echo[key]} != {fmt(want)} derived from {basis}"
+        for key, want in derived.items()
+        if key in echo and parse(echo[key]) != want
+    ]
+    layers, layer_mismatches, tiled, x_to_L = _audit_layers(scene, *layer_1, x)
+    mismatches += layer_mismatches
+    remainder = x_to_L * figure
     if tiled + remainder != figure:
         mismatches.append(
             f"tiling: layers {fmt(tiled)} + apex remainder {fmt(remainder)} "
@@ -353,7 +376,7 @@ def audit_scene(scene: Scene) -> AuditReport:
         )
     return AuditReport(
         construction_kind=scene.construction_kind,
-        params=dict(scene.params_echo),
+        params=dict(echo),
         layers=tuple(layers),
         tiled_area=tiled,
         apex_remainder=remainder,
@@ -375,7 +398,7 @@ def scene_to_json(scene: Scene) -> dict:
                 "vertices": [[fmt(v.x), fmt(v.y)] for v in poly.vertices],
                 "role": poly.role,
                 "layer_index": poly.layer_index,
-                "label": poly.label,
+                "label": None,
             }
             for poly in scene.polygons
         ],
@@ -385,10 +408,10 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-# params the audit reads back, per construction kind; the last is the ratio
-# whose denominator sets how deep layers_rendered may go
-_AUDITED_PARAMS = {"layered": ("n", "a", "r"), "staircase": ("s",)}
-_COUNT_PARAMS = ("n", "a", "colored_per_layer")
+# the ratio the audit reads back, per construction kind; its denominator
+# sets how deep layers_rendered may go
+_AUDITED_RATIO = {"layered": "r", "staircase": "s"}
+_COUNT_PARAMS = ("n", "a", "m", "colored_per_layer")
 _RATIO_PARAMS = ("r", "s")
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
@@ -460,19 +483,22 @@ def scene_from_json(doc) -> Scene:
     if type(schema) is not int or schema != 1:
         raise ValueError(f"unsupported scene schema: {schema!r:.40}")
     kind = _member(doc, "construction_kind", str, "")
-    if kind not in _AUDITED_PARAMS:
+    if kind not in _AUDITED_RATIO:
         raise ValueError(f"construction_kind: unknown construction {kind!r:.40}")
     params = _member(doc, "params", dict, "")
-    for key in _AUDITED_PARAMS[kind]:
-        if key not in params:
-            raise ValueError(f"params.{key} is missing")
+    ratio_key = _AUDITED_RATIO[kind]
+    if ratio_key not in params:
+        raise ValueError(f"params.{ratio_key} is missing")
     for key in _COUNT_PARAMS + _RATIO_PARAMS:
         if key in params:
             _check_param(key, params[key])
+    ratio = parse(params[ratio_key])
+    if kind == "layered":
+        _layered_params(ratio)
     layers = _member(doc, "layers_rendered", int, "")
     if layers < 1:
         raise ValueError(f"layers_rendered must be >= 1, got {layers}")
-    check_depth(layers, parse(params[_AUDITED_PARAMS[kind][-1]]), "layers_rendered")
+    check_depth(layers, ratio, "layers_rendered")
     polygons = []
     for i, entry in enumerate(_member(doc, "polygons", list, "")):
         path = f"polygons[{i}]"
@@ -486,9 +512,9 @@ def scene_from_json(doc) -> Scene:
                 raise ValueError(f"{path}.vertices[{j}]: {exc}") from None
         role = _member(entry, "role", str, path)
         layer_index = _member(entry, "layer_index", int, path, optional=True)
-        label = _member(entry, "label", str, path, optional=True)
+        _member(entry, "label", str, path, optional=True)
         try:
-            polygons.append(Polygon(tuple(points), role, layer_index, label))
+            polygons.append(Polygon(tuple(points), role, layer_index))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if role != ROLE_OUTLINE and not (layer_index is not None and 1 <= layer_index <= layers):

@@ -23,6 +23,9 @@ from .rational import ONE, Rational
 # 18 correct digits of sqrt(3); cosmetic stretch only, never audited.
 SQRT3 = Fraction(1_732_050_807_568_877_293, 10**18)
 
+# escape() covers &, < and >; a color lands in a "-quoted attribute
+_QUOTE = {'"': "&quot;"}
+
 
 @dataclass(frozen=True)
 class RenderOptions:
@@ -132,6 +135,8 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     lay = layout(scene, opts)
     dp = opts.decimal_places
     font_px = max(opts.canvas_width_px // 40, 8)
+    fill_attr = escape(opts.color_fill, _QUOTE)
+    stroke_attr = escape(opts.stroke_color, _QUOTE)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -145,13 +150,13 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     for poly in outlines:
         lines.append(
             f'<polygon points="{_points_attr(poly, lay, dp)}" fill="none" '
-            f'stroke="{opts.stroke_color}" stroke-width="1"/>'
+            f'stroke="{stroke_attr}" stroke-width="1"/>'
         )
     for poly in filled:
-        fill = opts.color_fill if poly.role == "colored" else "#ffffff"
+        fill = fill_attr if poly.role == "colored" else "#ffffff"
         lines.append(
             f'<polygon points="{_points_attr(poly, lay, dp)}" fill="{fill}" '
-            f'stroke="{opts.stroke_color}" stroke-width="1"/>'
+            f'stroke="{stroke_attr}" stroke-width="1"/>'
         )
     for pt, text in scene.labels:
         is_annotation = text.startswith("layer ")

@@ -1,9 +1,13 @@
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from geoseries.cli import MAX_POLYGONS, main
+from geoseries.feasibility import derive_config
+from geoseries.geometry import build_layered_scene
 from geoseries.rational import MAX_DENOMINATOR_BITS
+from geoseries.render import RenderOptions, render
 
 
 def run(capsys, *argv):
@@ -317,8 +321,101 @@ class TestVerify:
         assert diagnostic["layers"][1]["colored_fraction"] == "0"
         assert diagnostic["mismatches"][0].startswith("layer 2: polygon counts (0, 0 colored)")
 
+    def test_lying_colored_count_fails_the_audit(self, capsys, tmp_path):
+        # the file claims one colored triangle per layer and draws one: r = 1/3 says 4
+        run(
+            capsys,
+            "render", "--construction", "layered", "--m", "3",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["params"]["colored_per_layer"] = "1"
+        seen = set()
+        for poly in doc["polygons"]:
+            if poly["role"] == "colored":
+                if poly["layer_index"] in seen:
+                    poly["role"] = "blank"
+                seen.add(poly["layer_index"])
+        scene_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 1
+        diagnostic = json.loads(out)
+        assert diagnostic["check"] == "fail"
+        assert diagnostic["mismatches"][:2] == [
+            "params.colored_per_layer: echoed 1 != 4 derived from r = 1/3",
+            "layer 1: polygon counts (5, 1 colored) != expected (5, 4 colored)",
+        ]
+        assert [layer["colored"] for layer in diagnostic["layers"]] == [1, 1]
+
+    def test_layered_ratio_not_one_over_m_is_usage_error(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "layered", "--m", "3",
+            "--layers", "2", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        doc["params"]["r"] = "2/3"
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: invalid scene file {scene_path}: "
+            "params.r must be 1/m for a layered scene, got '2/3'\n"
+        )
+
+
+RENDER_SCENE = ("--construction", "layered", "--m", "3", "--layers", "3")
+
 
 class TestRender:
+    @pytest.mark.parametrize(
+        "flags, opts",
+        [
+            (("--width", "321"), RenderOptions(canvas_width_px=321)),
+            (("--fill", "red"), RenderOptions(color_fill="red")),
+            (("--stroke", "#123456"), RenderOptions(stroke_color="#123456")),
+            (("--decimal-places", "3"), RenderOptions(decimal_places=3)),
+            (("--no-labels",), RenderOptions(show_labels=False)),
+            (("--no-layer-annotations",), RenderOptions(show_layer_annotations=False)),
+            (("--no-equilateral",), RenderOptions(equilateral_look=False)),
+        ],
+    )
+    def test_flag_reaches_the_svg(self, capsys, tmp_path, flags, opts):
+        out_path = tmp_path / "pic.svg"
+        code, _, _ = run(capsys, "render", *RENDER_SCENE, "--out", str(out_path), *flags)
+        assert code == 0
+        scene = build_layered_scene(derive_config(3), 3)
+        svg = render(scene, opts)
+        assert out_path.read_bytes() == svg.encode("utf-8")
+        assert svg != render(scene, RenderOptions())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--width", "0"), "error: canvas width must be positive, got 0\n"),
+            (("--decimal-places", "13"), "error: decimal_places must lie in [1, 12], got 13\n"),
+        ],
+    )
+    def test_bad_render_option_is_usage_error(self, capsys, tmp_path, flags, message):
+        out_path = tmp_path / "pic.svg"
+        code, out, err = run(capsys, "render", *RENDER_SCENE, "--out", str(out_path), *flags)
+        assert (code, out, err) == (2, "", message)
+        assert not out_path.exists()
+
+    def test_hostile_colors_are_escaped(self, capsys, tmp_path):
+        out_path = tmp_path / "pic.svg"
+        code, _, _ = run(
+            capsys, "render", *RENDER_SCENE, "--out", str(out_path),
+            "--fill", 'a"b<', "--stroke", "x&'y>",
+        )
+        assert code == 0
+        polygons = ET.parse(out_path).getroot().findall("{http://www.w3.org/2000/svg}polygon")
+        assert {p.get("stroke") for p in polygons} == {"x&'y>"}
+        assert {p.get("fill") for p in polygons} == {"none", "#ffffff", 'a"b<'}
+
     def test_writes_svg_and_scene(self, capsys, tmp_path):
         out_path = tmp_path / "mabry.svg"
         code, out, _ = run(

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +10,8 @@ from geoseries.construction import (
     LayeredParams,
     StaircaseParams,
     layer_area,
+    staircase_layer_area,
+    staircase_piece_area,
     staircase_total_area,
     triangle_area,
 )
@@ -54,6 +56,13 @@ class TestShoelace:
     def test_clockwise_rejected_at_construction(self):
         with pytest.raises(ValueError):
             tri((0, 0), (0, 1), (1, 0))
+
+    def test_area_is_kept_outside_the_fields(self):
+        poly = tri((0, 0), (2, 0), (0, 1))
+        assert poly.area == 1
+        assert [f.name for f in fields(Polygon)] == ["vertices", "role", "layer_index"]
+        assert "area" not in repr(poly)
+        assert poly == tri((0, 0), (2, 0), (0, 1))
 
 
 class TestLayeredScene:
@@ -188,6 +197,54 @@ class TestStaircaseScene:
         assert tiled + s**12 * staircase_total_area(q) == staircase_total_area(q)
 
 
+def _shrunk(poly, apex_y, t, k):
+    """poly shrunk by t toward the apex (0, apex_y), as a layer-k polygon."""
+    vertices = tuple(Point(t * v.x, apex_y - t * (apex_y - v.y)) for v in poly.vertices)
+    return replace(poly, vertices=vertices, layer_index=k)
+
+
+class TestSelfSimilarity:
+    @pytest.mark.parametrize(
+        "scene, shrink",
+        [
+            pytest.param(build_layered_scene(derive_config(m), 6), 1 - Fraction(1, m), id=f"m={m}")
+            for m in (2, 3, 4)
+        ]
+        + [
+            pytest.param(build_staircase_scene(StaircaseParams(s), 6), s, id=f"s={s}")
+            for s in (Fraction(1, 2), Fraction(3, 5), Fraction(254, 255))
+        ],
+    )
+    def test_layer_k_is_layer_1_shrunk_toward_the_apex(self, scene, shrink):
+        apex = scene.polygons[0].vertices[-1]
+        assert apex.x == 0
+        first = [p for p in scene.polygons if p.layer_index == 1]
+        for k in range(2, scene.layers_rendered + 1):
+            t = shrink ** (k - 1)
+            layer = [p for p in scene.polygons if p.layer_index == k]
+            assert layer == [_shrunk(p, apex.y, t, k) for p in first]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_layered_expectations_equal_the_formulas_at_every_layer(self, m):
+        p = derive_config(m)
+        report = audit_scene(build_layered_scene(p, 200))
+        assert report.ok
+        for k, layer in enumerate(report.layers, 1):
+            assert layer.expected_colored_area == p.a * triangle_area(p, k)
+            assert layer.expected_total_area == layer_area(p, k)
+        assert report.apex_remainder == (1 - p.r) ** 400
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 5)])
+    def test_staircase_expectations_equal_the_formulas_at_every_layer(self, s):
+        q = StaircaseParams(s)
+        report = audit_scene(build_staircase_scene(q, 200))
+        assert report.ok
+        for k, layer in enumerate(report.layers, 1):
+            assert layer.expected_colored_area == staircase_piece_area(q, k)
+            assert layer.expected_total_area == staircase_layer_area(q, k)
+        assert report.apex_remainder == s**400 * staircase_total_area(q)
+
+
 class TestAudit:
     def test_layered_audit_values(self):
         report = audit_scene(build_layered_scene(MABRY, 2))
@@ -256,6 +313,43 @@ class TestAudit:
         assert report.mismatches[1].startswith("layer 1: layer area ")
         assert report.mismatches[2].startswith("tiling: ")
 
+    @pytest.mark.parametrize(
+        "scene, key, lie, message",
+        [
+            (build_layered_scene(EDGAR, 3), "n", "7", "echoed 7 != 5 derived from r = 1/3"),
+            (build_layered_scene(EDGAR, 3), "a", "5", "echoed 5 != 4 derived from r = 1/3"),
+            (build_layered_scene(EDGAR, 3), "m", "4", "echoed 4 != 3 derived from r = 1/3"),
+            (
+                build_layered_scene(EDGAR, 3), "colored_per_layer", "1",
+                "echoed 1 != 4 derived from r = 1/3",
+            ),
+            (
+                build_layered_scene(derive_config(4), 2), "a", "7",
+                "echoed 7 != 9 derived from r = 1/4",
+            ),
+            (
+                build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3), "r", "3/5",
+                "echoed 3/5 != 9/25 derived from s = 3/5",
+            ),
+        ],
+        ids=["n", "a", "m", "colored_per_layer", "clamped-a", "staircase-r"],
+    )
+    def test_each_lying_param_is_one_mismatch(self, scene, key, lie, message):
+        doc = scene_to_json(scene)
+        doc["params"][key] = lie
+        report = audit_scene(scene_from_json(doc))
+        assert report.mismatches == (f"params.{key}: {message}",)
+        assert all(layer.ok for layer in report.layers)
+
+    def test_layered_audit_reads_only_the_ratio(self):
+        doc = scene_to_json(build_layered_scene(EDGAR, 3))
+        doc["params"] = {"r": "1/3", "n": 5}
+        report = audit_scene(scene_from_json(doc))
+        assert report.ok
+        assert [(layer.polygon_count, layer.colored_count) for layer in report.layers] == [
+            (5, 4)
+        ] * 3
+
 
 class TestSceneJson:
     @pytest.mark.parametrize(
@@ -310,6 +404,7 @@ class TestSceneJson:
             (("polygons", 1, "layer_index"), 0, "polygons[1].layer_index must be an integer in [1, 2]"),
             (("polygons", 1, "layer_index"), 3, "polygons[1].layer_index must be an integer in [1, 2]"),
             (("polygons", 2, "layer_index"), None, "polygons[2].layer_index must be an integer in [1, 2]"),
+            (("polygons", 1, "label"), 5, "polygons[1].label must be a string, got 5"),
         ],
     )
     def test_malformed_document_names_the_path(self, path, value, message):
@@ -321,6 +416,26 @@ class TestSceneJson:
         with pytest.raises(ValueError) as exc:
             scene_from_json(doc)
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("r", "2/5", "params.r must be 1/m for a layered scene, got '2/5'"),
+            ("m", "0", "params.m must be an integer >= 1, got '0'"),
+            ("m", "x", "params.m must be an integer >= 1, got 'x'"),
+        ],
+    )
+    def test_malformed_layered_param_names_the_path(self, key, value, message):
+        doc = scene_to_json(build_layered_scene(EDGAR, 2))
+        doc["params"][key] = value
+        with pytest.raises(ValueError) as exc:
+            scene_from_json(doc)
+        assert str(exc.value) == message
+
+    def test_polygon_label_is_read_and_written_as_null(self):
+        doc = scene_to_json(build_layered_scene(MABRY, 1))
+        doc["polygons"][1]["label"] = "top"
+        assert {p["label"] for p in scene_to_json(scene_from_json(doc))["polygons"]} == {None}
 
 
 def _paths(node, prefix=()):

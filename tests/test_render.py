@@ -183,3 +183,39 @@ def test_deep_svg_bytes_match_the_benchmark_pins(
     assert main(["render", *scene_args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == workloads.DEEP_SVG_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "command, scene_args, digest",
+    [
+        (
+            "render", ("--construction", "layered", "--m", "3", "--layers", "200"),
+            "0133d6a598ff56d68b24900ad459b0aeb2eb22c6e51beefe39b6eeb0da73d40f",
+        ),
+        (
+            "render", ("--construction", "staircase", "--s", "3/5", "--layers", "500"),
+            "dea4c40b274fae08c9042d8eced22d9c219afb5a54e0ee4296b4435e42c2403a",
+        ),
+        (
+            "verify", ("--construction", "layered", "--m", "3", "--layers", "200"),
+            "1198d46e04229a207901a80a31358b2486573bc85147de0a85c8140d4cbf7f1f",
+        ),
+        (
+            "verify", ("--construction", "staircase", "--s", "3/5", "--layers", "500"),
+            "f5be9f630de557be6a76ca9c9a4b512d02c3dcb52b796341aa2762a7ce61625d",
+        ),
+    ],
+)
+def test_deep_scene_json_and_audit_bytes_match_their_pins(
+    tmp_path, capsys, command, scene_args, digest
+):
+    """Exact coordinates and areas, unrounded: the emitted scene file, and verify's JSON."""
+    if command == "render":
+        out = tmp_path / "deep.svg"
+        assert main(["render", *scene_args, "--out", str(out), "--emit-scene"]) == 0
+        capsys.readouterr()
+        data = out.with_suffix(".json").read_bytes()
+    else:
+        assert main(["verify", *scene_args, "--format", "json"]) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
