@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .construction import StaircaseParams
 from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
@@ -83,11 +81,11 @@ def _write_table(headers, widths, rows) -> None:
 
 def _feasible_rows(reports):
     """Table rows of _FEASIBLE_HEADERS, one per report."""
-    for m, r, integral, n, a, square, bound, feasible in reports:
-        # sum = a/n is already in lowest terms: n = 2m-1 = 2(m-1)+1 shares
-        # no factor with a = (m-1)^2, and n >= 3
+    for m, _r, integral, n, a, square, bound, feasible in reports:
+        # r = 1/m and sum = a/n are already in lowest terms: n = 2m-1 =
+        # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3
         yield (
-            m, fmt(r), n, a, f"{a}/{n}",
+            m, f"1/{m}", n, a, f"{a}/{n}",
             _YES[integral], _YES[square], _YES[bound], _YES[a < n], _YES[feasible],
         )
 
@@ -111,10 +109,10 @@ def _write_feasible_json(max_m: int, reports) -> None:
         items = [
             item
             % (
-                m, encode_basestring_ascii(fmt(r)), _JSON_BOOL[integral], n, a,
+                m, f'"1/{m}"', _JSON_BOOL[integral], n, a,
                 _JSON_BOOL[square], _JSON_BOOL[bound], _JSON_BOOL[feasible],
             )
-            for m, r, integral, n, a, square, bound, feasible in reports[
+            for m, _r, integral, n, a, square, bound, feasible in reports[
                 start : start + _CHUNK_ROWS
             ]
         ]
@@ -182,7 +180,7 @@ def _build_scene(args: argparse.Namespace):
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.from_scene is not None:
         try:
-            doc = json.loads(Path(args.from_scene).read_text(encoding="utf-8"))
+            doc = json.loads(_path(args.from_scene).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
         try:
@@ -223,7 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    scene = _build_scene(args)
     opts = RenderOptions(
         canvas_width_px=args.width,
         color_fill=args.fill,
@@ -233,7 +230,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         show_layer_annotations=not args.no_layer_annotations,
         equilateral_look=not args.no_equilateral,
     )
-    out = Path(args.out)
+    scene = _build_scene(args)
+    out = _path(args.out)
     _write_output(out, render(scene, opts))
     print(f"wrote {out}")
     if args.emit_scene:
@@ -243,7 +241,15 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_output(path: Path, text: str) -> None:
+def _path(text: str):
+    """pathlib.Path(text), imported here: pathlib loads urllib.parse, which only
+    the commands that read or write files need."""
+    from pathlib import Path
+
+    return Path(text)
+
+
+def _write_output(path, text: str) -> None:
     """Write text to path as UTF-8 bytes; a file that cannot be written is a usage error."""
     data = text.encode("utf-8")
     try:

@@ -17,10 +17,20 @@ x = lam^2 is the series ratio.  One loop builds every layer of both
 pictures from layer 1 and lam, and the audit evaluates the area formulas
 at layer 1 only; the apex copy left after L layers has area x^L times
 the figure's.
+
+Coordinates are held as plain integers: a polygon keeps integer x and y
+numerators over one positive denominator `den`, which the builders share
+across a layer (m^k for layered r = 1/m, (q-p) q^k for the staircase
+s = p/q), so building, reading, auditing and rendering a scene take no
+gcd per coordinate.  Fractions appear only at the edge: Point and
+Polygon are made from Fractions and give them back (.x, .y, .vertices,
+.area, made on first use), == compares rational values, and scene_to_json
+writes each coordinate reduced to its canonical "p/q".
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +45,7 @@ from .construction import (
     triangle_area,
 )
 from .feasibility import derive_config
-from .rational import ONE, ZERO, Rational, check_depth, fmt, parse
+from .rational import ONE, ZERO, Rational, check_depth, fmt, fmt_parts, parse, parse_parts
 
 ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
@@ -44,16 +54,75 @@ ROLE_OUTLINE = "outline"
 
 @dataclass(frozen=True)
 class Point:
+    """A point with exact rational coordinates.
+
+    A point of a built or read scene is made by lattice_point from integer
+    numerators over one denominator; its x and y Fractions are made on
+    first use.
+    """
+
     x: Rational
     y: Rational
+
+    def __getattr__(self, name: str):
+        # reached only while x and y of a lattice point are not made yet
+        num = self.__dict__.get("_num")
+        if num is None or name not in ("x", "y"):
+            raise AttributeError(name)
+        xn, yn, d = num
+        object.__setattr__(self, "x", Fraction(xn, d))
+        object.__setattr__(self, "y", Fraction(yn, d))
+        return self.__dict__[name]
+
+
+def lattice_point(xn: int, yn: int, d: int) -> Point:
+    """The point (xn/d, yn/d), d > 0, without reducing either coordinate."""
+    pt = object.__new__(Point)
+    pt.__dict__["_num"] = (xn, yn, d)
+    return pt
+
+
+def _point_parts(pt: Point) -> tuple[int, int, int, int]:
+    """(xn, xd, yn, yd): pt is (xn/xd, yn/yd), unreduced for a lattice point."""
+    num = pt.__dict__.get("_num")
+    if num is not None:
+        xn, yn, d = num
+        return xn, d, yn, d
+    x, y = pt.x, pt.y
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _over_lcm(parts) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(xs, ys, d): points given as (xn, xd, yn, yd) as integer numerators over d,
+    the lcm of their denominators."""
+    d = math.lcm(*[e for _, xd, _, yd in parts for e in (xd, yd)])
+    return (
+        tuple([xn * (d // xd) for xn, xd, _, _ in parts]),
+        tuple([yn * (d // yd) for _, _, yn, yd in parts]),
+        d,
+    )
+
+
+def point_numerators(pt: Point) -> tuple[int, int, int]:
+    """(xn, yn, d): pt is (xn/d, yn/d), d > 0."""
+    (xn,), (yn,), d = _over_lcm([_point_parts(pt)])
+    return xn, yn, d
+
+
+def _cross(xs, ys) -> int:
+    """The shoelace sum of xs[i-1] ys[i] - xs[i] ys[i-1]: twice the signed area times d^2."""
+    return sum([xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs))])
 
 
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon with distinct vertices in counterclockwise order.
 
-    `area` is its exact shoelace area, set once by the orientation check;
-    it is not a field, so ==, repr and scene JSON never see it.
+    Held as integer numerators xs, ys over one denominator den > 0, with
+    cross the integer shoelace sum: the area is cross / (2 den^2).  None of
+    them is a field, so ==, repr and scene JSON never see them; == compares
+    rational values, whatever the denominators.  Polygon(vertices, ...)
+    takes Points; over() takes the integers themselves.
     """
 
     vertices: tuple[Point, ...]
@@ -61,14 +130,55 @@ class Polygon:
     layer_index: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError(f"polygon needs >= 3 vertices, got {len(self.vertices)}")
+        self._settle(*_over_lcm([_point_parts(pt) for pt in self.vertices]))
+
+    @classmethod
+    def over(cls, xs: tuple[int, ...], ys: tuple[int, ...], den: int, role: str,
+             layer_index: int | None = None) -> Polygon:
+        """The polygon with vertices (xs[i]/den, ys[i]/den), den > 0."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(role=role, layer_index=layer_index)
+        poly._settle(xs, ys, den)
+        return poly
+
+    def _settle(self, xs, ys, den) -> None:
+        """Check the polygon and keep it as numerators xs, ys over den."""
+        if len(xs) < 3:
+            raise ValueError(f"polygon needs >= 3 vertices, got {len(xs)}")
         if self.role not in (ROLE_COLORED, ROLE_BLANK, ROLE_OUTLINE):
             raise ValueError(f"unknown polygon role {self.role!r}")
-        total, d = _shoelace(self.vertices)
-        if total <= 0:
+        cross = _cross(xs, ys)
+        if cross <= 0:
             raise ValueError("polygon must be counterclockwise with nonzero area")
-        object.__setattr__(self, "area", Fraction(total, 2 * d * d))
+        self.__dict__.update(xs=xs, ys=ys, den=den, cross=cross)
+
+    def __getattr__(self, name: str):
+        # reached only while the vertices of a polygon made by over() are not made yet
+        if name != "vertices" or "xs" not in self.__dict__:
+            raise AttributeError(name)
+        den = self.den
+        vertices = tuple([lattice_point(x, y, den) for x, y in zip(self.xs, self.ys)])
+        object.__setattr__(self, "vertices", vertices)
+        return vertices
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        d, e = self.den, other.den
+        return (
+            len(self.xs) == len(other.xs)
+            and self.role == other.role
+            and self.layer_index == other.layer_index
+            and all(a * e == b * d for a, b in zip(self.xs + self.ys, other.xs + other.ys))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.role, self.layer_index))
+
+    @property
+    def area(self) -> Rational:
+        """Exact positive shoelace area."""
+        return Fraction(self.cross, 2 * self.den * self.den)
 
 
 @dataclass(frozen=True)
@@ -82,28 +192,20 @@ class Scene:
     layers_rendered: int
 
 
-def _shoelace(vertices: tuple[Point, ...]) -> tuple[int, int]:
-    """(total, d): twice the signed area is total / d^2, in plain ints.
-
-    Every coordinate is put over one common denominator d, the lcm of the
-    polygon's denominators, so the cross products are summed in plain ints
-    and no gcd is taken.
-    """
-    d = math.lcm(*[c.denominator for v in vertices for c in (v.x, v.y)])
-    xs = [v.x.numerator * (d // v.x.denominator) for v in vertices]
-    ys = [v.y.numerator * (d // v.y.denominator) for v in vertices]
-    return sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs))), d
-
-
 def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
     """Twice the signed area, positive when counterclockwise (the shoelace sum)."""
-    total, d = _shoelace(vertices)
-    return Fraction(total, d * d)
+    xs, ys, d = _over_lcm([_point_parts(pt) for pt in vertices])
+    return Fraction(_cross(xs, ys), d * d)
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
-    """Exact positive area of a polygon: the shoelace area kept at its construction."""
+    """Exact positive area of a polygon, from the shoelace sum kept at its construction."""
     return polygon.area
+
+
+def _numerators(values, d: int) -> list[int]:
+    """The numerators of rational values over d, a multiple of every denominator."""
+    return [v.numerator * (d // v.denominator) for v in values]
 
 
 def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, xs, tiles,
@@ -116,23 +218,37 @@ def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, x
     corners), a corner being an (xs index, 0 bottom or 1 top line) pair; its
     label sits label_dx, a shift that does not shrink, right of the point
     of AB with x = label_mid.
+
+    Layer 1 is put over one denominator d1, and with shrink = a/b and
+    shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of layer 1
+    becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
+    Only u and v grow, by one integer product each per layer.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     apex_y = outline[-1].y
+    top_y = apex_y - shrink * apex_y
+    d1 = math.lcm(*[c.denominator for c in (*xs, apex_y, top_y)])
+    xs1 = _numerators(xs, d1)
+    apex, top = _numerators((apex_y, top_y), d1)
+    # the labels have their own denominator, so they do not widen the polygons'
+    dl = math.lcm(d1, label_mid.denominator, label_dx.denominator)
+    apex_l, mid, dx = _numerators((apex_y, label_mid, label_dx), dl)
+    a, b = shrink.numerator, shrink.denominator
     polygons = [Polygon(outline, ROLE_OUTLINE)]
     labels = list(vertex_labels)
-    t = ONE
-    y_bottom = ZERO
+    u = v = 1
     for k in range(1, layers + 1):
-        x = [t * v for v in xs]
-        mid = t * label_mid
-        t *= shrink
-        y = (y_bottom, apex_y - t * apex_y)
+        x = [u * c for c in xs1]
+        y = (apex * (v - u), apex * v - u * (apex - top))
+        d = d1 * v
         for role, corners in tiles:
-            polygons.append(Polygon(tuple([Point(x[i], y[j]) for i, j in corners]), role, k))
-        labels.append((Point(mid + label_dx, apex_y - mid), f"layer {k}"))
-        y_bottom = y[1]
+            polygons.append(Polygon.over(
+                tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
+            ))
+        labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
+        u *= a
+        v *= b
     return Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
 
 
@@ -256,16 +372,48 @@ class AuditReport:
         }
 
 
+def _area_sums(polygons) -> tuple[int, int, int]:
+    """(colored, total, den): polygons' exact colored and total areas are colored/den
+    and total/den, not reduced.
+
+    The shoelace sums are added in plain ints per denominator; a layer of a
+    built scene has one, so the lcm is taken over that one only.
+    """
+    by_den: dict[int, list[int]] = {}
+    for poly in polygons:
+        sums = by_den.setdefault(poly.den, [0, 0])
+        sums[1] += poly.cross
+        if poly.role == ROLE_COLORED:
+            sums[0] += poly.cross
+    d = math.lcm(*by_den)
+    colored = total = 0
+    for e, (c, t) in by_den.items():
+        f = (d // e) ** 2
+        colored += c * f
+        total += t * f
+    return colored, total, 2 * d * d
+
+
+def _equals(num: int, den: int, q: Rational) -> bool:
+    """num/den == q, den > 0: q is reduced, so den must be a multiple of its denominator."""
+    k, rest = divmod(den, q.denominator)
+    return rest == 0 and num == q.numerator * k
+
+
 def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_area_1, x):
     """Shared per-layer tally loop, against layer 1 shrunk by x^(k-1).
 
     Layer k must hold want_count polygons, want_colored_count of them
     colored, with colored area colored_area_1 x^(k-1) and layer area
-    layer_area_1 x^(k-1).  Returns (layer audits, mismatches, tiled area, x^L).
+    layer_area_1 x^(k-1).  Each area is an integer sum over one denominator,
+    compared exactly with its expectation (see _equals); an area equal to
+    its expectation is reported as that Fraction, so a passing layer
+    reduces no sum by gcd.
+    Returns (layer audits, mismatches, tiled area, x^L).
     """
     layers = []
     mismatches = []
-    tiled = ZERO
+    tiled_num, tiled_den = 0, 1
     by_layer: dict[int, list[Polygon]] = {k: [] for k in range(1, scene.layers_rendered + 1)}
     for poly in scene.polygons:
         if poly.role == ROLE_OUTLINE:
@@ -273,21 +421,18 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
         if poly.layer_index is None or not 1 <= poly.layer_index <= scene.layers_rendered:
             raise ValueError("non-outline polygon without a valid layer index")
         by_layer[poly.layer_index].append(poly)
-    scale = ONE  # x^(k-1)
+    fraction_1 = colored_area_1 / layer_area_1
+    want_colored, want_total = colored_area_1, layer_area_1  # times x^(k-1)
     for k in range(1, scene.layers_rendered + 1):
         polys = by_layer[k]
-        colored_count = 0
-        colored_area = total_area = ZERO
-        for poly in polys:
-            area = shoelace_area(poly)
-            total_area += area
-            if poly.role == ROLE_COLORED:
-                colored_count += 1
-                colored_area += area
-        tiled += total_area
-        want_colored = colored_area_1 * scale
-        want_total = layer_area_1 * scale
-        scale *= x
+        colored_count = sum([poly.role == ROLE_COLORED for poly in polys])
+        colored_num, total_num, den = _area_sums(polys)
+        tiled_den, old_den = math.lcm(tiled_den, den), tiled_den
+        tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
+        colored_ok = _equals(colored_num, den, want_colored)
+        total_ok = _equals(total_num, den, want_total)
+        colored_area = want_colored if colored_ok else Fraction(colored_num, den)
+        total_area = want_total if total_ok else Fraction(total_num, den)
         ok = True
         if len(polys) != want_count or colored_count != want_colored_count:
             ok = False
@@ -295,18 +440,22 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
                 f"layer {k}: polygon counts ({len(polys)}, {colored_count} colored) "
                 f"!= expected ({want_count}, {want_colored_count} colored)"
             )
-        if colored_area != want_colored:
+        if not colored_ok:
             ok = False
             mismatches.append(
                 f"layer {k}: colored area {fmt(colored_area)} != "
                 f"expected {fmt(want_colored)} (per-layer colored formula)"
             )
-        if total_area != want_total:
+        if not total_ok:
             ok = False
             mismatches.append(
                 f"layer {k}: layer area {fmt(total_area)} != "
                 f"expected {fmt(want_total)} (layer area formula)"
             )
+        if colored_ok and total_ok:
+            fraction = fraction_1
+        else:
+            fraction = colored_area / total_area if polys else ZERO
         layers.append(
             LayerAudit(
                 layer_index=k,
@@ -314,13 +463,15 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
                 colored_count=colored_count,
                 colored_area=colored_area,
                 total_area=total_area,
-                colored_fraction=colored_area / total_area if polys else ZERO,
+                colored_fraction=fraction,
                 expected_colored_area=want_colored,
                 expected_total_area=want_total,
                 ok=ok,
             )
         )
-    return layers, mismatches, tiled, scale
+        want_colored *= x
+        want_total *= x
+    return layers, mismatches, Fraction(tiled_num, tiled_den), x ** scene.layers_rendered
 
 
 def _layered_params(r: Rational) -> LayeredParams:
@@ -387,7 +538,17 @@ def audit_scene(scene: Scene) -> AuditReport:
 
 
 def scene_to_json(scene: Scene) -> dict:
-    """JSON-ready document; every coordinate is a canonical "p/q" string."""
+    """JSON-ready document; every coordinate is a canonical "p/q" string.
+
+    A layer's polygons share their coordinate lines, so each distinct
+    numerator and denominator pair is reduced and printed once.
+    """
+    text = functools.lru_cache(maxsize=None)(fmt_parts)
+
+    def label(pt: Point, label_text: str) -> dict:
+        xn, yn, d = point_numerators(pt)
+        return {"x": text(xn, d), "y": text(yn, d), "text": label_text}
+
     return {
         "schema": 1,
         "construction_kind": scene.construction_kind,
@@ -395,16 +556,16 @@ def scene_to_json(scene: Scene) -> dict:
         "layers_rendered": scene.layers_rendered,
         "polygons": [
             {
-                "vertices": [[fmt(v.x), fmt(v.y)] for v in poly.vertices],
+                "vertices": [
+                    [text(x, poly.den), text(y, poly.den)] for x, y in zip(poly.xs, poly.ys)
+                ],
                 "role": poly.role,
                 "layer_index": poly.layer_index,
                 "label": None,
             }
             for poly in scene.polygons
         ],
-        "labels": [
-            {"x": fmt(pt.x), "y": fmt(pt.y), "text": text} for pt, text in scene.labels
-        ],
+        "labels": [label(pt, label_text) for pt, label_text in scene.labels],
     }
 
 
@@ -443,12 +604,12 @@ def _member(obj: dict, key: str, kind: type, path: str, optional: bool = False):
     raise _wrong_type(value, kind, where)
 
 
-def _point(pair) -> Point:
-    """The Point of an ["x", "y"] pair of "p/q" strings."""
+def _pair_parts(pair, read) -> tuple[int, int, int, int]:
+    """(xn, xd, yn, yd) of an ["x", "y"] pair of "p/q" strings, each parsed by read."""
     if isinstance(pair, list) and len(pair) == 2:
         x, y = pair
         if isinstance(x, str) and isinstance(y, str):
-            return Point(parse(x), parse(y))
+            return (*read(x), *read(y))
     raise ValueError(f'must be an ["x", "y"] pair of "p/q" strings, got {pair!r:.40}')
 
 
@@ -475,6 +636,9 @@ def _check_param(key: str, value) -> None:
 def scene_from_json(doc) -> Scene:
     """Inverse of scene_to_json; checks the schema version and the document's shape.
 
+    Each "p/q" coordinate is read as two integers, unreduced, and each
+    polygon is put over the lcm of its denominators, so no Fraction is made.
+
     Anything malformed raises ValueError naming where, e.g.
     ``polygons[3].vertices[1]: invalid literal for int() ...``.
     """
@@ -499,6 +663,8 @@ def scene_from_json(doc) -> Scene:
     if layers < 1:
         raise ValueError(f"layers_rendered must be >= 1, got {layers}")
     check_depth(layers, ratio, "layers_rendered")
+    # a layer's polygons share their coordinate lines: read each distinct string once
+    read = functools.lru_cache(maxsize=None)(parse_parts)
     polygons = []
     for i, entry in enumerate(_member(doc, "polygons", list, "")):
         path = f"polygons[{i}]"
@@ -507,14 +673,15 @@ def scene_from_json(doc) -> Scene:
         points = []
         for j, pair in enumerate(vertices):
             try:
-                points.append(_point(pair))
+                points.append(_pair_parts(pair, read))
             except ValueError as exc:
                 raise ValueError(f"{path}.vertices[{j}]: {exc}") from None
         role = _member(entry, "role", str, path)
         layer_index = _member(entry, "layer_index", int, path, optional=True)
         _member(entry, "label", str, path, optional=True)
         try:
-            polygons.append(Polygon(tuple(points), role, layer_index))
+            # over the lcm of its denominators: one of them, on a built scene
+            polygons.append(Polygon.over(*_over_lcm(points), role, layer_index))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if role != ROLE_OUTLINE and not (layer_index is not None and 1 <= layer_index <= layers):
@@ -528,10 +695,10 @@ def scene_from_json(doc) -> Scene:
         _typed(entry, dict, path)
         pair = [_member(entry, "x", str, path), _member(entry, "y", str, path)]
         try:
-            point = _point(pair)
+            (xn,), (yn,), d = _over_lcm([_pair_parts(pair, read)])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        labels.append((point, _member(entry, "text", str, path)))
+        labels.append((lattice_point(xn, yn, d), _member(entry, "text", str, path)))
     return Scene(
         polygons=tuple(polygons),
         labels=tuple(labels),

@@ -5,10 +5,13 @@ gcd-reduced at construction, denominator always positive, immutable.
 Arithmetic is Fraction's own operators; this module adds only the
 shared constants, strict parsing/formatting of the canonical "p/q"
 string form, and the cap on how deep a picture or table may go.
+Scene geometry holds its coordinates as plain integers instead, so
+parse_parts and fmt_parts read and write "p/q" without a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -17,8 +20,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def parse(text: str) -> Rational:
-    """Parse "p/q" (q > 0) or a bare integer, e.g. "4/9", "-3", "7/1"."""
+def parse_parts(text: str) -> tuple[int, int]:
+    """(p, q) of "p/q" (q > 0) or of a bare integer (q = 1), not reduced: "2/4" is (2, 4)."""
     s = text.strip()
     if "/" in s:
         num_text, den_text = s.split("/", 1)
@@ -26,8 +29,13 @@ def parse(text: str) -> Rational:
         den = int(den_text)
         if den <= 0:
             raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
+        return num, den
+    return int(s), 1
+
+
+def parse(text: str) -> Rational:
+    """Parse "p/q" (q > 0) or a bare integer, e.g. "4/9", "-3", "7/1"."""
+    return Fraction(*parse_parts(text))
 
 
 def fmt(q: Rational) -> str:
@@ -37,14 +45,25 @@ def fmt(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fmt_parts(num: int, den: int) -> str:
+    """fmt of num/den (den > 0), reduced here by one gcd."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
+
+
 # Largest predicted denominator, in bits, of a picture or a table: its layer
 # (or term) count times the bit length of the ratio's denominator, for the
 # ratio r = 1/m or s of a picture and --ratio of a table.  The largest number
 # printed is about the square of that denominator, so at the cap it has about
 # 2466 digits, below Python's 4300-digit limit on int-to-str conversion.  At
 # the cap the slowest commands measured, render --emit-scene and verify of
-# layered m = 3 with 2048 layers, take 3.2 s and 2.4 s (the render peaks at
-# 234 MiB) with Python 3.11 on a 2-core x86 host; the benchmark's deep
+# layered m = 3 with 2048 layers, take 2.0 s and 0.7 s (the render peaks at
+# 212 MiB) with Python 3.11 on a 2-core x86 host; the benchmark's deep
 # scenes predict 400 and 1500 bits.
 MAX_DENOMINATOR_BITS = 4096
 

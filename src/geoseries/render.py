@@ -2,9 +2,10 @@
 
 No binary floating point anywhere.  layout finds the bounding box in exact
 rationals and turns it into one exact affine map per axis, px = ax*x + bx,
-held as integers over one shared denominator.  A vertex x = p/q then maps
-to the unreduced fraction (ax*p + bx*q) / (den*q), with no gcd, and is
-printed by the one rounding rule format_coordinate also uses: decimal
+held as integers over one shared denominator.  A vertex x = p/d, p an
+integer numerator of its polygon over the polygon's denominator d, then
+maps to the unreduced fraction (ax*p + bx*d) / (den*d), with no gcd, and
+is printed by the one rounding rule format_coordinate also uses: decimal
 digits expanded from integers, half away from zero.  The equilateral
 look for layered scenes is a cosmetic y-stretch by a fixed rational
 stand-in for sqrt(3); the audit never sees these coordinates.
@@ -13,18 +14,28 @@ stand-in for sqrt(3); the audit never sees these coordinates.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
-from .geometry import ROLE_OUTLINE, Point, Scene
+from .geometry import ROLE_OUTLINE, Scene, point_numerators
 from .rational import ONE, Rational
 
 # 18 correct digits of sqrt(3); cosmetic stretch only, never audited.
 SQRT3 = Fraction(1_732_050_807_568_877_293, 10**18)
 
-# escape() covers &, < and >; a color lands in a "-quoted attribute
-_QUOTE = {'"': "&quot;"}
+# a character XML 1.0 does not allow anywhere in a document
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _escape(text: str) -> str:
+    """text with &, < and > escaped, for element content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attr(text: str) -> str:
+    """text escaped for a "-quoted attribute value."""
+    return _escape(text).replace('"', "&quot;")
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,13 @@ class RenderOptions:
             raise ValueError(
                 f"decimal_places must lie in [1, 12], got {self.decimal_places}"
             )
+        for name, color in (("fill", self.color_fill), ("stroke", self.stroke_color)):
+            bad = _NOT_XML.search(color)
+            if bad:
+                raise ValueError(
+                    f"{name} color must not contain U+{ord(bad.group()):04X}, "
+                    "a character XML 1.0 does not allow"
+                )
 
 
 def _fixed(num: int, den: int, decimal_places: int) -> str:
@@ -91,15 +109,31 @@ class Layout:
         return Fraction(-self.ax * self.ay, self.den * self.den)
 
 
+def _least(pairs) -> Fraction:
+    """The least of the rationals num/den given as (num, den) pairs, den > 0.
+
+    Pairs that share a denominator, as a layer's do, compare by numerator;
+    any other two by cross-multiplying.
+    """
+    if not pairs:
+        raise ValueError("a layout needs at least one polygon")
+    num, den = pairs[0]
+    for n, d in pairs:
+        if (n < num) if d == den else (n * den < num * d):
+            num, den = n, d
+    return Fraction(num, den)
+
+
 def layout(scene: Scene, opts: RenderOptions) -> Layout:
     """Bounding box over polygon vertices plus a 10% margin, scaled to the canvas."""
     stretch = (
         SQRT3 if scene.construction_kind == "layered" and opts.equilateral_look else ONE
     )
-    xs = [v.x for poly in scene.polygons for v in poly.vertices]
-    ys = [v.y for poly in scene.polygons for v in poly.vertices]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys) * stretch, max(ys) * stretch  # stretch > 0
+    polygons = scene.polygons
+    x_min = _least([(min(poly.xs), poly.den) for poly in polygons])
+    x_max = -_least([(-max(poly.xs), poly.den) for poly in polygons])
+    y_min = _least([(min(poly.ys), poly.den) for poly in polygons]) * stretch  # stretch > 0
+    y_max = -_least([(-max(poly.ys), poly.den) for poly in polygons]) * stretch
     width = x_max - x_min
     height = y_max - y_min
     margin = max(width, height) / 10
@@ -112,17 +146,15 @@ def layout(scene: Scene, opts: RenderOptions) -> Layout:
     return Layout(ax, bx, ay, by, den, opts.canvas_width_px, height_px)
 
 
-def _px(lay: Layout, pt: Point, dp: int) -> tuple[str, str]:
-    """pt's pixel coordinates as printed, from the unreduced numerators."""
-    x, y = pt.x, pt.y
-    return (
-        _fixed(lay.ax * x.numerator + lay.bx * x.denominator, lay.den * x.denominator, dp),
-        _fixed(lay.ay * y.numerator + lay.by * y.denominator, lay.den * y.denominator, dp),
-    )
+def _px(lay: Layout, xn: int, yn: int, d: int, dp: int) -> tuple[str, str]:
+    """The point (xn/d, yn/d)'s pixel coordinates as printed, from the unreduced numerators."""
+    den = lay.den * d
+    return _fixed(lay.ax * xn + lay.bx * d, den, dp), _fixed(lay.ay * yn + lay.by * d, den, dp)
 
 
 def _points_attr(poly, lay: Layout, dp: int) -> str:
-    return " ".join(",".join(_px(lay, v, dp)) for v in poly.vertices)
+    d = poly.den
+    return " ".join([",".join(_px(lay, x, y, d, dp)) for x, y in zip(poly.xs, poly.ys)])
 
 
 def render(scene: Scene, opts: RenderOptions | None = None) -> str:
@@ -135,8 +167,8 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     lay = layout(scene, opts)
     dp = opts.decimal_places
     font_px = max(opts.canvas_width_px // 40, 8)
-    fill_attr = escape(opts.color_fill, _QUOTE)
-    stroke_attr = escape(opts.stroke_color, _QUOTE)
+    fill_attr = _escape_attr(opts.color_fill)
+    stroke_attr = _escape_attr(opts.stroke_color)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -164,12 +196,12 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
             continue
         if not is_annotation and not opts.show_labels:
             continue
-        px, py = _px(lay, pt, dp)
+        px, py = _px(lay, *point_numerators(pt), dp)
         anchor = "start" if is_annotation else "middle"
         lines.append(
             f'<text x="{px}" y="{py}" '
             f'font-family="sans-serif" font-size="{font_px}" '
-            f'text-anchor="{anchor}">{escape(text)}</text>'
+            f'text-anchor="{anchor}">{_escape(text)}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import geoseries
+from geoseries import cli
 from geoseries.cli import MAX_POLYGONS, main
 from geoseries.feasibility import derive_config
 from geoseries.geometry import build_layered_scene
@@ -405,6 +410,39 @@ class TestRender:
         assert (code, out, err) == (2, "", message)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flags", [("--width", "0"), ("--decimal-places", "13")])
+    def test_bad_render_option_is_checked_before_the_build(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: built.append(args))
+        out_path = tmp_path / "pic.svg"
+        code, _, err = run(capsys, "render", *RENDER_SCENE, "--out", str(out_path), *flags)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert built == []
+
+    @pytest.mark.parametrize("flag", ["--fill", "--stroke"])
+    @pytest.mark.parametrize(
+        "bad", ["\x01", "x\x1fy", "\ufffe"], ids=["U+0001", "U+001F", "U+FFFE"]
+    )
+    def test_color_with_a_character_xml_forbids_is_usage_error(self, capsys, tmp_path, flag, bad):
+        out_path = tmp_path / "pic.svg"
+        code, out, err = run(capsys, "render", *RENDER_SCENE, "--out", str(out_path), flag, bad)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag[2:]} color must not contain U+")
+        assert err.endswith(", a character XML 1.0 does not allow\n")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_default_render_is_well_formed_xml(self, capsys, tmp_path):
+        out_path = tmp_path / "pic.svg"
+        code, _, _ = run(capsys, "render", *RENDER_SCENE, "--out", str(out_path))
+        assert code == 0
+        root = ET.parse(out_path).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root.findall("{http://www.w3.org/2000/svg}polygon")) == 1 + 3 * 5
+
     def test_hostile_colors_are_escaped(self, capsys, tmp_path):
         out_path = tmp_path / "pic.svg"
         code, _, _ = run(
@@ -476,3 +514,22 @@ class TestRender:
         with pytest.raises(SystemExit) as exc:
             main(["render", "--construction", "layered", "--m", "2", "--bogus"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_xml_or_network_modules():
+    """`import geoseries.cli` in a fresh interpreter, without site: no module of
+    xml, urllib, http, email or ssl is loaded by it."""
+    src = str(Path(geoseries.__file__).resolve().parent.parent)
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import geoseries.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(done.stdout)
+    assert "geoseries.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("xml", "urllib", "http", "email", "ssl")] == []

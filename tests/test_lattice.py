@@ -1,0 +1,271 @@
+"""Scene geometry held as integer numerators over one denominator per layer.
+
+The builders, the reader and the audit work on plain integers.  The
+reference below is the earlier Fraction builder and a Fraction audit that
+evaluates the area formulas at every layer, kept here so that the integer
+code must give the same vertices, labels, areas and audit reports.
+"""
+
+import json
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from geoseries.construction import (
+    StaircaseParams,
+    layer_area,
+    staircase_layer_area,
+    staircase_piece_area,
+    staircase_total_area,
+    triangle_area,
+)
+from geoseries.feasibility import derive_config
+from geoseries.geometry import (
+    ROLE_BLANK,
+    ROLE_COLORED,
+    ROLE_OUTLINE,
+    Point,
+    Polygon,
+    audit_scene,
+    build_layered_scene,
+    build_staircase_scene,
+    scene_from_json,
+    scene_to_json,
+)
+from geoseries.rational import fmt
+
+ONE, ZERO = Fraction(1), Fraction(0)
+
+
+def reference_build(layers, *, outline, vertex_labels, shrink, xs, tiles, label_mid, label_dx):
+    """(polygons, labels) with polygons as (vertices, role, layer_index), all in Fractions."""
+    apex_y = outline[-1].y
+    polygons = [(outline, ROLE_OUTLINE, None)]
+    labels = list(vertex_labels)
+    t = ONE
+    y_bottom = ZERO
+    for k in range(1, layers + 1):
+        x = [t * v for v in xs]
+        mid = t * label_mid
+        t *= shrink
+        y = (y_bottom, apex_y - t * apex_y)
+        for role, corners in tiles:
+            polygons.append((tuple(Point(x[i], y[j]) for i, j in corners), role, k))
+        labels.append((Point(mid + label_dx, apex_y - mid), f"layer {k}"))
+        y_bottom = y[1]
+    return polygons, labels
+
+
+def reference_layered(m, layers):
+    p = derive_config(m)
+    colored = min(p.a, p.n)
+    shrink = ONE - p.r
+    tiles = []
+    for idx in range(p.n):
+        if idx < m - 1:
+            i = 2 * idx + 1
+            corners = ((i + 1, 0), (i + 2, 1), (i, 1))
+        else:
+            i = 2 * (idx - m + 1)
+            corners = ((i, 0), (i + 2, 0), (i + 1, 1))
+        tiles.append((ROLE_COLORED if idx < colored else ROLE_BLANK, corners))
+    twentieth = Fraction(1, 20)
+    return reference_build(
+        layers,
+        outline=(Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE)),
+        vertex_labels=[
+            (Point(ZERO, ONE + twentieth), "A"),
+            (Point(ONE + twentieth, -twentieth), "B"),
+            (Point(-ONE - twentieth, -twentieth), "C"),
+            (Point(shrink + twentieth, p.r), "D"),
+            (Point(-shrink - twentieth, p.r), "E"),
+        ],
+        shrink=shrink, xs=[Fraction(i - m, m) for i in range(2 * m + 1)], tiles=tiles,
+        label_mid=(ONE + shrink) / 2, label_dx=Fraction(1, 4),
+    )
+
+
+def reference_staircase(s, layers):
+    h = ONE / (ONE - s)
+    return reference_build(
+        layers,
+        outline=(Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h)),
+        vertex_labels=[
+            (Point(ZERO, h + h / 20), "A"),
+            (Point(h + h / 20, -h / 20), "B"),
+            (Point(h - 1, -h / 20), "C"),
+        ],
+        shrink=s, xs=[h - 1 - s, h - 1, h],
+        tiles=[(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))],
+        label_mid=h - Fraction(1, 2), label_dx=h / 10,
+    )
+
+
+def reference_area(vertices):
+    total = ZERO
+    for i in range(len(vertices)):
+        p, q = vertices[i - 1], vertices[i]
+        total += p.x * q.y - q.x * p.y
+    return total / 2
+
+
+def reference_audit(kind, params, polygons, layers):
+    """The as_dict of a passing audit, every expectation from the formulas at its own layer."""
+    rows = []
+    tiled = ZERO
+    for k in range(1, layers + 1):
+        layer = [(vertices, role) for vertices, role, index in polygons if index == k]
+        colored = [reference_area(v) for v, role in layer if role == ROLE_COLORED]
+        colored_area = sum(colored, ZERO)
+        layer_area_k = sum((reference_area(v) for v, _ in layer), ZERO)
+        tiled += layer_area_k
+        if kind == "layered":
+            p = derive_config(int(params["m"]))
+            want_colored = min(p.a, p.n) * triangle_area(p, k)
+            want_layer = layer_area(p, k)
+        else:
+            q = StaircaseParams(Fraction(params["s"]))
+            want_colored = staircase_piece_area(q, k)
+            want_layer = staircase_layer_area(q, k)
+        rows.append({
+            "layer": k,
+            "polygons": len(layer),
+            "colored": len(colored),
+            "colored_area": fmt(colored_area),
+            "layer_area": fmt(layer_area_k),
+            "colored_fraction": fmt(colored_area / layer_area_k),
+            "expected_colored_area": fmt(want_colored),
+            "expected_layer_area": fmt(want_layer),
+            "ok": colored_area == want_colored and layer_area_k == want_layer,
+        })
+    if kind == "layered":
+        figure = ONE
+        remainder = (ONE - Fraction(1, int(params["m"]))) ** (2 * layers)
+    else:
+        s = Fraction(params["s"])
+        figure = staircase_total_area(StaircaseParams(s))
+        remainder = s ** (2 * layers) * figure
+    return {
+        "schema": 1,
+        "construction": kind,
+        "params": params,
+        "layers": rows,
+        "tiled_area": fmt(tiled),
+        "apex_remainder": fmt(remainder),
+        "figure_area": fmt(figure),
+        "check": "pass" if tiled + remainder == figure else "fail",
+        "mismatches": [],
+    }
+
+
+CASES = [
+    pytest.param("layered", m, layers, id=f"m={m}-L={layers}")
+    for m in (2, 3, 4, 5)
+    for layers in (1, 6, 50)
+] + [
+    pytest.param("staircase", s, layers, id=f"s={s}-L={layers}")
+    for s in (Fraction(1, 2), Fraction(3, 5), Fraction(254, 255))
+    for layers in (1, 6, 50)
+]
+
+
+def build(kind, param, layers):
+    if kind == "layered":
+        return build_layered_scene(derive_config(param), layers), reference_layered(param, layers)
+    return build_staircase_scene(StaircaseParams(param), layers), reference_staircase(param, layers)
+
+
+@pytest.mark.parametrize("kind, param, layers", CASES)
+def test_integer_builder_matches_the_fraction_reference(kind, param, layers):
+    scene, (ref_polygons, ref_labels) = build(kind, param, layers)
+    assert [(p.vertices, p.role, p.layer_index) for p in scene.polygons] == ref_polygons
+    assert [p.area for p in scene.polygons] == [reference_area(v) for v, _, _ in ref_polygons]
+    assert list(scene.labels) == ref_labels
+    report = audit_scene(scene).as_dict()
+    assert report == reference_audit(kind, scene.params_echo, ref_polygons, layers)
+    assert report["check"] == "pass"
+
+
+@pytest.mark.parametrize("kind, param, layers", CASES)
+def test_each_layer_lies_over_one_denominator(kind, param, layers):
+    """m^k for layered r = 1/m, (q - p) q^k for the staircase s = p/q."""
+    scene, _ = build(kind, param, layers)
+    for k in range(1, layers + 1):
+        dens = {p.den for p in scene.polygons if p.layer_index == k}
+        if kind == "layered":
+            assert dens == {param**k}
+        else:
+            assert dens == {(param.denominator - param.numerator) * param.denominator**k}
+
+
+def _unreduce(text, factor):
+    """text ("p/q" or "p") rewritten as the equal, unreduced "p*factor/q*factor"."""
+    num, _, den = text.partition("/")
+    return f"{int(num) * factor}/{int(den or 1) * factor}"
+
+
+SCENES = st.one_of(
+    st.builds(
+        lambda m, layers: build_layered_scene(derive_config(m), layers),
+        st.integers(2, 6), st.integers(1, 8),
+    ),
+    st.builds(
+        lambda q, p, layers: build_staircase_scene(
+            StaircaseParams(Fraction(p % q or 1, q)), layers
+        ),
+        st.integers(2, 300), st.integers(1, 299), st.integers(1, 8),
+    ),
+)
+
+
+@given(SCENES, st.lists(st.integers(1, 10**6), min_size=1, max_size=5))
+def test_scene_round_trips_through_json_even_when_unreduced(scene, factors):
+    doc = scene_to_json(scene)
+    assert scene_from_json(doc) == scene
+    # every coordinate string rewritten unreduced, "2/4" style
+    loose = json.loads(json.dumps(doc))
+    count = 0
+    for entry in loose["polygons"]:
+        for pair in entry["vertices"]:
+            for i in (0, 1):
+                pair[i] = _unreduce(pair[i], factors[count % len(factors)])
+                count += 1
+    for entry in loose["labels"]:
+        for key in ("x", "y"):
+            entry[key] = _unreduce(entry[key], factors[count % len(factors)])
+            count += 1
+    read = scene_from_json(loose)
+    assert read == scene
+    assert scene_to_json(read) == doc
+    assert audit_scene(read) == audit_scene(scene)
+
+
+def test_layer_with_different_denominators_is_audited_exactly():
+    scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)
+    polygons = list(scene.polygons)
+    (i, colored), (j, blank) = [(n, p) for n, p in enumerate(polygons) if p.layer_index == 2]
+    # the same colored piece over 7 times its denominator: same values, same audit
+    polygons[i] = Polygon.over(
+        tuple(7 * x for x in colored.xs), tuple(7 * y for y in colored.ys), 7 * colored.den,
+        ROLE_COLORED, 2,
+    )
+    assert polygons[i] == colored
+    # the blank piece as Fractions, its left corner moved left by 1/3^40: a different
+    # denominator and a larger area
+    (r, w, a) = blank.vertices
+    moved = Point(a.x - Fraction(1, 3**40), a.y)
+    polygons[j] = Polygon((r, w, moved), ROLE_BLANK, 2)
+    assert len({p.den for p in polygons if p.layer_index == 2}) == 2
+    tampered = audit_scene(replace(scene, polygons=tuple(polygons)))
+    second = tampered.layers[1]
+    assert second.colored_area == second.expected_colored_area
+    want_total = reference_area(colored.vertices) + reference_area((r, w, moved))
+    assert second.total_area == want_total != second.expected_total_area
+    assert second.colored_fraction == second.colored_area / want_total
+    assert [layer.ok for layer in tampered.layers] == [True, False, True]
+    tiled = audit_scene(scene).tiled_area
+    assert tampered.tiled_area == tiled + want_total - second.expected_total_area
+    assert [m.split(":")[0] for m in tampered.mismatches] == ["layer 2", "tiling"]

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoseries.rational import MAX_DENOMINATOR_BITS, check_depth, fmt, parse
+from geoseries.rational import (
+    MAX_DENOMINATOR_BITS,
+    check_depth,
+    fmt,
+    fmt_parts,
+    parse,
+    parse_parts,
+)
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -44,6 +51,19 @@ def test_fmt_drops_unit_denominator():
 @given(rationals)
 def test_parse_fmt_round_trip(q):
     assert parse(fmt(q)) == q
+
+
+@given(rationals, st.integers(1, 10**9))
+def test_parts_read_unreduced_and_write_canonical(q, k):
+    num, den = q.numerator * k, q.denominator * k
+    assert parse_parts(f"{num}/{den}") == (num, den)
+    assert fmt_parts(num, den) == fmt(q)
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/-2", "3/", "a/b", "1.5"])
+def test_parse_parts_rejects_what_parse_rejects(text):
+    with pytest.raises(ValueError):
+        parse_parts(text)
 
 
 @pytest.mark.parametrize("ratio", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 5), Fraction(254, 255)])

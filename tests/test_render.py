@@ -2,8 +2,10 @@ import hashlib
 import importlib.util
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -15,6 +17,9 @@ from geoseries.render import RenderOptions, format_coordinate, layout, render
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 MABRY = LayeredParams(3, 1, Fraction(1, 2))
+
+# characters XML 1.0 forbids: C0 controls but tab, LF and CR; surrogates; U+FFFE/U+FFFF
+BAD_CODEPOINTS = (0x00, 0x08, 0x0B, 0x0C, 0x1F, 0xD800, 0xDFFF, 0xFFFE, 0xFFFF)
 
 
 def polygons_of(svg_text):
@@ -66,8 +71,35 @@ class TestRenderOptions:
         with pytest.raises(ValueError):
             RenderOptions(canvas_width_px=0)
 
+    @pytest.mark.parametrize("field", ["color_fill", "stroke_color"])
+    @pytest.mark.parametrize(
+        "bad", [chr(c) for c in BAD_CODEPOINTS], ids=[f"U+{c:04X}" for c in BAD_CODEPOINTS]
+    )
+    def test_rejects_a_color_character_xml_forbids(self, field, bad):
+        with pytest.raises(ValueError, match="a character XML 1.0 does not allow"):
+            RenderOptions(**{field: f"#00{bad}ff"})
+
+    def test_accepts_every_other_character(self):
+        RenderOptions(color_fill="\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff")
+
 
 class TestRender:
+    def test_markup_characters_are_escaped_as_before(self):
+        """&, < and > in text and attributes, and " in attributes, escaped byte for byte
+        as xml.sax.saxutils.escape did."""
+        scene = build_layered_scene(MABRY, 1)
+        hostile = 'a&b<c>d"e'
+        scene = replace(scene, labels=tuple((pt, hostile) for pt, _ in scene.labels))
+        opts = RenderOptions(color_fill=hostile, stroke_color="&<>\"")
+        svg = render(scene, opts)
+        assert f">{escape(hostile)}</text>" in svg
+        assert f'fill="{escape(hostile, {chr(34): "&quot;"})}"' in svg
+        assert 'stroke="&amp;&lt;&gt;&quot;"' in svg
+        root = ET.fromstring(svg)
+        assert {t.text for t in root.findall(f"{SVG_NS}text")} == {hostile}
+        assert {p.get("stroke") for p in polygons_of(svg)} == {"&<>\""}
+        assert hostile in {p.get("fill") for p in polygons_of(svg)}
+
     def test_byte_deterministic(self):
         scene = build_layered_scene(MABRY, 4)
         opts = RenderOptions()
