@@ -52,6 +52,11 @@ MAX_POLYGONS = 10_241
 # and finds nothing new
 MAX_M_LIMIT = 10**6
 
+_CONSTRUCTIONS = ("layered", "staircase")
+
+# --layers when not given; None marks it as not given, which --from-scene checks
+_DEFAULT_LAYERS = 4
+
 _YES = ("no", "yes")
 _JSON_BOOL = ("false", "true")
 
@@ -140,13 +145,14 @@ def cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def _build_scene(args: argparse.Namespace):
+    layers = _DEFAULT_LAYERS if args.layers is None else args.layers
     if args.construction == "layered":
         if args.m is None:
             raise CliError("layered construction requires --m")
         if args.s is not None:
             raise CliError("--s applies to the staircase construction only")
         params = derive_config(args.m)
-        check_depth(args.layers, params.r, "--layers")
+        check_depth(layers, params.r, "--layers")
         if not params.drawable:
             if not args.allow_infeasible:
                 raise CliError(
@@ -154,10 +160,10 @@ def _build_scene(args: argparse.Namespace):
                     f"only m=2 and m=3 are feasible, see `geoseries feasible`); "
                     f"pass --allow-infeasible to draw a clamped picture anyway"
                 )
-            count = args.layers * params.n + 1
+            count = layers * params.n + 1
             if count > MAX_POLYGONS:
                 raise CliError(
-                    f"--m {args.m} with --layers {args.layers} draws {args.layers} x "
+                    f"--m {args.m} with --layers {layers} draws {layers} x "
                     f"{params.n} + 1 = {count} polygons, over the cap of {MAX_POLYGONS}"
                 )
             # a = (m-1)^2 >= n = 2m-1, so the builder colors all n
@@ -166,38 +172,41 @@ def _build_scene(args: argparse.Namespace):
                 f"{params.n} of {params.n} triangles per layer",
                 file=sys.stderr,
             )
-        return build_layered_scene(params, args.layers)
+        return build_layered_scene(params, layers)
     if args.s is None:
         raise CliError("staircase construction requires --s P/Q")
     if args.m is not None:
         raise CliError("--m applies to the layered construction only")
     if not 0 < args.s < 1:
         raise CliError(f"--s must lie strictly in (0,1), got {fmt(args.s)}")
-    check_depth(args.layers, args.s, "--layers")
-    return build_staircase_scene(StaircaseParams(args.s), args.layers)
+    check_depth(layers, args.s, "--layers")
+    return build_staircase_scene(StaircaseParams(args.s), layers)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.from_scene is not None:
+        scene_args = {"--m": args.m, "--s": args.s, "--layers": args.layers,
+                      "--allow-infeasible": args.allow_infeasible}
+        given = [flag for flag, value in scene_args.items() if value is not None]
+        if given:
+            raise CliError(
+                f"--from-scene takes its scene from the file, not from {', '.join(given)}"
+            )
         try:
             doc = json.loads(_path(args.from_scene).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8, not JSON, or an integer too long to convert
             raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
         try:
             scene = scene_from_json(doc)
         except ValueError as exc:
             raise CliError(f"invalid scene file {args.from_scene}: {exc}") from exc
     else:
-        if args.construction is None:
-            raise CliError("verify needs --construction or --from-scene")
         scene = _build_scene(args)
     report = audit_scene(scene)
-    if not report.ok:
+    if not report.ok or args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
-        return 1
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-        return 0
+        return 0 if report.ok else 1
     headers = ("layer", "polygons", "colored", "colored_area", "layer_area", "fraction", "check")
     rows = [
         (
@@ -207,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             fmt(layer.colored_area),
             fmt(layer.total_area),
             fmt(layer.colored_fraction),
-            "ok" if layer.ok else "MISMATCH",
+            "ok",
         )
         for layer in report.layers
     ]
@@ -230,8 +239,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         show_layer_annotations=not args.no_layer_annotations,
         equilateral_look=not args.no_equilateral,
     )
-    scene = _build_scene(args)
     out = _path(args.out)
+    if args.emit_scene and out.suffix == ".json":
+        raise CliError(
+            f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
+        )
+    scene = _build_scene(args)
     _write_output(out, render(scene, opts))
     print(f"wrote {out}")
     if args.emit_scene:
@@ -309,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_feasible.set_defaults(func=cmd_feasible)
 
     def add_scene_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--construction", choices=("layered", "staircase"))
         p.add_argument(
             "--m",
             type=int,
@@ -320,32 +332,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--layers",
             type=int,
-            default=4,
-            help="layers to draw (default: 4); layers x bit length of the denominator "
-            f"of r = 1/m or of s is at most {MAX_DENOMINATOR_BITS}",
+            help=f"layers to draw (default: {_DEFAULT_LAYERS}); layers x bit length of the "
+            f"denominator of r = 1/m or of s is at most {MAX_DENOMINATOR_BITS}",
         )
-        p.add_argument("--allow-infeasible", action="store_true")
+        p.add_argument("--allow-infeasible", action="store_true", default=None)
 
     p_verify = sub.add_parser(
         "verify", help="build a scene and audit every area against the formulas"
     )
-    add_scene_args(p_verify)
-    p_verify.add_argument(
+    source = p_verify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--construction", choices=_CONSTRUCTIONS)
+    source.add_argument(
         "--from-scene",
         metavar="PATH",
-        help="audit a scene JSON file; its layers_rendered has the cap of --layers",
+        help="audit a scene JSON file, which takes no other scene argument; its "
+        "layers_rendered has the cap of --layers",
     )
+    add_scene_args(p_verify)
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="render a scene to a deterministic SVG")
+    p_render.add_argument("--construction", choices=_CONSTRUCTIONS, required=True)
     add_scene_args(p_render)
     p_render.add_argument("--out", required=True, metavar="PATH")
     p_render.add_argument("--emit-scene", action="store_true")
-    p_render.add_argument("--width", type=int, default=600)
-    p_render.add_argument("--fill", default="#00ffff")
-    p_render.add_argument("--stroke", default="#000000")
-    p_render.add_argument("--decimal-places", type=int, default=6)
+    p_render.add_argument("--width", type=int, default=RenderOptions.canvas_width_px)
+    p_render.add_argument("--fill", default=RenderOptions.color_fill)
+    p_render.add_argument("--stroke", default=RenderOptions.stroke_color)
+    p_render.add_argument("--decimal-places", type=int, default=RenderOptions.decimal_places)
     p_render.add_argument("--no-labels", action="store_true")
     p_render.add_argument("--no-layer-annotations", action="store_true")
     p_render.add_argument("--no-equilateral", action="store_true")

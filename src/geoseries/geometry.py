@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import (
@@ -45,7 +45,17 @@ from .construction import (
     triangle_area,
 )
 from .feasibility import derive_config
-from .rational import ONE, ZERO, Rational, check_depth, fmt, fmt_parts, parse, parse_parts
+from .rational import (
+    MAX_DENOMINATOR_BITS,
+    ONE,
+    ZERO,
+    Rational,
+    check_depth,
+    fmt,
+    fmt_parts,
+    parse,
+    parse_parts,
+)
 
 ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
@@ -190,12 +200,6 @@ class Scene:
     construction_kind: str  # "layered" | "staircase"
     params_echo: dict[str, str]
     layers_rendered: int
-
-
-def signed_area_twice(vertices: tuple[Point, ...]) -> Rational:
-    """Twice the signed area, positive when counterclockwise (the shoelace sum)."""
-    xs, ys, d = _over_lcm([_point_parts(pt) for pt in vertices])
-    return Fraction(_cross(xs, ys), d * d)
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
@@ -356,7 +360,7 @@ class AuditReport:
     apex_remainder: Rational
     figure_area: Rational
     ok: bool
-    mismatches: tuple[str, ...] = field(default=())
+    mismatches: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -372,26 +376,23 @@ class AuditReport:
         }
 
 
-def _area_sums(polygons) -> tuple[int, int, int]:
-    """(colored, total, den): polygons' exact colored and total areas are colored/den
-    and total/den, not reduced.
+def _area_sums(polygons) -> tuple[int, int, int, int]:
+    """(colored count, colored, total, den): polygons' exact colored and total areas
+    are colored/den and total/den, not reduced.
 
-    The shoelace sums are added in plain ints per denominator; a layer of a
-    built scene has one, so the lcm is taken over that one only.
+    The shoelace sums are added in plain ints over the lcm d of the
+    polygons' denominators; in a built scene a layer has one, so every
+    scale factor is 1.
     """
-    by_den: dict[int, list[int]] = {}
+    d = math.lcm(*[poly.den for poly in polygons])
+    count = colored = total = 0
     for poly in polygons:
-        sums = by_den.setdefault(poly.den, [0, 0])
-        sums[1] += poly.cross
+        cross = poly.cross * (d // poly.den) ** 2
+        total += cross
         if poly.role == ROLE_COLORED:
-            sums[0] += poly.cross
-    d = math.lcm(*by_den)
-    colored = total = 0
-    for e, (c, t) in by_den.items():
-        f = (d // e) ** 2
-        colored += c * f
-        total += t * f
-    return colored, total, 2 * d * d
+            count += 1
+            colored += cross
+    return count, colored, total, 2 * d * d
 
 
 def _equals(num: int, den: int, q: Rational) -> bool:
@@ -425,8 +426,7 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
     want_colored, want_total = colored_area_1, layer_area_1  # times x^(k-1)
     for k in range(1, scene.layers_rendered + 1):
         polys = by_layer[k]
-        colored_count = sum([poly.role == ROLE_COLORED for poly in polys])
-        colored_num, total_num, den = _area_sums(polys)
+        colored_count, colored_num, total_num, den = _area_sums(polys)
         tiled_den, old_den = math.lcm(tiled_den, den), tiled_den
         tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
         colored_ok = _equals(colored_num, den, want_colored)
@@ -575,33 +575,27 @@ _AUDITED_RATIO = {"layered": "r", "staircase": "s"}
 _COUNT_PARAMS = ("n", "a", "m", "colored_per_layer")
 _RATIO_PARAMS = ("r", "s")
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+# largest lcm, in bits, of a scene file's coordinate denominators: twice the
+# largest a built scene reaches, (q - p) q^L for the staircase s = p/q or
+# m^L for layered r = 1/m, at most 2 x MAX_DENOMINATOR_BITS (its labels
+# add a few bits)
+MAX_SCENE_DENOMINATOR_BITS = 4 * MAX_DENOMINATOR_BITS
 
 
-def _fits(value, kind: type, optional: bool) -> bool:
-    """True if value is a `kind` (bool never counts as int), or None when optional."""
-    return (value is None and optional) or (isinstance(value, kind) and not isinstance(value, bool))
-
-
-def _wrong_type(value, kind: type, path: str) -> ValueError:
-    return ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
-
-
-def _typed(value, kind: type, path: str):
-    """value if it is a `kind`, else ValueError naming path."""
-    if _fits(value, kind, False):
+def _typed(value, kind: type, path: str, optional: bool = False):
+    """value if it is a `kind` (bool never counts as int), or None when optional;
+    else ValueError naming path."""
+    if (value is None and optional) or (isinstance(value, kind) and not isinstance(value, bool)):
         return value
-    raise _wrong_type(value, kind, path)
+    raise ValueError(f"{path} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
 
 
 def _member(obj: dict, key: str, kind: type, path: str, optional: bool = False):
     """obj[key] if it is a `kind`; a missing key is None when optional."""
-    value = obj.get(key)
-    if _fits(value, kind, optional):
-        return value
     where = f"{path}.{key}" if path else key
-    if key not in obj:
+    if key not in obj and not optional:
         raise ValueError(f"{where} is missing")
-    raise _wrong_type(value, kind, where)
+    return _typed(obj.get(key), kind, where, optional)
 
 
 def _pair_parts(pair, read) -> tuple[int, int, int, int]:
@@ -622,7 +616,7 @@ def _check_param(key: str, value) -> None:
     try:
         if key in _COUNT_PARAMS:
             want = "an integer >= 1"
-            text = str(value) if _fits(value, int, False) else value
+            text = str(value) if isinstance(value, int) else value
             ok = isinstance(text, str) and text.isascii() and text.isdigit() and int(text) >= 1
         else:
             want = 'a "p/q" string in (0, 1)'
@@ -638,6 +632,10 @@ def scene_from_json(doc) -> Scene:
 
     Each "p/q" coordinate is read as two integers, unreduced, and each
     polygon is put over the lcm of its denominators, so no Fraction is made.
+    The lcm of every coordinate denominator is kept as the strings are
+    read: a file that takes it past MAX_SCENE_DENOMINATOR_BITS is refused
+    before the polygon is made, so every denominator the audit meets
+    divides a number of at most that many bits.
 
     Anything malformed raises ValueError naming where, e.g.
     ``polygons[3].vertices[1]: invalid literal for int() ...``.
@@ -663,8 +661,22 @@ def scene_from_json(doc) -> Scene:
     if layers < 1:
         raise ValueError(f"layers_rendered must be >= 1, got {layers}")
     check_depth(layers, ratio, "layers_rendered")
+    lcm = 1
+
     # a layer's polygons share their coordinate lines: read each distinct string once
-    read = functools.lru_cache(maxsize=None)(parse_parts)
+    @functools.lru_cache(maxsize=None)
+    def read(text: str) -> tuple[int, int]:
+        nonlocal lcm
+        num, den = parse_parts(text)
+        if lcm % den:  # on a built scene, only where a deeper layer starts
+            lcm = math.lcm(lcm, den)
+            if lcm.bit_length() > MAX_SCENE_DENOMINATOR_BITS:
+                raise ValueError(
+                    f"the lcm of the coordinate denominators so far has {lcm.bit_length()} "
+                    f"bits, over the cap of {MAX_SCENE_DENOMINATOR_BITS}"
+                )
+        return num, den
+
     polygons = []
     for i, entry in enumerate(_member(doc, "polygons", list, "")):
         path = f"polygons[{i}]"

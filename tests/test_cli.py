@@ -1,7 +1,10 @@
 import json
+import random
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +12,14 @@ import pytest
 import geoseries
 from geoseries import cli
 from geoseries.cli import MAX_POLYGONS, main
+from geoseries.construction import StaircaseParams
 from geoseries.feasibility import derive_config
-from geoseries.geometry import build_layered_scene
+from geoseries.geometry import (
+    MAX_SCENE_DENOMINATOR_BITS,
+    build_layered_scene,
+    build_staircase_scene,
+    scene_to_json,
+)
 from geoseries.rational import MAX_DENOMINATOR_BITS
 from geoseries.render import RenderOptions, render
 
@@ -371,6 +380,89 @@ class TestVerify:
             "params.r must be 1/m for a layered scene, got '2/3'\n"
         )
 
+    def test_denominator_cap_is_checked_before_the_audit(self, capsys, tmp_path):
+        # 400 triangles, each over its own 4000-bit denominator (2.0 MB); without
+        # the cap the audit's sums grow with every triangle
+        rnd = random.Random(7)
+        doc = scene_to_json(build_layered_scene(derive_config(3), 1))
+        for _ in range(400):
+            q = rnd.getrandbits(4000) | 2**3999 | 1
+            p = rnd.getrandbits(3990)
+            doc["polygons"].append({
+                "vertices": [["0", "0"], [f"{p}/{q}", "0"], ["0", f"{p}/{q}"]],
+                "role": "colored", "layer_index": 1, "label": None,
+            })
+        scene_path = tmp_path / "wide.json"
+        scene_path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid scene file {scene_path}: polygons[")
+        assert err.endswith(f" bits, over the cap of {MAX_SCENE_DENOMINATOR_BITS}\n")
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2**4095 + 1)), 1),
+            lambda: build_layered_scene(derive_config(3), 2048),
+        ],
+        ids=["staircase-4096-bit-q-L1", "layered-m3-L2048"],
+    )
+    def test_deepest_scene_files_pass_the_denominator_cap(self, capsys, tmp_path, scene):
+        scene_path = tmp_path / "deep.json"
+        scene_path.write_text(json.dumps(scene_to_json(scene())))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, err) == (0, "")
+        assert out.endswith("check: pass\n")
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"[" * 1200, "maximum recursion depth exceeded"),
+            ('{"schema": 1, "construction_kind": "caf\xe9"}'.encode("latin-1"), "'utf-8' codec"),
+            (b'{"schema": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["nested-arrays", "not-utf-8", "long-integer"],
+    )
+    def test_unreadable_scene_file_is_usage_error(self, capsys, tmp_path, data, reason):
+        scene_path = tmp_path / "bad.json"
+        scene_path.write_bytes(data)
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read scene file {scene_path}: {reason}")
+        assert err.count("\n") == 1
+
+    def test_verify_needs_a_construction_or_a_scene_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--m", "3"])
+        assert exc.value.code == 2
+        assert "one of the arguments --construction --from-scene is required" in (
+            capsys.readouterr().err
+        )
+
+    def test_from_scene_refuses_construction(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--from-scene", "pic.json", "--construction", "layered"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --from-scene" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--m", "9"), ("--s", "1/2"), ("--layers", "4"), ("--allow-infeasible",),
+         ("--m", "9", "--layers", "2")],
+    )
+    def test_from_scene_refuses_scene_arguments(self, capsys, tmp_path, monkeypatch, flags):
+        scene_path = tmp_path / "pic.json"
+        scene_path.write_text(json.dumps(scene_to_json(build_layered_scene(derive_config(3), 2))))
+        read = []
+        monkeypatch.setattr(cli, "scene_from_json", read.append)
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path), *flags)
+        given = ", ".join(flag for flag in flags if flag.startswith("--"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --from-scene takes its scene from the file, not from {given}\n"
+        assert read == []
+
 
 RENDER_SCENE = ("--construction", "layered", "--m", "3", "--layers", "3")
 
@@ -509,6 +601,29 @@ class TestRender:
         assert out == f"wrote {tmp_path / 'pic.svg'}\n"
         assert err.startswith(f"error: cannot write {tmp_path / 'pic.json'}: ")
         assert err.count("\n") == 1
+
+    def test_render_requires_construction(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--out", str(out_path), "--s", "1/2"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --construction" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_scene_onto_the_svg_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: built.append(args))
+        out_path = tmp_path / "same.json"
+        code, out, err = run(
+            capsys, "render", *RENDER_SCENE, "--out", str(out_path), "--emit-scene"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --emit-scene writes the scene to {out_path}, the --out file; "
+            "give --out another suffix\n"
+        )
+        assert built == []
+        assert not out_path.exists()
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """The integer shoelace and the integer pixel map against the Fraction code they replaced.
 
-signed_area_twice sums cross products over one common denominator, and
+A Polygon sums its cross products over one common denominator, and
 render prints each coordinate from an unreduced numerator and denominator.
 The references below are the earlier Fraction versions, kept here so that
 both kernels must give the same values and the same SVG bytes.
@@ -24,7 +24,6 @@ from geoseries.geometry import (
     build_layered_scene,
     build_staircase_scene,
     shoelace_area,
-    signed_area_twice,
 )
 from geoseries.render import SQRT3, RenderOptions, _fixed, format_coordinate, render
 
@@ -171,14 +170,6 @@ COORDINATES = st.one_of(
     ),
 )
 POINTS = st.builds(Point, COORDINATES, COORDINATES)
-
-
-@given(st.lists(POINTS, min_size=3, max_size=8))
-def test_signed_area_twice_matches_fraction_reference(vertices):
-    vertices = tuple(vertices)
-    area = signed_area_twice(vertices)
-    assert type(area) is Fraction
-    assert area == reference_signed_area_twice(vertices)
 
 
 @given(st.lists(POINTS, min_size=3, max_size=8))

@@ -20,6 +20,7 @@ from geoseries.geometry import (
     ROLE_BLANK,
     ROLE_COLORED,
     ROLE_OUTLINE,
+    MAX_SCENE_DENOMINATOR_BITS,
     Point,
     Polygon,
     Scene,
@@ -431,6 +432,30 @@ class TestSceneJson:
         with pytest.raises(ValueError) as exc:
             scene_from_json(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("extra_bits, ok", [(0, True), (1, False)])
+    def test_denominator_lcm_cap_boundary(self, extra_bits, ok):
+        # r = 1/2 puts the polygons over powers of 2 (the labels, over 20, are
+        # dropped); a triangle over 2^8000 and an odd q takes the lcm to
+        # 2^8000 q, exactly 8000 + bits(q) bits, each string well below
+        # Python's digit limit
+        q = 2 ** (MAX_SCENE_DENOMINATOR_BITS - 8000 - 1 + extra_bits) + 1
+        doc = scene_to_json(build_layered_scene(MABRY, 1))
+        doc["labels"] = []
+        doc["polygons"].append({
+            "vertices": [["0", "0"], [f"1/{2**8000}", "0"], ["0", f"1/{q}"]],
+            "role": "blank", "layer_index": 1, "label": None,
+        })
+        if ok:
+            assert scene_from_json(doc).polygons[-1].den.bit_length() == MAX_SCENE_DENOMINATOR_BITS
+        else:
+            with pytest.raises(ValueError) as exc:
+                scene_from_json(doc)
+            assert str(exc.value) == (
+                f"polygons[{len(doc['polygons']) - 1}].vertices[2]: the lcm of the coordinate "
+                f"denominators so far has {MAX_SCENE_DENOMINATOR_BITS + 1} bits, over the cap "
+                f"of {MAX_SCENE_DENOMINATOR_BITS}"
+            )
 
     def test_polygon_label_is_read_and_written_as_null(self):
         doc = scene_to_json(build_layered_scene(MABRY, 1))
