@@ -171,20 +171,6 @@ class Polygon:
         object.__setattr__(self, "vertices", vertices)
         return vertices
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        d, e = self.den, other.den
-        return (
-            len(self.xs) == len(other.xs)
-            and self.role == other.role
-            and self.layer_index == other.layer_index
-            and all(a * e == b * d for a, b in zip(self.xs + self.ys, other.xs + other.ys))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.role, self.layer_index))
-
     @property
     def area(self) -> Rational:
         """Exact positive shoelace area."""
@@ -210,6 +196,16 @@ def shoelace_area(polygon: Polygon) -> Rational:
 def _numerators(values, d: int) -> list[int]:
     """The numerators of rational values over d, a multiple of every denominator."""
     return [v.numerator * (d // v.denominator) for v in values]
+
+
+def _master_triangle(kind: str, ratio: Rational) -> tuple[Point, Point, Point]:
+    """The outline (C, B, A) of a picture from its audited ratio: layered
+    (-1,0), (1,0), (0,1) for every r = 1/m; staircase (h-1,0), (h,0), (0,h)
+    with h = 1/(1-s)."""
+    if kind == "layered":
+        return (Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE))
+    h = ONE / (ONE - ratio)
+    return (Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h))
 
 
 def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, xs, tiles,
@@ -288,7 +284,7 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
         {"n": str(p.n), "a": str(p.a), "r": fmt(p.r), "m": str(m),
          "colored_per_layer": str(colored)},
         layers,
-        outline=(Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE)),
+        outline=_master_triangle("layered", p.r),
         vertex_labels=[
             (Point(ZERO, ONE + Fraction(1, 20)), "A"),
             (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
@@ -306,12 +302,13 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
 
     Layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s.
     """
-    h = ONE / (ONE - q.s)
+    outline = _master_triangle("staircase", q.s)
+    h = outline[1].x  # B = (h, 0)
     return _build_scene(
         "staircase",
         {"s": fmt(q.s), "r": fmt(q.ratio)},
         layers,
-        outline=(Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h)),
+        outline=outline,
         vertex_labels=[
             (Point(ZERO, h + h / 20), "A"),
             (Point(h + h / 20, -h / 20), "B"),
@@ -433,21 +430,18 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
         total_ok = _equals(total_num, den, want_total)
         colored_area = want_colored if colored_ok else Fraction(colored_num, den)
         total_area = want_total if total_ok else Fraction(total_num, den)
-        ok = True
+        before = len(mismatches)
         if len(polys) != want_count or colored_count != want_colored_count:
-            ok = False
             mismatches.append(
                 f"layer {k}: polygon counts ({len(polys)}, {colored_count} colored) "
                 f"!= expected ({want_count}, {want_colored_count} colored)"
             )
         if not colored_ok:
-            ok = False
             mismatches.append(
                 f"layer {k}: colored area {fmt(colored_area)} != "
                 f"expected {fmt(want_colored)} (per-layer colored formula)"
             )
         if not total_ok:
-            ok = False
             mismatches.append(
                 f"layer {k}: layer area {fmt(total_area)} != "
                 f"expected {fmt(want_total)} (layer area formula)"
@@ -466,12 +460,17 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
                 colored_fraction=fraction,
                 expected_colored_area=want_colored,
                 expected_total_area=want_total,
-                ok=ok,
+                ok=len(mismatches) == before,
             )
         )
         want_colored *= x
         want_total *= x
     return layers, mismatches, Fraction(tiled_num, tiled_den), x ** scene.layers_rendered
+
+
+def _points_text(points) -> str:
+    """"((x, y), ...)" of points, each coordinate as fmt writes it."""
+    return "(" + ", ".join([f"({fmt(pt.x)}, {fmt(pt.y)})" for pt in points]) + ")"
 
 
 def _layered_params(r: Rational) -> LayeredParams:
@@ -486,11 +485,13 @@ def audit_scene(scene: Scene) -> AuditReport:
 
     Only the ratio is read: layered r = 1/m gives n, a and the colored
     count through derive_config, and staircase s gives r = s^2.  Every
-    other echoed param must equal its derived value.  Layer k is layer 1
-    shrunk by x^(k-1) in area, x the series ratio, so the formulas are
-    evaluated at layer 1 only and the apex remainder is x^L times the
-    figure.  Never raises on mismatch: failures come back as a report
-    with ok=False and one message per broken equality.
+    other echoed param must equal its derived value.  The scene must hold
+    exactly one outline polygon, with the vertices of the master triangle
+    (C, B, A) in that cyclic order; its layer_index is not read.  Layer k
+    is layer 1 shrunk by x^(k-1) in area, x the series ratio, so the
+    formulas are evaluated at layer 1 only and the apex remainder is x^L
+    times the figure.  Never raises on mismatch: failures come back as a
+    report with ok=False and one message per broken equality.
     """
     echo = scene.params_echo
     if scene.construction_kind == "layered":
@@ -502,6 +503,7 @@ def audit_scene(scene: Scene) -> AuditReport:
         layer_1 = (p.n, colored, colored * triangle_area(p, 1), layer_area(p, 1))
         x = (ONE - r) ** 2
         figure = ONE
+        outline = _master_triangle("layered", r)
     elif scene.construction_kind == "staircase":
         q = StaircaseParams(s=parse(echo["s"]))
         basis = f"s = {fmt(q.s)}"
@@ -509,6 +511,7 @@ def audit_scene(scene: Scene) -> AuditReport:
         layer_1 = (2, 1, staircase_piece_area(q, 1), staircase_layer_area(q, 1))
         x = q.ratio
         figure = staircase_total_area(q)
+        outline = _master_triangle("staircase", q.s)
     else:
         raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
 
@@ -517,6 +520,13 @@ def audit_scene(scene: Scene) -> AuditReport:
         for key, want in derived.items()
         if key in echo and parse(echo[key]) != want
     ]
+    outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+    if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
+        got = _points_text(outlines[0]) if len(outlines) == 1 else f"{len(outlines)} polygons"
+        mismatches.append(
+            f"outline: {got} != one polygon with the master triangle's vertices "
+            f"(C, B, A) = {_points_text(outline)}, in this cyclic order"
+        )
     layers, layer_mismatches, tiled, x_to_L = _audit_layers(scene, *layer_1, x)
     mismatches += layer_mismatches
     remainder = x_to_L * figure

@@ -38,11 +38,32 @@ def parse(text: str) -> Rational:
     return Fraction(*parse_parts(text))
 
 
+# decimal digits per block when an int is written past Python's limit on
+# int-to-str conversion (4300 digits by default)
+_BLOCK_DIGITS = 4000
+_BLOCK = 10**_BLOCK_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """str(n), exactly, also past Python's limit on int-to-str conversion.
+
+    An audit mismatch of a tampered scene file can pass that limit: its
+    areas have up to about twice geometry.MAX_SCENE_DENOMINATOR_BITS bits.
+    Parsing keeps the limit.
+    """
+    try:
+        return str(n)
+    except ValueError:  # too many digits
+        high, low = divmod(abs(n), _BLOCK)
+        text = _int_text(high) + str(low).zfill(_BLOCK_DIGITS)
+        return "-" + text if n < 0 else text
+
+
 def fmt(q: Rational) -> str:
     """Canonical text form: "p/q", or a bare integer when q == 1."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def fmt_parts(num: int, den: int) -> str:
@@ -52,8 +73,8 @@ def fmt_parts(num: int, den: int) -> str:
         num //= g
         den //= g
     if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+        return _int_text(num)
+    return f"{_int_text(num)}/{_int_text(den)}"
 
 
 # Largest predicted denominator, in bits, of a picture or a table: its layer

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ROLE_OUTLINE, Scene, point_numerators
+from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, point_numerators
 from .rational import ONE, Rational
 
 # 18 correct digits of sqrt(3); cosmetic stretch only, never audited.
@@ -167,7 +167,8 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     lay = layout(scene, opts)
     dp = opts.decimal_places
     font_px = max(opts.canvas_width_px // 40, 8)
-    fill_attr = _escape_attr(opts.color_fill)
+    fills = {ROLE_OUTLINE: "none", ROLE_COLORED: _escape_attr(opts.color_fill),
+             ROLE_BLANK: "#ffffff"}
     stroke_attr = _escape_attr(opts.stroke_color)
 
     lines = [
@@ -179,15 +180,9 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
     filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
     filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
-    for poly in outlines:
+    for poly in outlines + filled:
         lines.append(
-            f'<polygon points="{_points_attr(poly, lay, dp)}" fill="none" '
-            f'stroke="{stroke_attr}" stroke-width="1"/>'
-        )
-    for poly in filled:
-        fill = fill_attr if poly.role == "colored" else "#ffffff"
-        lines.append(
-            f'<polygon points="{_points_attr(poly, lay, dp)}" fill="{fill}" '
+            f'<polygon points="{_points_attr(poly, lay, dp)}" fill="{fills[poly.role]}" '
             f'stroke="{stroke_attr}" stroke-width="1"/>'
         )
     for pt, text in scene.labels:

@@ -24,6 +24,21 @@ from geoseries.rational import MAX_DENOMINATOR_BITS
 from geoseries.render import RenderOptions, render
 
 
+def _read_int(text):
+    """int(text), read in 1000-digit chunks: under Python's limit on str-to-int digits."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _shoelace(points):
+    return sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])
+    ) / 2
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -464,6 +479,83 @@ class TestVerify:
         assert read == []
 
 
+    def _m3_scene_file(self, capsys, tmp_path):
+        run(
+            capsys,
+            "render", "--construction", "layered", "--m", "3",
+            "--layers", "3", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        return tmp_path / "pic.json"
+
+    @pytest.mark.parametrize(
+        "tamper, got",
+        [
+            (
+                lambda polygons: [
+                    {**p, "vertices": [[f"{5 * int(c)}" for c in v] for v in p["vertices"]]}
+                    if p["role"] == "outline" else p
+                    for p in polygons
+                ],
+                "((-5, 0), (5, 0), (0, 5))",
+            ),
+            (lambda polygons: [p for p in polygons if p["role"] != "outline"], "0 polygons"),
+            (lambda polygons: polygons + polygons[:1], "2 polygons"),
+        ],
+        ids=["scaled-x5", "deleted", "doubled"],
+    )
+    def test_wrong_outline_fails_the_audit(self, capsys, tmp_path, tamper, got):
+        scene_path = self._m3_scene_file(capsys, tmp_path)
+        doc = json.loads(scene_path.read_text())
+        doc["polygons"] = tamper(doc["polygons"])
+        scene_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 1
+        diagnostic = json.loads(out)
+        assert diagnostic["mismatches"] == [
+            f"outline: {got} != one polygon with the master triangle's vertices "
+            "(C, B, A) = ((-1, 0), (1, 0), (0, 1)), in this cyclic order"
+        ]
+        assert all(layer["ok"] for layer in diagnostic["layers"])
+
+    @pytest.mark.parametrize("turn", [1, 2])
+    def test_rotated_outline_passes(self, capsys, tmp_path, turn):
+        scene_path = self._m3_scene_file(capsys, tmp_path)
+        doc = json.loads(scene_path.read_text())
+        vertices = doc["polygons"][0]["vertices"]
+        doc["polygons"][0]["vertices"] = vertices[turn:] + vertices[:turn]
+        doc["polygons"][0]["layer_index"] = 7  # the outline check reads vertices only
+        scene_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 0
+        assert out.endswith("check: pass\n")
+
+    def test_huge_tampered_areas_exit_1_with_the_json_diagnostic(self, capsys, tmp_path):
+        # each triangle's vertex j moved by (A_j, B_j)/q over its own odd 4000-bit q:
+        # the layer sums lie over about 2 x 8000 bits, past Python's 4300-digit
+        # limit on int-to-str conversion
+        rnd = random.Random(11)
+        doc = scene_to_json(build_staircase_scene(StaircaseParams(Fraction(1, 2)), 1))
+        for poly in doc["polygons"][1:]:
+            q = rnd.getrandbits(4000) | 2**3999 | 1
+            poly["vertices"] = [
+                [str(Fraction(x) + Fraction(a, q)), str(Fraction(y) + Fraction(b, q))]
+                for (x, y), a, b in zip(poly["vertices"], (1, 2, 4), (1, 5, 2))
+            ]
+        scene_path = tmp_path / "huge.json"
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, err) == (1, "")
+        diagnostic = json.loads(out)
+        assert diagnostic["check"] == "fail"
+        layer_area = diagnostic["layers"][0]["layer_area"]
+        assert len(layer_area) > 4300
+        num, den = (_read_int(part) for part in layer_area.split("/"))
+        assert Fraction(num, den) == sum(
+            _shoelace([(Fraction(x), Fraction(y)) for x, y in poly["vertices"]])
+            for poly in doc["polygons"][1:]
+        )
+
+
 RENDER_SCENE = ("--construction", "layered", "--m", "3", "--layers", "3")
 
 
@@ -629,6 +721,32 @@ class TestRender:
         with pytest.raises(SystemExit) as exc:
             main(["render", "--construction", "layered", "--m", "2", "--bogus"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("verify", "--construction", "layered", "--m", "3", "--s", "1/2"),
+            "--s applies to the staircase construction only",
+        ),
+        (("verify", "--construction", "staircase"), "staircase construction requires --s P/Q"),
+        (
+            ("verify", "--construction", "staircase", "--s", "1/2", "--m", "3"),
+            "--m applies to the layered construction only",
+        ),
+        (
+            ("verify", "--construction", "staircase", "--s", "3/2"),
+            "--s must lie strictly in (0,1), got 3/2",
+        ),
+        (("table", "--ratio", "1/2", "--first-term", "0"), "--first-term must be positive, got 0"),
+        (("table", "--ratio", "1/2", "--terms", "0"), "--terms must be >= 1, got 0"),
+    ],
+    ids=["s-for-layered", "staircase-without-s", "m-for-staircase", "s-outside-0-1",
+         "first-term-0", "terms-0"],
+)
+def test_usage_error_is_one_line_with_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_import_loads_no_xml_or_network_modules():

@@ -112,6 +112,23 @@ def test_geometric_form_criterion_both_directions(params, is_geometric):
     assert (layer_term(params, 2) == layer_term(params, 1) ** 2) is is_geometric
 
 
+@pytest.mark.parametrize(
+    "formula, arg, message",
+    [
+        (lambda k: layer_area(MABRY, k), 0, "layer index must be >= 1, got 0"),
+        (lambda n: colored_area_partial(MABRY, n), -1, "layer count must be >= 0, got -1"),
+        (
+            lambda k: staircase_piece_area(StaircaseParams(Fraction(1, 2)), k), 0,
+            "piece index must be >= 1, got 0",
+        ),
+    ],
+    ids=["layer_area", "colored_area_partial", "staircase_piece_area"],
+)
+def test_formulas_reject_an_index_out_of_range(formula, arg, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formula(arg)
+
+
 class TestStaircase:
     def test_rejects_degenerate_s(self):
         for s in (Fraction(0), Fraction(1), Fraction(-1, 2)):

@@ -65,6 +65,20 @@ class TestShoelace:
         assert "area" not in repr(poly)
         assert poly == tri((0, 0), (2, 0), (0, 1))
 
+    @pytest.mark.parametrize(
+        "scene",
+        [build_layered_scene(EDGAR, 3), build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)],
+    )
+    def test_equal_and_hash_by_rational_value(self, scene):
+        for poly in scene.polygons:
+            over_7 = Polygon.over(
+                tuple(7 * x for x in poly.xs), tuple(7 * y for y in poly.ys), 7 * poly.den,
+                poly.role, poly.layer_index,
+            )
+            assert over_7 == poly
+            assert hash(over_7) == hash(poly)
+        assert len(set(scene.polygons)) == len(scene.polygons)
+
 
 class TestLayeredScene:
     def test_mabry_single_layer(self):

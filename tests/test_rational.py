@@ -72,3 +72,13 @@ def test_depth_cap_is_layers_times_denominator_bits(ratio):
     check_depth(deepest, ratio, "--layers")
     with pytest.raises(ValueError, match=rf"^--layers {deepest + 1} is too deep"):
         check_depth(deepest + 1, ratio, "--layers")
+
+
+def test_fmt_writes_past_the_int_to_str_digit_limit():
+    # 10^9000 + 7 has 9001 digits, past Python's default limit of 4300
+    big = 10**9000 + 7
+    text = "1" + "0" * 8999 + "7"
+    assert fmt(Fraction(-big, 3)) == f"-{text}/3"
+    assert fmt(Fraction(3, big)) == f"3/{text}"
+    assert fmt_parts(2 * big, 6) == f"{text}/3"
+    assert fmt(Fraction(10**12000)) == "1" + "0" * 12000

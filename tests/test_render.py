@@ -11,7 +11,8 @@ import pytest
 
 from geoseries.cli import main
 from geoseries.construction import LayeredParams, StaircaseParams
-from geoseries.geometry import build_layered_scene, build_staircase_scene, shoelace_area
+from geoseries.feasibility import derive_config
+from geoseries.geometry import Polygon, build_layered_scene, build_staircase_scene, shoelace_area
 from geoseries.render import RenderOptions, format_coordinate, layout, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -126,6 +127,20 @@ class TestRender:
             for x, y in parse_points(poly):
                 assert -1e-6 <= x <= width + 1e-6
                 assert -1e-6 <= y <= height + 1e-6
+
+    def test_bounding_box_reaches_a_triangle_outside_the_outline(self):
+        scene = build_layered_scene(derive_config(3), 2)
+        assert 'viewBox="0 0 600 534"' in render(scene)
+        small, d = scene.polygons[1], scene.polygons[1].den
+        moved = Polygon.over(
+            tuple(x + 10 * d for x in small.xs), tuple(y - 3 * d for y in small.ys), d,
+            small.role, small.layer_index,
+        )
+        svg = render(replace(scene, polygons=(scene.polygons[0], moved, *scene.polygons[2:])))
+        assert ET.fromstring(svg).get("viewBox") == "0 0 600 415"
+        xs = [[x for x, _ in parse_points(poly)] for poly in polygons_of(svg)]
+        assert all(50 <= x <= 550 for poly_xs in xs for x in poly_xs)
+        assert max(xs[1]) == 550  # the moved triangle sets the right edge
 
     @pytest.mark.parametrize(
         "scene",

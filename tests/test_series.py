@@ -28,6 +28,12 @@ def test_partial_sum_closed_rejects_x_equal_one():
         partial_sum_closed(Fraction(1), 4)
 
 
+@pytest.mark.parametrize("partial_sum", [partial_sum_closed, partial_sum_naive])
+def test_partial_sums_reject_a_negative_term_count(partial_sum):
+    with pytest.raises(ValueError, match=r"^term count must be >= 0, got -1$"):
+        partial_sum(Fraction(1, 2), -1)
+
+
 @pytest.mark.parametrize(
     "x, n, expected",
     [
