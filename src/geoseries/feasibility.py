@@ -11,7 +11,7 @@ integrality condition 2/r in N also allows.
 
 from __future__ import annotations
 
-import gc
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,8 +22,9 @@ from .rational import ONE, Rational, fmt
 class FeasibilityReport(NamedTuple):
     """Constraint diagnostics for one candidate m (r = 1/m).
 
-    A NamedTuple rather than a dataclass: enumerate_feasible builds one
-    per candidate and the million-m scan is timed.
+    A NamedTuple rather than a dataclass: reading a scan of enumerate_feasible
+    makes one per candidate it reads, and the acceptance test reads a
+    million of them against a time budget.
     """
 
     candidate_m: int
@@ -61,34 +62,64 @@ def derive_config(m: int) -> LayeredParams:
     return LayeredParams(n=2 * m - 1, a=(m - 1) ** 2, r=Fraction(1, m))
 
 
-def enumerate_feasible(max_m: int) -> list[FeasibilityReport]:
-    """One report per m in [2, max_m]; feasible exactly when every constraint holds.
+def _row(m: int) -> tuple[int, int, int, bool]:
+    """(m, n, a, feasible) for r = 1/m, in plain integers.
 
     For r = 1/m the integrality condition 2/r = 2m holds trivially, and
     the square condition holds identically for (n, a) = (2m-1, (m-1)^2).
     The two constraints left are one inequality: the bound 2(1-1/m)^2 < 1,
     i.e. 2(m-1)^2 < m^2, and a < n, i.e. (m-1)^2 < 2m-1, both reduce to
     m^2 - 4m + 2 < 0, whose roots are 2 +- sqrt(2), so it holds for m = 2
-    and m = 3 only.  The loop decides it once per m in machine integers;
-    the test suite re-checks every step against the generic predicates.
+    and m = 3 only.  The test suite re-checks every step against the
+    generic predicates.
+    """
+    return m, 2 * m - 1, (m - 1) ** 2, m * m - 4 * m + 2 < 0
+
+
+def _report(m: int) -> FeasibilityReport:
+    m, n, a, feasible = _row(m)
+    return FeasibilityReport(m, Fraction(1, m), True, n, a, True, feasible, feasible)
+
+
+class FeasibilityScan(Sequence):
+    """The reports for m = 2..max_m, read-only; each is made when it is read.
+
+    len, indexing (negative too), iteration and slicing (which returns a
+    list) behave as on the list of every report, which is never held.
+    rows() gives the same scan as plain-int (m, n, a, feasible) tuples,
+    with no report and no Fraction per row.
+    """
+
+    __slots__ = ("_ms",)
+
+    def __init__(self, max_m: int) -> None:
+        self._ms = range(2, max_m + 1)
+
+    def __len__(self) -> int:
+        return len(self._ms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_report, self._ms[index]))
+        return _report(self._ms[index])
+
+    def __iter__(self) -> Iterator[FeasibilityReport]:
+        return map(_report, self._ms)
+
+    def rows(self, start: int = 0) -> Iterator[tuple[int, int, int, bool]]:
+        """(m, n, a, feasible) of each report from index start on (negative counts from the end)."""
+        return map(_row, self._ms[start:])
+
+
+def enumerate_feasible(max_m: int) -> FeasibilityScan:
+    """One report per m in [2, max_m]; feasible exactly when every constraint holds.
+
+    The reports form a lazy sequence: each is decided by the closed form
+    in _row when it is read, so a scan of any size runs in constant memory.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")
-    # reports are tuples of ints/Fractions and can't form reference
-    # cycles; pausing the cyclic collector stops it from repeatedly
-    # walking the millions of survivors of a large scan (at 10^6
-    # candidates the scan takes twice as long without the pause)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return [
-            FeasibilityReport(m, Fraction(1, m), True, 2 * m - 1, (m - 1) ** 2, True, ok, ok)
-            for m in range(2, max_m + 1)
-            for ok in (m * m - 4 * m + 2 < 0,)
-        ]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    return FeasibilityScan(max_m)
 
 
 def brute_force_scan(

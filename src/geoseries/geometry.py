@@ -61,6 +61,13 @@ ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
 ROLE_OUTLINE = "outline"
 
+# largest picture, in polygons (layers x n + 1 for layered m, 2 x layers + 1
+# for a staircase): layered m = 3 at the depth cap, 2048 x 5 + 1, so only a
+# clamped infeasible picture can exceed it.  At the cap a clamped picture
+# costs no more than m = 3 at 2048 layers (see MAX_DENOMINATOR_BITS).  A
+# scene file may hold as many polygons and labels, and 3 x as many vertices
+MAX_POLYGONS = 10_241
+
 
 @dataclass(frozen=True)
 class Point:
@@ -637,6 +644,33 @@ def _check_param(key: str, value) -> None:
         raise ValueError(f"params.{key} must be {want}, got {value!r:.40}")
 
 
+def _check_counts(doc: dict) -> None:
+    """ValueError naming the field if the document holds more polygons, vertices
+    or labels than the largest built picture allows; counted before anything
+    is read, so a huge file costs one pass over its lists.  A field of the
+    wrong type is left to the reader, which names it."""
+    polygons = doc.get("polygons")
+    polygons = polygons if isinstance(polygons, list) else []
+    labels = doc.get("labels")
+    labels = labels if isinstance(labels, list) else []
+    if len(polygons) > MAX_POLYGONS:
+        raise ValueError(
+            f"polygons holds {len(polygons)} entries, over the cap of {MAX_POLYGONS}"
+        )
+    vertices = sum(
+        len(entry["vertices"])
+        for entry in polygons
+        if isinstance(entry, dict) and isinstance(entry.get("vertices"), list)
+    )
+    if vertices > 3 * MAX_POLYGONS:
+        raise ValueError(
+            f"polygons hold {vertices} vertices in total, over the cap of "
+            f"{3 * MAX_POLYGONS} (3 x {MAX_POLYGONS})"
+        )
+    if len(labels) > MAX_POLYGONS:
+        raise ValueError(f"labels holds {len(labels)} entries, over the cap of {MAX_POLYGONS}")
+
+
 def scene_from_json(doc) -> Scene:
     """Inverse of scene_to_json; checks the schema version and the document's shape.
 
@@ -647,10 +681,14 @@ def scene_from_json(doc) -> Scene:
     before the polygon is made, so every denominator the audit meets
     divides a number of at most that many bits.
 
+    A file holding more than MAX_POLYGONS polygons or labels, or more
+    than 3 x MAX_POLYGONS vertices in all, is refused before anything is read.
+
     Anything malformed raises ValueError naming where, e.g.
     ``polygons[3].vertices[1]: invalid literal for int() ...``.
     """
     _typed(doc, dict, "scene")
+    _check_counts(doc)
     schema = doc.get("schema")
     if type(schema) is not int or schema != 1:
         raise ValueError(f"unsupported scene schema: {schema!r:.40}")

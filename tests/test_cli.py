@@ -421,8 +421,9 @@ class TestVerify:
         [
             lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2**4095 + 1)), 1),
             lambda: build_layered_scene(derive_config(3), 2048),
+            lambda: build_layered_scene(derive_config(5), 1137),
         ],
-        ids=["staircase-4096-bit-q-L1", "layered-m3-L2048"],
+        ids=["staircase-4096-bit-q-L1", "layered-m3-L2048", "clamped-m5-L1137"],
     )
     def test_deepest_scene_files_pass_the_denominator_cap(self, capsys, tmp_path, scene):
         scene_path = tmp_path / "deep.json"
@@ -430,6 +431,55 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
         assert (code, err) == (0, "")
         assert out.endswith("check: pass\n")
+
+    def test_scene_file_at_the_count_caps_is_read(self, capsys, tmp_path):
+        # layered m = 3 at its depth cap holds MAX_POLYGONS polygons of 3
+        # vertices each; its labels are padded to MAX_POLYGONS
+        doc = scene_to_json(build_layered_scene(derive_config(3), 2048))
+        assert len(doc["polygons"]) == MAX_POLYGONS
+        assert sum(len(entry["vertices"]) for entry in doc["polygons"]) == 3 * MAX_POLYGONS
+        doc["labels"] += doc["labels"][:1] * (MAX_POLYGONS - len(doc["labels"]))
+        scene_path = tmp_path / "full.json"
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, err) == (0, "")
+        assert out.endswith("check: pass\n")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("polygons", f"polygons holds {MAX_POLYGONS + 1} entries, over the cap of {MAX_POLYGONS}"),
+            (
+                "vertices",
+                f"polygons hold {3 * MAX_POLYGONS + 1} vertices in total, over the cap of "
+                f"{3 * MAX_POLYGONS} (3 x {MAX_POLYGONS})",
+            ),
+            ("labels", f"labels holds {MAX_POLYGONS + 1} entries, over the cap of {MAX_POLYGONS}"),
+        ],
+        ids=["polygons", "vertices", "labels"],
+    )
+    def test_scene_file_over_a_count_cap_is_refused_before_any_polygon(
+        self, capsys, tmp_path, monkeypatch, field, message
+    ):
+        doc = scene_to_json(build_layered_scene(derive_config(3), 1))  # 6 polygons, 18 vertices
+        triangle = doc["polygons"][1]
+        if field == "polygons":
+            doc["polygons"] += [triangle] * (MAX_POLYGONS + 1 - 6)
+        elif field == "vertices":
+            extra = [triangle["vertices"][0]] * (3 * MAX_POLYGONS + 1 - 18)
+            doc["polygons"][1] = {**triangle, "vertices": triangle["vertices"] + extra}
+        else:
+            doc["labels"] = doc["labels"][:1] * (MAX_POLYGONS + 1)
+        scene_path = tmp_path / "huge.json"
+        scene_path.write_text(json.dumps(doc))
+
+        def refuse(*args):
+            raise AssertionError("a polygon was made")
+
+        monkeypatch.setattr("geoseries.geometry.Polygon.over", refuse)
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid scene file {scene_path}: {message}\n"
 
     @pytest.mark.parametrize(
         "data, reason",

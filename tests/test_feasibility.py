@@ -4,6 +4,7 @@ import pytest
 
 from geoseries.construction import LayeredParams
 from geoseries.feasibility import (
+    FeasibilityReport,
     brute_force_scan,
     check_bound,
     check_square_constraint,
@@ -93,6 +94,39 @@ def test_enumerate_feasible_minimum_range():
 def test_enumerate_feasible_rejects_small_max_m():
     with pytest.raises(ValueError):
         enumerate_feasible(1)
+
+
+def reference_reports(max_m):
+    """The list enumerate_feasible returned before it became a lazy sequence."""
+    return [
+        FeasibilityReport(m, Fraction(1, m), True, 2 * m - 1, (m - 1) ** 2, True, ok, ok)
+        for m in range(2, max_m + 1)
+        for ok in (m * m - 4 * m + 2 < 0,)
+    ]
+
+
+@pytest.mark.parametrize("max_m", [2, 3, 4, 10, 1001])
+def test_enumerate_feasible_keeps_the_list_semantics(max_m):
+    scan, want = enumerate_feasible(max_m), reference_reports(max_m)
+    assert len(scan) == len(want)
+    assert scan[0] == want[0]
+    assert scan[-1] == want[-1]
+    assert scan[-len(want)] == want[0]
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            scan[index]
+    for cut in (
+        slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2),
+        slice(None, None, -1), slice(-1, 0, -3), slice(5, 2), slice(-500, 500, 7),
+    ):
+        assert scan[cut] == want[cut], cut
+        assert type(scan[cut]) is list
+    assert list(scan) == want
+    assert list(scan) == want  # a second pass reads the same reports
+    assert list(scan.rows()) == [
+        (r.candidate_m, r.derived_n, r.derived_a, r.feasible) for r in want
+    ]
+    assert list(scan.rows(-1)) == [(max_m, 2 * max_m - 1, (max_m - 1) ** 2, max_m <= 3)]
 
 
 def test_square_constraint_holds_identically_on_derived_family():

@@ -7,12 +7,15 @@ widths change whenever a number gains a digit, so the sizes cover every
 max_m up to 400 and both sides of 1000 and 10000.
 """
 
+import collections
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from geoseries import feasibility
 from geoseries.cli import main
 from geoseries.feasibility import enumerate_feasible
 from geoseries.rational import fmt
@@ -119,3 +122,82 @@ def test_max_m_cap_is_checked_before_the_scan(capsys, monkeypatch, fmt_name):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --max-m must be <= 1000000, got 1000001\n"
+
+
+@pytest.mark.parametrize("fmt_name", ["table", "json"])
+def test_no_report_and_no_fraction_per_row(capsys, monkeypatch, fmt_name):
+    made = collections.Counter()
+
+    def counting(name, make):
+        def counted(*args):
+            made[name] += 1
+            return make(*args)
+
+        return counted
+
+    monkeypatch.setattr(feasibility, "Fraction", counting("Fraction", Fraction))
+    monkeypatch.setattr(
+        feasibility,
+        "FeasibilityReport",
+        counting("FeasibilityReport", feasibility.FeasibilityReport),
+    )
+    feasible_stdout(capsys, 10, fmt_name)
+    small = made.copy()
+    made.clear()
+    feasible_stdout(capsys, 5000, fmt_name)
+    assert made == small  # the same few for either size
+    assert sum(small.values()) <= 2
+    made.clear()
+    list(enumerate_feasible(3))  # the stand-ins do count what reading the scan makes
+    assert made == {"Fraction": 2, "FeasibilityReport": 2}
+
+
+def traced_peak(monkeypatch, max_m, fmt_name) -> int:
+    monkeypatch.setattr("sys.stdout", ByteCounter())
+    tracemalloc.start()
+    try:
+        assert main(["feasible", "--max-m", str(max_m), "--format", fmt_name]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("fmt_name", ["table", "json"])
+def test_scan_runs_in_constant_memory(monkeypatch, fmt_name):
+    # a list of every report grows the peak with max_m; streamed rows keep
+    # it at one chunk of text whatever the size of the scan
+    small = traced_peak(monkeypatch, 20_000, fmt_name)
+    large = traced_peak(monkeypatch, 200_000, fmt_name)
+    assert large < 2 * small, f"peak {large} B at 200000, {small} B at 20000"
+
+
+class Sha256Writer:
+    """A stdout that keeps only the sha256 of the UTF-8 bytes written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# sha256 of `geoseries feasible --max-m 200000` stdout as written by the list-
+# building formatter this scan replaced; past 10^5 the m, a and sum columns
+# widen again, beyond the sizes compared with the reference above
+PINNED_200000 = {
+    "table": "fbfb2558da1d4ff053d337e3f84258d8eabeb9afc557de2db3cab50a23ef7bcf",
+    "json": "18339bafc66c2558488d5433cad3f64b418f537ed257a0b6714ce639a1548653",
+}
+
+
+@pytest.mark.parametrize("fmt_name", ["table", "json"])
+def test_benchmark_scale_output_is_pinned(monkeypatch, fmt_name):
+    writer = Sha256Writer()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert main(["feasible", "--max-m", "200000", "--format", fmt_name]) == 0
+    assert writer.digest.hexdigest() == PINNED_200000[fmt_name]
