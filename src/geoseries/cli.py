@@ -19,8 +19,11 @@ from .geometry import (
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
+    json_array,
+    report_json_chunks,
     scene_from_json,
-    scene_to_json,
+    scene_json_chunks,
+    scene_to_json,  # noqa: F401  the library's scene writer, looked up here by perfbench's traced pass
 )
 from .rational import MAX_DENOMINATOR_BITS, Rational, check_depth, fmt, parse
 from .render import RenderOptions, render
@@ -41,6 +44,11 @@ def _rational(text: str) -> Rational:
 # rows per write: few enough that a chunk of `feasible` output stays a few
 # hundred KiB, enough that the writes themselves cost little
 _CHUNK_ROWS = 4096
+
+# largest scene file --from-scene reads, in bytes: twice the largest file
+# render --emit-scene writes, 56,510,244 bytes for layered m = 3 at the depth
+# cap (2048 layers); checked before the file is read
+MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
 # largest --max-m: the acceptance gate's scan (about 3.6 s as a table and
 # 2.4 s as JSON, in constant memory, 21-24 MiB peak RSS, with Python 3.11
@@ -94,30 +102,39 @@ def _feasible_cells(rows, feasible_ms: list[int]):
         )
 
 
-def _write_feasible_json(max_m: int, rows) -> None:
-    """Print json.dumps(doc, indent=2) of {"schema": 1, "max_m", "reports"}, chunk by chunk.
+# one report of `feasible --format json`, filled from an (m, n, a, feasible) row
+_FEASIBLE_REPORT = (
+    "    {\n"
+    + ",\n".join(f"      {json.dumps(name)}: %s" for name in FeasibilityReport._fields)
+    + "\n    }"
+)
 
-    Each (m, n, a, feasible) row is filled into one report template built
-    from the field names, so the document is never held whole; json.dumps
-    with indent would run the pure-Python encoder and join millions of
-    pieces at the end.
+
+def _feasible_json(max_m: int, rows):
+    """json.dumps(doc, indent=2) + "\n" of {"schema": 1, "max_m", "reports"}, in pieces.
+
+    Each (m, n, a, feasible) row is filled into _FEASIBLE_REPORT and the
+    reports are written through json_array, _CHUNK_ROWS at a time, so the
+    document is never held whole; json.dumps with indent would run the
+    pure-Python encoder and join millions of pieces at the end.
     """
-    item = (
-        "    {\n"
-        + ",\n".join(f"      {json.dumps(name)}: %s" for name in FeasibilityReport._fields)
-        + "\n    }"
-    )
+    yield '{\n  "schema": 1,\n  "max_m": %d,\n  "reports": ' % max_m
+    yield from json_array(rows, _fill_feasible_reports, "  ", _CHUNK_ROWS)
+    yield "\n}\n"
+
+
+def _fill_feasible_reports(rows) -> list[str]:
+    return [
+        _FEASIBLE_REPORT % (m, f'"1/{m}"', "true", n, a, "true", _JSON_BOOL[ok], _JSON_BOOL[ok])
+        for m, n, a, ok in rows
+    ]
+
+
+def _print_chunks(chunks) -> None:
+    """Write each text chunk to stdout as it comes."""
     write = sys.stdout.write
-    write('{\n  "schema": 1,\n  "max_m": %d,\n  "reports": [\n' % max_m)
-    lead = ""
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        items = [
-            item % (m, f'"1/{m}"', "true", n, a, "true", _JSON_BOOL[ok], _JSON_BOOL[ok])
-            for m, n, a, ok in chunk
-        ]
-        write(lead + ",\n".join(items))
-        lead = ",\n"
-    write("\n  ]\n}\n")
+    for chunk in chunks:
+        write(chunk)
 
 
 def cmd_feasible(args: argparse.Namespace) -> int:
@@ -127,7 +144,7 @@ def cmd_feasible(args: argparse.Namespace) -> int:
         raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     scan = enumerate_feasible(args.max_m)
     if args.format == "json":
-        _write_feasible_json(args.max_m, scan.rows())
+        _print_chunks(_feasible_json(args.max_m, scan.rows()))
         return 0
     # a cell never gets shorter as m grows, except yes/no, which never
     # outgrows its header: the last row fixes every width
@@ -186,8 +203,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(
                 f"--from-scene takes its scene from the file, not from {', '.join(given)}"
             )
+        path = _path(args.from_scene)
         try:
-            doc = json.loads(_path(args.from_scene).read_text(encoding="utf-8"))
+            size = path.stat().st_size
+            if size > MAX_SCENE_FILE_BYTES:
+                raise CliError(
+                    f"scene file {args.from_scene} holds {size} bytes, over the cap of "
+                    f"{MAX_SCENE_FILE_BYTES}"
+                )
+            with open(path, "rb") as file:
+                data = file.read(MAX_SCENE_FILE_BYTES + 1)
+            if len(data) > MAX_SCENE_FILE_BYTES:  # a pipe or a device: stat gives no size
+                raise CliError(
+                    f"scene file {args.from_scene} holds more than {MAX_SCENE_FILE_BYTES} "
+                    "bytes, the cap"
+                )
+            doc = json.loads(data.decode("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: not UTF-8, not JSON, or an integer too long to convert
             raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
@@ -199,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         scene = _build_scene(args)
     report = audit_scene(scene)
     if not report.ok or args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
+        _print_chunks(report_json_chunks(report))
         return 0 if report.ok else 1
     headers = ("layer", "polygons", "colored", "colored_area", "layer_area", "fraction", "check")
     rows = [
@@ -239,11 +270,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
         )
     scene = _build_scene(args)
-    _write_output(out, render(scene, opts))
+    _write_output(out, [render(scene, opts)])
     print(f"wrote {out}")
     if args.emit_scene:
         scene_path = out.with_suffix(".json")
-        _write_output(scene_path, json.dumps(scene_to_json(scene), indent=2) + "\n")
+        _write_output(scene_path, scene_json_chunks(scene))
         print(f"wrote {scene_path}")
     return 0
 
@@ -256,11 +287,13 @@ def _path(text: str):
     return Path(text)
 
 
-def _write_output(path, text: str) -> None:
-    """Write text to path as UTF-8 bytes; a file that cannot be written is a usage error."""
-    data = text.encode("utf-8")
+def _write_output(path, chunks) -> None:
+    """Write the text chunks to path as UTF-8, each as it comes; a file that cannot
+    be written is a usage error."""
     try:
-        path.write_bytes(data)
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            for chunk in chunks:
+                file.write(chunk)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 

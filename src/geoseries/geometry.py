@@ -24,16 +24,24 @@ across a layer (m^k for layered r = 1/m, (q-p) q^k for the staircase
 s = p/q), so building, reading, auditing and rendering a scene take no
 gcd per coordinate.  Fractions appear only at the edge: Point and
 Polygon are made from Fractions and give them back (.x, .y, .vertices,
-.area, made on first use), == compares rational values, and scene_to_json
-writes each coordinate reduced to its canonical "p/q".
+.area, made on first use), == compares rational values, and a scene
+file holds each coordinate reduced to its canonical "p/q".
+
+scene_to_json gives a scene file as a dict, the library's form.  The CLI
+writes scene files and audit reports with scene_json_chunks and
+report_json_chunks instead: they fill %-templates item by item and yield
+the text json.dumps(doc, indent=2) + "\n" would give, in pieces, through
+json_array, so neither the document nor its whole text is ever built.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .construction import (
     LayeredParams,
@@ -584,6 +592,154 @@ def scene_to_json(scene: Scene) -> dict:
         ],
         "labels": [label(pt, label_text) for pt, label_text in scene.labels],
     }
+
+
+def json_array(rows, fill, indent: str, chunk: int):
+    """A JSON array laid out as json.dumps(indent=2) lays it out, in pieces.
+
+    rows is consumed `chunk` at a time, and fill maps each chunk to the
+    text of its items, each indented two spaces past `indent`, the
+    indentation of the line that closes the array.  Yields "[]" for no
+    rows, else "[\n", the items joined by ",\n" a chunk at a time, and
+    "\n" + indent + "]".
+    """
+    rows = iter(rows)
+    lead = "[\n"
+    while part := list(islice(rows, chunk)):
+        yield lead + ",\n".join(fill(part))
+        lead = ",\n"
+    yield "[]" if lead == "[\n" else "\n" + indent + "]"
+
+
+def _params_json(params: dict) -> str:
+    """params as a member of a top-level object laid out by json.dumps(indent=2),
+    each key and value encoded by json.dumps."""
+    if not params:
+        return "{}"
+    items = [f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in params.items()]
+    return "{\n" + ",\n".join(items) + "\n  }"
+
+
+# polygons or audited layers per piece of streamed JSON: at the depth cap a
+# piece of polygons is under a MiB of text
+_JSON_CHUNK = 64
+
+_SCENE_HEAD = (
+    '{\n  "schema": 1,\n  "construction_kind": %s,\n  "params": %s,\n'
+    '  "layers_rendered": %d,\n  "polygons": '
+)
+_LABEL_JSON = '    {\n      "x": "%s",\n      "y": "%s",\n      "text": %s\n    }'
+
+
+@functools.lru_cache(maxsize=None)
+def _polygon_json(vertex_count: int) -> str:
+    """The %-template of a polygon of scene_to_json with vertex_count vertices:
+    x and y of each vertex, then role and layer_index."""
+    vertex = '        [\n          "%s",\n          "%s"\n        ]'
+    return (
+        '    {\n      "vertices": [\n' + ",\n".join([vertex] * vertex_count)
+        + '\n      ],\n      "role": "%s",\n      "layer_index": %s,\n      "label": null\n    }'
+    )
+
+
+def scene_json_chunks(scene: Scene):
+    """json.dumps(scene_to_json(scene), indent=2) + "\n", in pieces of _JSON_CHUNK
+    polygons; neither the document nor its whole text is built.
+
+    The polygons of a built layer share one denominator and their
+    coordinate lines, so each distinct numerator is reduced and printed
+    once per run of polygons over one denominator; the memo holds one
+    layer's text at most.
+    """
+    yield _SCENE_HEAD % (
+        json.dumps(scene.construction_kind), _params_json(scene.params_echo),
+        scene.layers_rendered,
+    )
+    memo: dict[int, str] = {}
+    memo_den = None
+
+    def fill(polygons) -> list[str]:
+        nonlocal memo_den
+        items = []
+        for poly in polygons:
+            den = poly.den
+            if den != memo_den:
+                memo.clear()
+                memo_den = den
+            cells = []
+            for x, y in zip(poly.xs, poly.ys):
+                for value in (x, y):
+                    text = memo.get(value)
+                    if text is None:
+                        text = memo[value] = fmt_parts(value, den)
+                    cells.append(text)
+            layer_index = "null" if poly.layer_index is None else poly.layer_index
+            items.append(_polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index))
+        return items
+
+    yield from json_array(scene.polygons, fill, "  ", _JSON_CHUNK)
+    yield ',\n  "labels": '
+
+    def fill_labels(labels) -> list[str]:
+        items = []
+        for pt, text in labels:
+            xn, yn, d = point_numerators(pt)
+            items.append(_LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text)))
+        return items
+
+    yield from json_array(scene.labels, fill_labels, "  ", _JSON_CHUNK)
+    yield "\n}\n"
+
+
+_REPORT_HEAD = '{\n  "schema": 1,\n  "construction": %s,\n  "params": %s,\n  "layers": '
+_LAYER_JSON = (
+    '    {\n      "layer": %d,\n      "polygons": %d,\n      "colored": %d,\n'
+    '      "colored_area": "%s",\n      "layer_area": "%s",\n      "colored_fraction": "%s",\n'
+    '      "expected_colored_area": "%s",\n      "expected_layer_area": "%s",\n'
+    '      "ok": %s\n    }'
+)
+_REPORT_AREAS = (
+    ',\n  "tiled_area": "%s",\n  "apex_remainder": "%s",\n  "figure_area": "%s",\n'
+    '  "check": "%s",\n  "mismatches": '
+)
+
+
+def report_json_chunks(report: AuditReport):
+    """json.dumps(report.as_dict(), indent=2) + "\n", in pieces of _JSON_CHUNK layers.
+
+    A passing layer's area is the very Fraction of its expectation, and
+    every passing layer shares one colored fraction, so each piece formats
+    each distinct object once, looked up by identity: hashing a big
+    Fraction costs more than formatting it.
+    """
+    yield _REPORT_HEAD % (json.dumps(report.construction_kind), _params_json(report.params))
+
+    def fill(layers) -> list[str]:
+        memo: dict[int, str] = {}
+        items = []
+        for layer in layers:
+            texts = []
+            for q in (layer.colored_area, layer.total_area, layer.colored_fraction,
+                      layer.expected_colored_area, layer.expected_total_area):
+                text = memo.get(id(q))
+                if text is None:
+                    text = memo[id(q)] = fmt(q)
+                texts.append(text)
+            items.append(_LAYER_JSON % (
+                layer.layer_index, layer.polygon_count, layer.colored_count, *texts,
+                "true" if layer.ok else "false",
+            ))
+        return items
+
+    yield from json_array(report.layers, fill, "  ", _JSON_CHUNK)
+    yield _REPORT_AREAS % (
+        fmt(report.tiled_area), fmt(report.apex_remainder), fmt(report.figure_area),
+        "pass" if report.ok else "fail",
+    )
+    yield from json_array(
+        report.mismatches, lambda part: ["    " + json.dumps(m) for m in part], "  ", _JSON_CHUNK
+    )
+    yield "\n}\n"
 
 
 # the ratio the audit reads back, per construction kind; its denominator

@@ -198,5 +198,5 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
             f'font-family="sans-serif" font-size="{font_px}" '
             f'text-anchor="{anchor}">{_escape(text)}</text>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)

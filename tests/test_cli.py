@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import geoseries
 from geoseries import cli
-from geoseries.cli import MAX_POLYGONS, main
+from geoseries.cli import MAX_POLYGONS, MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
@@ -481,6 +482,37 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: invalid scene file {scene_path}: {message}\n"
 
+    def test_scene_file_over_the_byte_cap_is_refused_before_reading(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        scene_path = tmp_path / "huge.json"
+        scene_path.touch()
+        os.truncate(scene_path, MAX_SCENE_FILE_BYTES + 1)  # sparse: no data is written
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the file was parsed")
+
+        monkeypatch.setattr("json.loads", refuse)
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: scene file {scene_path} holds {MAX_SCENE_FILE_BYTES + 1} bytes, "
+            f"over the cap of {MAX_SCENE_FILE_BYTES}\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    def test_endless_scene_stream_is_refused_past_the_byte_cap(self, capsys, monkeypatch):
+        # a device or a pipe has no size to stat: its bytes are counted as read
+        monkeypatch.setattr(cli, "MAX_SCENE_FILE_BYTES", 1000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stream was parsed")
+
+        monkeypatch.setattr("json.loads", refuse)
+        code, out, err = run(capsys, "verify", "--from-scene", "/dev/zero")
+        assert (code, out) == (2, "")
+        assert err == "error: scene file /dev/zero holds more than 1000 bytes, the cap\n"
+
     @pytest.mark.parametrize(
         "data, reason",
         [
@@ -744,6 +776,19 @@ class TestRender:
         assert err.startswith(f"error: cannot write {tmp_path / 'pic.json'}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_scene_write_that_fails_midway_is_usage_error(self, capsys, tmp_path):
+        # every write to /dev/full fails with ENOSPC, after the file opened fine
+        (tmp_path / "pic.json").symlink_to("/dev/full")
+        code, out, err = run(
+            capsys,
+            "render", "--construction", "layered", "--m", "3", "--layers", "40",
+            "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        assert code == 2
+        assert out == f"wrote {tmp_path / 'pic.svg'}\n"
+        assert err == f"error: cannot write {tmp_path / 'pic.json'}: No space left on device\n"
+
     def test_render_requires_construction(self, capsys, tmp_path):
         out_path = tmp_path / "x.svg"
         with pytest.raises(SystemExit) as exc:
@@ -797,6 +842,75 @@ class TestRender:
 )
 def test_usage_error_is_one_line_with_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _tampered_scene(tmp_path) -> Path:
+    """An emitted staircase file with a wrong s and an extra param whose key and
+    value hold a quote, a backslash, a non-ASCII letter and a control character."""
+    code = main(
+        ["render", "--construction", "staircase", "--s", "1/2", "--layers", "3",
+         "--out", str(tmp_path / "pic.svg"), "--emit-scene"]
+    )
+    assert code == 0
+    scene_path = tmp_path / "pic.json"
+    doc = json.loads(scene_path.read_text())
+    doc["params"]["s"] = "2/5"
+    doc["params"]['note "\\ é \x01'] = 'say "hi" \\ é \x07'
+    scene_path.write_text(json.dumps(doc))
+    return scene_path
+
+
+CHUNK = geoseries.geometry._JSON_CHUNK
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [
+        (("feasible", "--max-m", "2", "--format", "json"), 0),
+        (("feasible", "--max-m", "10", "--format", "json"), 0),
+        # one report past a full chunk of rows
+        (("feasible", "--max-m", str(cli._CHUNK_ROWS + 2), "--format", "json"), 0),
+        (("verify", "--construction", "layered", "--m", "3", "--layers", "5", "--format", "json"), 0),
+        (("verify", "--construction", "staircase", "--s", "3/5", "--layers", "6",
+          "--format", "json"), 0),
+        (("verify", "--construction", "layered", "--m", "4", "--layers", "3",
+          "--allow-infeasible", "--format", "json"), 0),
+        (("verify", "--from-scene", "TAMPERED"), 1),
+        (("verify", "--from-scene", "TAMPERED", "--format", "json"), 1),
+    ],
+    ids=["feasible-2", "feasible-10", "feasible-chunk-plus-1", "verify-layered",
+         "verify-staircase", "verify-clamped-m4", "tampered", "tampered-json"],
+)
+def test_json_output_has_the_canonical_layout(capsys, tmp_path, argv, want_code):
+    """Every JSON writer prints json.dumps(doc, indent=2) + "\\n" of its own document."""
+    if "TAMPERED" in argv:
+        argv = tuple(str(_tampered_scene(tmp_path)) if a == "TAMPERED" else a for a in argv)
+        capsys.readouterr()
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if want_code == 1:
+        assert json.loads(out)["params"]['note "\\ é \x01'] == 'say "hi" \\ é \x07'
+
+
+@pytest.mark.parametrize(
+    "scene_args",
+    [
+        ("--construction", "layered", "--m", "2", "--layers", "1"),
+        ("--construction", "staircase", "--s", "3/5", "--layers", "1"),
+        # 2L + 1 polygons: one short of a chunk, then one past it
+        ("--construction", "staircase", "--s", "1/2", "--layers", str(CHUNK // 2 - 1)),
+        ("--construction", "staircase", "--s", "1/2", "--layers", str(CHUNK // 2)),
+        # 3L + 1 polygons: exactly one chunk
+        ("--construction", "layered", "--m", "2", "--layers", str((CHUNK - 1) // 3)),
+    ],
+    ids=["layered-L1", "staircase-L1", "chunk-minus-1", "chunk-plus-1", "one-chunk"],
+)
+def test_scene_file_has_the_canonical_layout(capsys, tmp_path, scene_args):
+    out_path = tmp_path / "pic.svg"
+    assert run(capsys, "render", *scene_args, "--out", str(out_path), "--emit-scene")[0] == 0
+    text = out_path.with_suffix(".json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_import_loads_no_xml_or_network_modules():

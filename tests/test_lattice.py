@@ -32,7 +32,9 @@ from geoseries.geometry import (
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
+    report_json_chunks,
     scene_from_json,
+    scene_json_chunks,
     scene_to_json,
 )
 from geoseries.rational import fmt
@@ -241,6 +243,26 @@ def test_scene_round_trips_through_json_even_when_unreduced(scene, factors):
     assert read == scene
     assert scene_to_json(read) == doc
     assert audit_scene(read) == audit_scene(scene)
+
+
+STREAMED_SCENES = st.one_of(
+    st.builds(
+        lambda q, p, layers: build_staircase_scene(StaircaseParams(Fraction(p % q or 1, q)), layers),
+        st.integers(2, 50), st.integers(1, 49), st.integers(1, 12),
+    ),
+    st.builds(
+        lambda m, layers: build_layered_scene(derive_config(m), layers),
+        st.integers(2, 6), st.integers(1, 12),  # m >= 4 is the clamped picture
+    ),
+)
+
+
+@given(STREAMED_SCENES)
+def test_streamed_json_matches_the_indented_encoder(scene):
+    text = "".join(scene_json_chunks(scene))
+    assert text == json.dumps(scene_to_json(scene), indent=2) + "\n"
+    report = audit_scene(scene)
+    assert "".join(report_json_chunks(report)) == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
 def test_layer_with_different_denominators_is_audited_exactly():

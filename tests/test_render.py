@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from geoseries.cli import main
+from geoseries.cli import MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import Polygon, build_layered_scene, build_staircase_scene, shoelace_area
@@ -251,6 +252,10 @@ def test_deep_svg_bytes_match_the_benchmark_pins(
             "verify", ("--construction", "staircase", "--s", "3/5", "--layers", "500"),
             "f5be9f630de557be6a76ca9c9a4b512d02c3dcb52b796341aa2762a7ce61625d",
         ),
+        (
+            "verify", ("--construction", "layered", "--m", "3", "--layers", "2048"),
+            "6bdcea424ff36078037eca6cd3b7cefc91f04c4a47d2cbfd50a8eaf0ab1601ab",
+        ),
     ],
 )
 def test_deep_scene_json_and_audit_bytes_match_their_pins(
@@ -266,3 +271,34 @@ def test_deep_scene_json_and_audit_bytes_match_their_pins(
         assert main(["verify", *scene_args, "--format", "json"]) == 0
         data = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_depth_cap_scene_file_matches_its_pin_and_sets_the_byte_cap(tmp_path, capsys):
+    """The largest scene file render writes, layered m = 3 at 2048 layers: its
+    bytes as json.dumps(indent=2) wrote them, and half of --from-scene's byte cap."""
+    out = tmp_path / "cap.svg"
+    args = ("--construction", "layered", "--m", "3", "--layers", "2048")
+    assert main(["render", *args, "--out", str(out), "--emit-scene"]) == 0
+    capsys.readouterr()
+    data = out.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "a8c5f8c6f2b9feaef3bbe3cd451076f692c815919b72573b899b69a24c1848eb"
+    )
+    assert 2 * len(data) == MAX_SCENE_FILE_BYTES
+
+
+def test_scene_file_is_written_without_holding_its_text(tmp_path, capsys):
+    # the document's dict and its whole indented text peaked at about 3.4x the
+    # file's bytes; streamed, the peak is the scene and the SVG render
+    out = tmp_path / "deep.svg"
+    args = ("--construction", "layered", "--m", "3", "--layers", "1024")
+    tracemalloc.start()
+    try:
+        assert main(["render", *args, "--out", str(out), "--emit-scene"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = out.with_suffix(".json").stat().st_size
+    assert size > 10_000_000
+    assert peak < size / 2, f"peak {peak} B for a {size} B scene file"
