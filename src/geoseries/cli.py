@@ -119,7 +119,7 @@ def _feasible_json(max_m: int, rows):
     pure-Python encoder and join millions of pieces at the end.
     """
     yield '{\n  "schema": 1,\n  "max_m": %d,\n  "reports": ' % max_m
-    yield from json_array(rows, _fill_feasible_reports, "  ", _CHUNK_ROWS)
+    yield from json_array(rows, _fill_feasible_reports, _CHUNK_ROWS)
     yield "\n}\n"
 
 
@@ -311,8 +311,6 @@ def cmd_table(args: argparse.Namespace) -> int:
                 f"--first-term has a {bits}-bit {part}, over the cap of "
                 f"{MAX_DENOMINATOR_BITS} bits for its numerator and its denominator"
             )
-    if args.terms < 1:
-        raise CliError(f"--terms must be >= 1, got {args.terms}")
     check_depth(args.terms, args.ratio, "--terms")
     limit = args.first_term / (1 - args.ratio)
     headers = ("k", "term", "partial_naive", "partial_closed", "limit")

@@ -239,8 +239,7 @@ def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, x
     becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
     Only u and v grow, by one integer product each per layer.
     """
-    if layers < 1:
-        raise ValueError(f"need at least one layer, got {layers}")
+    check_depth(layers, shrink, "layers")
     apex_y = outline[-1].y
     top_y = apex_y - shrink * apex_y
     d1 = math.lcm(*[c.denominator for c in (*xs, apex_y, top_y)])
@@ -413,20 +412,72 @@ def _equals(num: int, den: int, q: Rational) -> bool:
     return rest == 0 and num == q.numerator * k
 
 
-def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_area_1, x):
-    """Shared per-layer tally loop, against layer 1 shrunk by x^(k-1).
+def _points_text(points) -> str:
+    """"((x, y), ...)" of points, each coordinate as fmt writes it."""
+    return "(" + ", ".join([f"({fmt(pt.x)}, {fmt(pt.y)})" for pt in points]) + ")"
 
-    Layer k must hold want_count polygons, want_colored_count of them
-    colored, with colored area colored_area_1 x^(k-1) and layer area
-    layer_area_1 x^(k-1).  Each area is an integer sum over one denominator,
-    compared exactly with its expectation (see _equals); an area equal to
-    its expectation is reported as that Fraction, so a passing layer
-    reduces no sum by gcd.
-    Returns (layer audits, mismatches, tiled area, x^L).
+
+def _layered_params(r: Rational) -> LayeredParams:
+    """derive_config(m) for r = 1/m; ValueError naming params.r for any other r."""
+    if r.numerator != 1:
+        raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(r)!r:.40}")
+    return derive_config(r.denominator)
+
+
+def audit_scene(scene: Scene) -> AuditReport:
+    """Check every polygon area against the construction formulas, exactly.
+
+    Only the ratio is read: layered r = 1/m gives n, a and the colored
+    count through derive_config, and staircase s gives r = s^2.  Every
+    other echoed param must equal its derived value.  The scene must hold
+    exactly one outline polygon, with the vertices of the master triangle
+    (C, B, A) in that cyclic order; its layer_index is not read.  Layer k
+    is layer 1 shrunk by x^(k-1) in area, x the series ratio, so the
+    formulas are evaluated at layer 1 only and the apex remainder is x^L
+    times the figure.  A layer's area sums are integers over one
+    denominator, checked exactly (see _equals); an area equal to its
+    expectation is reported as that Fraction, so no passing sum is reduced.
+    Never raises on mismatch: failures come back as a report with ok=False
+    and one message per broken equality.
     """
-    layers = []
-    mismatches = []
-    tiled_num, tiled_den = 0, 1
+    echo = scene.params_echo
+    # layer 1 holds want_count polygons, want_colored_count of them colored,
+    # with colored area want_colored and layer area want_total
+    if scene.construction_kind == "layered":
+        r = parse(echo["r"])
+        p = _layered_params(r)
+        colored = min(p.a, p.n)
+        basis = f"r = {fmt(r)}"
+        derived = {"n": p.n, "a": p.a, "m": r.denominator, "colored_per_layer": colored}
+        want_count, want_colored_count = p.n, colored
+        want_colored, want_total = colored * triangle_area(p, 1), layer_area(p, 1)
+        x = (ONE - r) ** 2
+        figure = ONE
+        outline = _master_triangle("layered", r)
+    elif scene.construction_kind == "staircase":
+        q = StaircaseParams(s=parse(echo["s"]))
+        basis = f"s = {fmt(q.s)}"
+        derived = {"r": q.ratio}
+        want_count, want_colored_count = 2, 1
+        want_colored, want_total = staircase_piece_area(q, 1), staircase_layer_area(q, 1)
+        x = q.ratio
+        figure = staircase_total_area(q)
+        outline = _master_triangle("staircase", q.s)
+    else:
+        raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
+
+    mismatches = [
+        f"params.{key}: echoed {echo[key]} != {fmt(want)} derived from {basis}"
+        for key, want in derived.items()
+        if key in echo and parse(echo[key]) != want
+    ]
+    outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+    if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
+        got = _points_text(outlines[0]) if len(outlines) == 1 else f"{len(outlines)} polygons"
+        mismatches.append(
+            f"outline: {got} != one polygon with the master triangle's vertices "
+            f"(C, B, A) = {_points_text(outline)}, in this cyclic order"
+        )
     by_layer: dict[int, list[Polygon]] = {k: [] for k in range(1, scene.layers_rendered + 1)}
     for poly in scene.polygons:
         if poly.role == ROLE_OUTLINE:
@@ -434,10 +485,10 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
         if poly.layer_index is None or not 1 <= poly.layer_index <= scene.layers_rendered:
             raise ValueError("non-outline polygon without a valid layer index")
         by_layer[poly.layer_index].append(poly)
-    fraction_1 = colored_area_1 / layer_area_1
-    want_colored, want_total = colored_area_1, layer_area_1  # times x^(k-1)
-    for k in range(1, scene.layers_rendered + 1):
-        polys = by_layer[k]
+    layers = []
+    tiled_num, tiled_den = 0, 1
+    fraction_1 = want_colored / want_total
+    for k, polys in by_layer.items():  # want_colored and want_total are layer 1's times x^(k-1)
         colored_count, colored_num, total_num, den = _area_sums(polys)
         tiled_den, old_den = math.lcm(tiled_den, den), tiled_den
         tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
@@ -480,71 +531,8 @@ def _audit_layers(scene, want_count, want_colored_count, colored_area_1, layer_a
         )
         want_colored *= x
         want_total *= x
-    return layers, mismatches, Fraction(tiled_num, tiled_den), x ** scene.layers_rendered
-
-
-def _points_text(points) -> str:
-    """"((x, y), ...)" of points, each coordinate as fmt writes it."""
-    return "(" + ", ".join([f"({fmt(pt.x)}, {fmt(pt.y)})" for pt in points]) + ")"
-
-
-def _layered_params(r: Rational) -> LayeredParams:
-    """derive_config(m) for r = 1/m; ValueError naming params.r for any other r."""
-    if r.numerator != 1:
-        raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(r)!r:.40}")
-    return derive_config(r.denominator)
-
-
-def audit_scene(scene: Scene) -> AuditReport:
-    """Check every polygon area against the construction formulas, exactly.
-
-    Only the ratio is read: layered r = 1/m gives n, a and the colored
-    count through derive_config, and staircase s gives r = s^2.  Every
-    other echoed param must equal its derived value.  The scene must hold
-    exactly one outline polygon, with the vertices of the master triangle
-    (C, B, A) in that cyclic order; its layer_index is not read.  Layer k
-    is layer 1 shrunk by x^(k-1) in area, x the series ratio, so the
-    formulas are evaluated at layer 1 only and the apex remainder is x^L
-    times the figure.  Never raises on mismatch: failures come back as a
-    report with ok=False and one message per broken equality.
-    """
-    echo = scene.params_echo
-    if scene.construction_kind == "layered":
-        r = parse(echo["r"])
-        p = _layered_params(r)
-        colored = min(p.a, p.n)
-        basis = f"r = {fmt(r)}"
-        derived = {"n": p.n, "a": p.a, "m": r.denominator, "colored_per_layer": colored}
-        layer_1 = (p.n, colored, colored * triangle_area(p, 1), layer_area(p, 1))
-        x = (ONE - r) ** 2
-        figure = ONE
-        outline = _master_triangle("layered", r)
-    elif scene.construction_kind == "staircase":
-        q = StaircaseParams(s=parse(echo["s"]))
-        basis = f"s = {fmt(q.s)}"
-        derived = {"r": q.ratio}
-        layer_1 = (2, 1, staircase_piece_area(q, 1), staircase_layer_area(q, 1))
-        x = q.ratio
-        figure = staircase_total_area(q)
-        outline = _master_triangle("staircase", q.s)
-    else:
-        raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
-
-    mismatches = [
-        f"params.{key}: echoed {echo[key]} != {fmt(want)} derived from {basis}"
-        for key, want in derived.items()
-        if key in echo and parse(echo[key]) != want
-    ]
-    outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
-    if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
-        got = _points_text(outlines[0]) if len(outlines) == 1 else f"{len(outlines)} polygons"
-        mismatches.append(
-            f"outline: {got} != one polygon with the master triangle's vertices "
-            f"(C, B, A) = {_points_text(outline)}, in this cyclic order"
-        )
-    layers, layer_mismatches, tiled, x_to_L = _audit_layers(scene, *layer_1, x)
-    mismatches += layer_mismatches
-    remainder = x_to_L * figure
+    tiled = Fraction(tiled_num, tiled_den)
+    remainder = x ** scene.layers_rendered * figure
     if tiled + remainder != figure:
         mismatches.append(
             f"tiling: layers {fmt(tiled)} + apex remainder {fmt(remainder)} "
@@ -594,21 +582,21 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def json_array(rows, fill, indent: str, chunk: int):
-    """A JSON array laid out as json.dumps(indent=2) lays it out, in pieces.
+def json_array(rows, fill, chunk: int):
+    """A JSON array, a member of a top-level object, laid out as
+    json.dumps(indent=2) lays it out, in pieces.
 
     rows is consumed `chunk` at a time, and fill maps each chunk to the
-    text of its items, each indented two spaces past `indent`, the
-    indentation of the line that closes the array.  Yields "[]" for no
+    text of its items, each indented four spaces.  Yields "[]" for no
     rows, else "[\n", the items joined by ",\n" a chunk at a time, and
-    "\n" + indent + "]".
+    "\n  ]".
     """
     rows = iter(rows)
     lead = "[\n"
     while part := list(islice(rows, chunk)):
         yield lead + ",\n".join(fill(part))
         lead = ",\n"
-    yield "[]" if lead == "[\n" else "\n" + indent + "]"
+    yield "[]" if lead == "[\n" else "\n  ]"
 
 
 def _params_json(params: dict) -> str:
@@ -677,7 +665,7 @@ def scene_json_chunks(scene: Scene):
             items.append(_polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index))
         return items
 
-    yield from json_array(scene.polygons, fill, "  ", _JSON_CHUNK)
+    yield from json_array(scene.polygons, fill, _JSON_CHUNK)
     yield ',\n  "labels": '
 
     def fill_labels(labels) -> list[str]:
@@ -687,7 +675,7 @@ def scene_json_chunks(scene: Scene):
             items.append(_LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text)))
         return items
 
-    yield from json_array(scene.labels, fill_labels, "  ", _JSON_CHUNK)
+    yield from json_array(scene.labels, fill_labels, _JSON_CHUNK)
     yield "\n}\n"
 
 
@@ -731,13 +719,13 @@ def report_json_chunks(report: AuditReport):
             ))
         return items
 
-    yield from json_array(report.layers, fill, "  ", _JSON_CHUNK)
+    yield from json_array(report.layers, fill, _JSON_CHUNK)
     yield _REPORT_AREAS % (
         fmt(report.tiled_area), fmt(report.apex_remainder), fmt(report.figure_area),
         "pass" if report.ok else "fail",
     )
     yield from json_array(
-        report.mismatches, lambda part: ["    " + json.dumps(m) for m in part], "  ", _JSON_CHUNK
+        report.mismatches, lambda part: ["    " + json.dumps(m) for m in part], _JSON_CHUNK
     )
     yield "\n}\n"
 
@@ -862,8 +850,6 @@ def scene_from_json(doc) -> Scene:
     if kind == "layered":
         _layered_params(ratio)
     layers = _member(doc, "layers_rendered", int, "")
-    if layers < 1:
-        raise ValueError(f"layers_rendered must be >= 1, got {layers}")
     check_depth(layers, ratio, "layers_rendered")
     lcm = 1
 

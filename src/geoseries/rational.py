@@ -90,7 +90,10 @@ MAX_DENOMINATOR_BITS = 4096
 
 
 def check_depth(count: int, ratio: Rational, name: str) -> None:
-    """ValueError naming `name` if count powers of ratio pass MAX_DENOMINATOR_BITS."""
+    """ValueError naming `name` if count is below 1 or count powers of ratio pass
+    MAX_DENOMINATOR_BITS."""
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
     q_bits = ratio.denominator.bit_length()
     if count * q_bits > MAX_DENOMINATOR_BITS:
         raise ValueError(

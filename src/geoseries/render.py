@@ -38,6 +38,11 @@ def _escape_attr(text: str) -> str:
     return _escape(text).replace('"', "&quot;")
 
 
+# widest canvas, in px: at the cap a built picture's SVG costs about what it
+# costs at the default width (see README); far wider, its numbers only grow
+MAX_CANVAS_WIDTH_PX = 1_000_000
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     canvas_width_px: int = 600
@@ -51,6 +56,10 @@ class RenderOptions:
     def __post_init__(self) -> None:
         if self.canvas_width_px < 1:
             raise ValueError(f"canvas width must be positive, got {self.canvas_width_px}")
+        if self.canvas_width_px > MAX_CANVAS_WIDTH_PX:
+            raise ValueError(
+                f"canvas width must be at most {MAX_CANVAS_WIDTH_PX}, got {self.canvas_width_px}"
+            )
         if not 1 <= self.decimal_places <= 12:
             raise ValueError(
                 f"decimal_places must lie in [1, 12], got {self.decimal_places}"

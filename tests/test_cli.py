@@ -22,7 +22,7 @@ from geoseries.geometry import (
     scene_to_json,
 )
 from geoseries.rational import MAX_DENOMINATOR_BITS
-from geoseries.render import RenderOptions, render
+from geoseries.render import MAX_CANVAS_WIDTH_PX, RenderOptions, render
 
 
 def _read_int(text):
@@ -652,6 +652,10 @@ class TestRender:
             (("--no-labels",), RenderOptions(show_labels=False)),
             (("--no-layer-annotations",), RenderOptions(show_layer_annotations=False)),
             (("--no-equilateral",), RenderOptions(equilateral_look=False)),
+            (
+                ("--width", str(MAX_CANVAS_WIDTH_PX)),
+                RenderOptions(canvas_width_px=MAX_CANVAS_WIDTH_PX),
+            ),
         ],
     )
     def test_flag_reaches_the_svg(self, capsys, tmp_path, flags, opts):
@@ -668,6 +672,11 @@ class TestRender:
         [
             (("--width", "0"), "error: canvas width must be positive, got 0\n"),
             (("--decimal-places", "13"), "error: decimal_places must lie in [1, 12], got 13\n"),
+            (
+                ("--width", str(MAX_CANVAS_WIDTH_PX + 1)),
+                f"error: canvas width must be at most {MAX_CANVAS_WIDTH_PX}, "
+                f"got {MAX_CANVAS_WIDTH_PX + 1}\n",
+            ),
         ],
     )
     def test_bad_render_option_is_usage_error(self, capsys, tmp_path, flags, message):
@@ -676,7 +685,9 @@ class TestRender:
         assert (code, out, err) == (2, "", message)
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("flags", [("--width", "0"), ("--decimal-places", "13")])
+    @pytest.mark.parametrize(
+        "flags", [("--width", "0"), ("--decimal-places", "13"), ("--width", "1" + "0" * 4295)]
+    )
     def test_bad_render_option_is_checked_before_the_build(
         self, capsys, tmp_path, monkeypatch, flags
     ):
@@ -836,12 +847,30 @@ class TestRender:
         ),
         (("table", "--ratio", "1/2", "--first-term", "0"), "--first-term must be positive, got 0"),
         (("table", "--ratio", "1/2", "--terms", "0"), "--terms must be >= 1, got 0"),
+        (
+            ("verify", "--construction", "layered", "--m", "4", "--layers", "0",
+             "--allow-infeasible"),
+            "--layers must be >= 1, got 0",
+        ),
     ],
     ids=["s-for-layered", "staircase-without-s", "m-for-staircase", "s-outside-0-1",
-         "first-term-0", "terms-0"],
+         "first-term-0", "terms-0", "layers-0-clamped"],
 )
 def test_usage_error_is_one_line_with_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "construction", [("layered", "--m", "3"), ("staircase", "--s", "1/2")], ids=lambda c: c[0]
+)
+def test_render_of_negative_layers_is_one_line_with_exit_2(capsys, tmp_path, construction):
+    out_path = tmp_path / "pic.svg"
+    code, out, err = run(
+        capsys, "render", "--construction", *construction, "--layers", "-3",
+        "--out", str(out_path),
+    )
+    assert (code, out, err) == (2, "", "error: --layers must be >= 1, got -3\n")
+    assert not out_path.exists()
 
 
 def _tampered_scene(tmp_path) -> Path:

@@ -1,4 +1,5 @@
 import copy
+import pickle
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -79,6 +80,18 @@ class TestShoelace:
             assert hash(over_7) == hash(poly)
         assert len(set(scene.polygons)) == len(scene.polygons)
 
+    @pytest.mark.parametrize(
+        "scene",
+        [build_layered_scene(EDGAR, 3), build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)],
+    )
+    def test_built_scene_survives_pickle_and_copy(self, scene):
+        point = scene.labels[-1][0]  # a lattice point, its Fractions not made yet
+        assert getattr(point, "z", None) is None
+        assert getattr(scene.polygons[-1], "z", None) is None
+        for twin in (pickle.loads(pickle.dumps(scene)), copy.copy(scene), copy.deepcopy(scene)):
+            assert twin == scene
+            assert audit_scene(twin).ok
+
 
 class TestLayeredScene:
     def test_mabry_single_layer(self):
@@ -140,6 +153,24 @@ class TestLayeredScene:
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError):
             build_layered_scene(LayeredParams(4, 1, Fraction(1, 2)), 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: build_layered_scene(derive_config(3), 2049),
+                r"^layers 2049 is too deep .* over the cap of 4096 bits",
+            ),
+            (
+                lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2)), 0),
+                r"^layers must be >= 1, got 0$",
+            ),
+        ],
+        ids=["layered-m3-L2049", "staircase-L0"],
+    )
+    def test_builders_refuse_the_layer_counts_the_cli_refuses(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_clamped_coloring_override(self):
         p = LayeredParams(7, 9, Fraction(1, 4))
@@ -282,6 +313,26 @@ class TestAudit:
     def test_edgar_per_layer_colored_fraction(self):
         report = audit_scene(build_layered_scene(EDGAR, 1))
         assert report.layers[0].colored_fraction == Fraction(4, 5)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"layer_index": 0}, "non-outline polygon without a valid layer index"),
+            ({"layer_index": None}, "non-outline polygon without a valid layer index"),
+            ({"kind": "spiral"}, "unknown construction kind 'spiral'"),
+        ],
+        ids=["layer-index-0", "layer-index-None", "unknown-kind"],
+    )
+    def test_scene_the_audit_cannot_read_raises(self, change, message):
+        scene = build_layered_scene(EDGAR, 2)
+        if "kind" in change:
+            scene = replace(scene, construction_kind=change["kind"])
+        else:
+            first, colored, *rest = scene.polygons
+            colored = replace(colored, layer_index=change["layer_index"])
+            scene = replace(scene, polygons=(first, colored, *rest))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            audit_scene(scene)
 
     def test_tampered_scene_yields_structured_mismatch(self):
         scene = build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2)

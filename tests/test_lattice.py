@@ -265,6 +265,16 @@ def test_streamed_json_matches_the_indented_encoder(scene):
     assert "".join(report_json_chunks(report)) == json.dumps(report.as_dict(), indent=2) + "\n"
 
 
+def test_streamed_json_with_empty_params_matches_the_indented_encoder():
+    scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 2)
+    report = replace(audit_scene(scene), params={})
+    scene = replace(scene, params_echo={})
+    text = "".join(scene_json_chunks(scene))
+    assert text == json.dumps(scene_to_json(scene), indent=2) + "\n"
+    assert '"params": {},' in text
+    assert "".join(report_json_chunks(report)) == json.dumps(report.as_dict(), indent=2) + "\n"
+
+
 def test_layer_with_different_denominators_is_audited_exactly():
     scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)
     polygons = list(scene.polygons)

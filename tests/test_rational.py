@@ -72,6 +72,8 @@ def test_depth_cap_is_layers_times_denominator_bits(ratio):
     check_depth(deepest, ratio, "--layers")
     with pytest.raises(ValueError, match=rf"^--layers {deepest + 1} is too deep"):
         check_depth(deepest + 1, ratio, "--layers")
+    with pytest.raises(ValueError, match=r"^--layers must be >= 1, got 0$"):
+        check_depth(0, ratio, "--layers")
 
 
 def test_fmt_writes_past_the_int_to_str_digit_limit():

@@ -62,6 +62,10 @@ class TestFormatCoordinate:
     def test_examples(self, q, places, expected):
         assert format_coordinate(q, places) == expected
 
+    def test_rejects_negative_decimal_places(self):
+        with pytest.raises(ValueError, match=r"^decimal_places must be >= 0, got -1$"):
+            format_coordinate(Fraction(1, 3), -1)
+
 
 class TestRenderOptions:
     def test_rejects_bad_decimal_places(self):
@@ -142,6 +146,11 @@ class TestRender:
         xs = [[x for x, _ in parse_points(poly)] for poly in polygons_of(svg)]
         assert all(50 <= x <= 550 for poly_xs in xs for x in poly_xs)
         assert max(xs[1]) == 550  # the moved triangle sets the right edge
+
+    def test_layout_of_a_scene_without_polygons_is_refused(self):
+        scene = replace(build_layered_scene(MABRY, 1), polygons=())
+        with pytest.raises(ValueError, match="^a layout needs at least one polygon$"):
+            layout(scene, RenderOptions())
 
     @pytest.mark.parametrize(
         "scene",
