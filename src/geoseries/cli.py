@@ -50,8 +50,8 @@ _CHUNK_ROWS = 4096
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (about 3.6 s as a table and
-# 2.4 s as JSON, in constant memory, 21-24 MiB peak RSS, with Python 3.11
+# largest --max-m: the acceptance gate's scan (about 3.7 s as a table and
+# 2.8 s as JSON, in constant memory, 20-24 MiB peak RSS, with Python 3.11
 # on a 2-core x86 host); a larger scan costs more and finds nothing new
 MAX_M_LIMIT = 10**6
 
@@ -87,36 +87,46 @@ def _write_table(headers, widths, rows) -> None:
         write("".join([(line % row).rstrip() + "\n" for row in chunk]))
 
 
-def _feasible_cells(rows, feasible_ms: list[int]):
-    """Table rows of _FEASIBLE_HEADERS, one per (m, n, a, feasible) row; each
-    feasible m is appended to feasible_ms as its row is made."""
-    for m, n, a, feasible in rows:
-        if feasible:
-            feasible_ms.append(m)
+def _feasible_lines(rows, widths, feasible_ms: list[int]):
+    """The table's lines under its header, _CHUNK_ROWS per piece, each filled
+    from its (m, n, a, feasible) row into the template of its (feasible, a < n):
+    r = 1/m is "1/" before m, the yes/no cells are baked in and the last is
+    not padded; each feasible m is appended to feasible_ms."""
+    w_m, w_r, w_n, w_a, w_sum, *w_flags = widths
+    head = f"%-{w_m}d  1/%-{w_r - 2}d  %-{w_n}d  %-{w_a}d  %-{w_sum}s"
+    templates = {
+        (ok, lt): "  ".join([head, *map(str.ljust, ("yes", "yes", _YES[ok], _YES[lt]), w_flags)])
+        + f"  {_YES[ok]}\n"
+        for ok in (False, True) for lt in (False, True)
+    }
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        feasible_ms.extend([m for m, _, _, ok in chunk if ok])
         # r = 1/m and sum = a/n are already in lowest terms: n = 2m-1 =
         # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3; the
         # integrality and square conditions hold for every row (see _row)
-        yield (
-            m, f"1/{m}", n, a, f"{a}/{n}",
-            "yes", "yes", _YES[feasible], _YES[a < n], _YES[feasible],
-        )
+        yield "".join([templates[ok, a < n] % (m, m, n, a, f"{a}/{n}") for m, n, a, ok in chunk])
 
 
-# one report of `feasible --format json`, filled from an (m, n, a, feasible) row
+# one report of `feasible --format json`; _FEASIBLE_REPORTS[feasible] is the
+# report of a row with that verdict, to be filled with (m, m, n, a)
 _FEASIBLE_REPORT = (
     "    {\n"
     + ",\n".join(f"      {json.dumps(name)}: %s" for name in FeasibilityReport._fields)
     + "\n    }"
+)
+_FEASIBLE_REPORTS = tuple(
+    _FEASIBLE_REPORT % ("%d", '"1/%d"', "true", "%d", "%d", "true", ok, ok) for ok in _JSON_BOOL
 )
 
 
 def _feasible_json(max_m: int, rows):
     """json.dumps(doc, indent=2) + "\n" of {"schema": 1, "max_m", "reports"}, in pieces.
 
-    Each (m, n, a, feasible) row is filled into _FEASIBLE_REPORT and the
-    reports are written through json_array, _CHUNK_ROWS at a time, so the
-    document is never held whole; json.dumps with indent would run the
-    pure-Python encoder and join millions of pieces at the end.
+    Each (m, n, a, feasible) row is filled into the report of its verdict
+    and the reports are written through json_array, _CHUNK_ROWS at a time,
+    so the document is never held whole; json.dumps with indent would run
+    the pure-Python encoder and join millions of pieces at the end.
     """
     yield '{\n  "schema": 1,\n  "max_m": %d,\n  "reports": ' % max_m
     yield from json_array(rows, _fill_feasible_reports, _CHUNK_ROWS)
@@ -124,10 +134,7 @@ def _feasible_json(max_m: int, rows):
 
 
 def _fill_feasible_reports(rows) -> list[str]:
-    return [
-        _FEASIBLE_REPORT % (m, f'"1/{m}"', "true", n, a, "true", _JSON_BOOL[ok], _JSON_BOOL[ok])
-        for m, n, a, ok in rows
-    ]
+    return [_FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in rows]
 
 
 def _print_chunks(chunks) -> None:
@@ -146,11 +153,13 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_chunks(_feasible_json(args.max_m, scan.rows()))
         return 0
-    # a cell never gets shorter as m grows, except yes/no, which never
-    # outgrows its header: the last row fixes every width
-    widths = _widths(_FEASIBLE_HEADERS, _feasible_cells(scan.rows(-1), []))
+    # a cell never gets shorter as m grows, and yes/no never outgrows its
+    # header: the last row fixes every width
+    last = [(m, f"1/{m}", n, a, f"{a}/{n}", *["yes"] * 5) for m, n, a, _ in scan.rows(-1)]
+    widths = _widths(_FEASIBLE_HEADERS, last)
     feasible_ms: list[int] = []
-    _write_table(_FEASIBLE_HEADERS, widths, _feasible_cells(scan.rows(), feasible_ms))
+    _write_table(_FEASIBLE_HEADERS, widths, ())
+    _print_chunks(_feasible_lines(scan.rows(), widths, feasible_ms))
     print(f"feasible m: {{{', '.join(map(str, feasible_ms))}}}")
     return 0
 

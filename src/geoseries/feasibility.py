@@ -4,9 +4,11 @@ A candidate ratio r admits a picture only if (i) the per-layer series is
 geometric in its own first term (the square condition), (ii) layer 1
 tessellates into an integral number of small triangles, and (iii) the
 colored count fits, 1 <= a < n.  Scanning r = 1/m shows the feasible set
-is exactly {m=2, m=3}; a brute-force scan over (n, a, r) pairs confirms
+is exactly {m=2, m=3}; a brute-force scan over (n, a, r) triples confirms
 it independently, including the r = 2/j (odd j) candidates that the
-integrality condition 2/r in N also allows.
+integrality condition 2/r in N also allows.  The scan solves each of its
+two linear conditions exactly per ratio, over the same ranges of n and a,
+so it finds what trying every n and a would find.
 """
 
 from __future__ import annotations
@@ -125,13 +127,16 @@ def enumerate_feasible(max_m: int) -> FeasibilityScan:
 def brute_force_scan(
     max_n: int = 200, max_m: int = 100, max_odd_j: int = 199
 ) -> list[tuple[int, int, Rational]]:
-    """Exhaustive oracle: test every (n, a, r) pair directly, no derivation.
+    """Exhaustive oracle: decide every (n, a, r) triple directly, no derivation.
 
     Candidate ratios are r = 1/m (m <= max_m) plus r = 2/j for odd
     j <= max_odd_j, the other family permitted by 2/r in N.  For each
-    ratio and each n <= max_n, n small triangles of area r^2 must fill
+    ratio, some n in [1, max_n] small triangles of area r^2 must fill
     layer 1 exactly, and some a in [1, n) must satisfy the square
-    condition.  Returns the surviving triples in scan order.
+    condition.  Each condition is linear in its unknown, so it is solved
+    exactly, one division per ratio, over these same ranges of n and a:
+    the same triples are found as by trying every n and a.  Returns the
+    surviving triples in scan order.
     """
     candidates = [Fraction(1, m) for m in range(2, max_m + 1)]
     candidates += [Fraction(2, j) for j in range(3, max_odd_j + 1, 2)]
@@ -139,11 +144,13 @@ def brute_force_scan(
     for r in candidates:
         num, den = r.numerator, r.denominator
         shrink_sq = (den - num) ** 2  # den^2 * (1-r)^2
-        layer1 = den * den - shrink_sq  # den^2 * (1-(1-r)^2)
-        for n in range(1, max_n + 1):
-            if n * num * num != layer1:  # layer-1 tessellation count must equal n
-                continue
-            for a in range(1, n):
-                if n * shrink_sq == a * layer1:  # square condition
-                    found.append((n, a, r))
+        layer1 = den * den - shrink_sq  # den^2 * (1-(1-r)^2), > 0 as 0 < r < 1
+        # layer-1 tessellation count: n * num^2 == layer1 holds for one n only
+        n, rest = divmod(layer1, num * num)
+        if rest or not 1 <= n <= max_n:
+            continue
+        # square condition: n * shrink_sq == a * layer1 holds for one a only
+        a, rest = divmod(n * shrink_sq, layer1)
+        if not rest and 1 <= a < n:
+            found.append((n, a, r))
     return found

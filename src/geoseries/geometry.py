@@ -438,13 +438,15 @@ def audit_scene(scene: Scene) -> AuditReport:
     denominator, checked exactly (see _equals); an area equal to its
     expectation is reported as that Fraction, so no passing sum is reduced.
     Never raises on mismatch: failures come back as a report with ok=False
-    and one message per broken equality.
+    and one message per broken equality.  A layers_rendered below 1 or too
+    deep for the ratio (see check_depth) raises ValueError, as a scene file
+    holding it does.
     """
     echo = scene.params_echo
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     if scene.construction_kind == "layered":
-        r = parse(echo["r"])
+        r = ratio = parse(echo["r"])
         p = _layered_params(r)
         colored = min(p.a, p.n)
         basis = f"r = {fmt(r)}"
@@ -453,18 +455,19 @@ def audit_scene(scene: Scene) -> AuditReport:
         want_colored, want_total = colored * triangle_area(p, 1), layer_area(p, 1)
         x = (ONE - r) ** 2
         figure = ONE
-        outline = _master_triangle("layered", r)
     elif scene.construction_kind == "staircase":
-        q = StaircaseParams(s=parse(echo["s"]))
+        ratio = parse(echo["s"])
+        q = StaircaseParams(s=ratio)
         basis = f"s = {fmt(q.s)}"
         derived = {"r": q.ratio}
         want_count, want_colored_count = 2, 1
         want_colored, want_total = staircase_piece_area(q, 1), staircase_layer_area(q, 1)
         x = q.ratio
         figure = staircase_total_area(q)
-        outline = _master_triangle("staircase", q.s)
     else:
         raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
+    outline = _master_triangle(scene.construction_kind, ratio)
+    check_depth(scene.layers_rendered, ratio, "layers_rendered")
 
     mismatches = [
         f"params.{key}: echoed {echo[key]} != {fmt(want)} derived from {basis}"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geoseries.construction import LayeredParams
 from geoseries.feasibility import (
@@ -159,3 +161,47 @@ def test_brute_force_scan_agrees_with_closed_form_enumeration():
         if rep.feasible
     }
     assert from_scan == from_formula
+
+
+def literal_brute_force_scan(max_n=200, max_m=100, max_odd_j=199):
+    """brute_force_scan as it was written first: every n in [1, max_n] and
+    every a in [1, n) tried in turn, the reference it must agree with."""
+    candidates = [Fraction(1, m) for m in range(2, max_m + 1)]
+    candidates += [Fraction(2, j) for j in range(3, max_odd_j + 1, 2)]
+    found = []
+    for r in candidates:
+        num, den = r.numerator, r.denominator
+        shrink_sq = (den - num) ** 2
+        layer1 = den * den - shrink_sq
+        for n in range(1, max_n + 1):
+            if n * num * num != layer1:
+                continue
+            for a in range(1, n):
+                if n * shrink_sq == a * layer1:
+                    found.append((n, a, r))
+    return found
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [(), (2000, 1000, 1999)],  # the defaults, and the benchmark's oracle call
+    ids=["default", "benchmark"],
+)
+def test_brute_force_scan_equals_the_literal_scan(ranges):
+    assert brute_force_scan(*ranges) == literal_brute_force_scan(*ranges)
+
+
+@given(
+    max_n=st.integers(-2, 60),
+    max_m=st.integers(-2, 40),
+    max_odd_j=st.integers(-2, 81),
+)
+@example(max_n=3, max_m=2, max_odd_j=1)  # max_n at Mabry's n, no r = 2/j
+@example(max_n=5, max_m=3, max_odd_j=3)  # max_n at Edgar's n
+@example(max_n=2, max_m=100, max_odd_j=199)  # max_n below every picture's n
+@example(max_n=200, max_m=1, max_odd_j=199)  # no r = 1/m
+@example(max_n=4, max_m=3, max_odd_j=2)  # Mabry only
+def test_brute_force_scan_equals_the_literal_scan_on_small_ranges(max_n, max_m, max_odd_j):
+    assert brute_force_scan(max_n, max_m, max_odd_j) == literal_brute_force_scan(
+        max_n, max_m, max_odd_j
+    )

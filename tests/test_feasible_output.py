@@ -201,3 +201,43 @@ def test_benchmark_scale_output_is_pinned(monkeypatch, fmt_name):
     monkeypatch.setattr("sys.stdout", writer)
     assert main(["feasible", "--max-m", "200000", "--format", fmt_name]) == 0
     assert writer.digest.hexdigest() == PINNED_200000[fmt_name]
+
+
+class PatchedScan:
+    """enumerate_feasible's scan with the rows of some m replaced."""
+
+    def __init__(self, max_m, patch):
+        self.scan, self.patch = enumerate_feasible(max_m), patch
+
+    def rows(self, start=0):
+        return (self.patch.get(row[0], row) for row in self.scan.rows(start))
+
+
+# m = 7 marked feasible, its a < n still false; m = 5 given a = 1 < n,
+# its verdict still false: a writer that decides either cell itself fails
+PATCH = {7: (7, 13, 36, True), 5: (5, 9, 1, False)}
+
+
+def patched_reports(max_m):
+    return [
+        feasibility.FeasibilityReport(m, Fraction(1, m), True, n, a, True, ok, ok)
+        for m, n, a, ok in PatchedScan(max_m, PATCH).rows()
+    ]
+
+
+@pytest.mark.parametrize("max_m", [7, 10, 1001])
+def test_writers_follow_the_scan(capsys, monkeypatch, max_m):
+    monkeypatch.setattr("geoseries.cli.enumerate_feasible", lambda m: PatchedScan(m, PATCH))
+    table = feasible_stdout(capsys, max_m, "table")
+    assert table == reference_table(patched_reports(max_m))
+    lines = table.splitlines()
+    assert lines[-1] == "feasible m: {2, 3, 7}"
+    # under the header and the rule, line m holds the row of m:
+    # m, r, n, a, sum, integral, square, bound, a<n, feasible
+    assert lines[7].split() == ["7", "1/7", "13", "36", "36/13", *"yes yes yes no yes".split()]
+    assert lines[5].split() == ["5", "1/5", "9", "1", "1/9", *"yes yes no yes no".split()]
+    text = feasible_stdout(capsys, max_m, "json")
+    assert text == reference_json(max_m, patched_reports(max_m))
+    reports = {r["candidate_m"]: r for r in json.loads(text)["reports"]}
+    assert reports[7]["passes_bound"] is reports[7]["feasible"] is True
+    assert reports[5]["passes_bound"] is reports[5]["feasible"] is False

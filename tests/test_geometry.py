@@ -334,6 +334,36 @@ class TestAudit:
         with pytest.raises(ValueError, match=f"^{message}$"):
             audit_scene(scene)
 
+    @pytest.mark.parametrize(
+        "build, layers, message",
+        [
+            (lambda: build_layered_scene(EDGAR, 3), 0, "layers_rendered must be >= 1, got 0"),
+            (
+                lambda: build_layered_scene(EDGAR, 3),
+                3000,
+                "layers_rendered 3000 is too deep for a ratio with a 2-bit denominator",
+            ),
+            (
+                lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3),
+                0,
+                "layers_rendered must be >= 1, got 0",
+            ),
+            (
+                lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3),
+                1366,
+                "layers_rendered 1366 is too deep for a ratio with a 3-bit denominator",
+            ),
+        ],
+        ids=["layered-0", "layered-3000", "staircase-0", "staircase-1366"],
+    )
+    def test_layer_count_out_of_range_raises(self, build, layers, message):
+        # the outline alone: with no layer to audit, a count of 0 would pass as
+        # a proof, and one of 3000 would report 9001 mismatches
+        scene = build()
+        scene = replace(scene, polygons=scene.polygons[:1], layers_rendered=layers)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            audit_scene(scene)
+
     def test_tampered_scene_yields_structured_mismatch(self):
         scene = build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2)
         doc = scene_to_json(scene)
