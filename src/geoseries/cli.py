@@ -23,7 +23,7 @@ from .geometry import (
     report_json_chunks,
     scene_from_json,
     scene_json_chunks,
-    scene_to_json,  # noqa: F401  the library's scene writer, looked up here by perfbench's traced pass
+    scene_to_json,  # noqa: F401  the library's scene dict, looked up here by perfbench's traced pass
 )
 from .rational import MAX_DENOMINATOR_BITS, Rational, check_depth, fmt, parse
 from .render import RenderOptions, render
@@ -74,17 +74,15 @@ def _widths(headers, rows) -> list[int]:
 def _write_table(headers, widths, rows) -> None:
     """Print the headers, a dash rule and every row, each cell left-justified to its width.
 
-    rows is any iterable of tuples of str or int cells; it is consumed in
-    chunks, each written at once from one %-format line, so a long table
-    is never held whole.
+    rows holds tuples of str or int cells, at most 2048 of them (check_depth's
+    cap on layers and terms; feasible writes its rows itself and passes
+    none), written at once from one %-format line.
     """
     line = "  ".join(f"%-{w}s" for w in widths)
     write = sys.stdout.write
     write((line % tuple(headers)).rstrip() + "\n")
     write("  ".join("-" * w for w in widths) + "\n")
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        write("".join([(line % row).rstrip() + "\n" for row in chunk]))
+    write("".join([(line % row).rstrip() + "\n" for row in rows]))
 
 
 def _feasible_lines(rows, widths, feasible_ms: list[int]):

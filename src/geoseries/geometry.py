@@ -27,11 +27,12 @@ Polygon are made from Fractions and give them back (.x, .y, .vertices,
 .area, made on first use), == compares rational values, and a scene
 file holds each coordinate reduced to its canonical "p/q".
 
-scene_to_json gives a scene file as a dict, the library's form.  The CLI
-writes scene files and audit reports with scene_json_chunks and
-report_json_chunks instead: they fill %-templates item by item and yield
+Scene files and audit reports have one writer each, scene_json_chunks
+and report_json_chunks: they fill %-templates item by item and yield
 the text json.dumps(doc, indent=2) + "\n" would give, in pieces, through
 json_array, so neither the document nor its whole text is ever built.
+The library's dict forms, scene_to_json and AuditReport.as_dict, parse
+that text.
 """
 
 from __future__ import annotations
@@ -346,19 +347,6 @@ class LayerAudit:
     expected_total_area: Rational
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "layer": self.layer_index,
-            "polygons": self.polygon_count,
-            "colored": self.colored_count,
-            "colored_area": fmt(self.colored_area),
-            "layer_area": fmt(self.total_area),
-            "colored_fraction": fmt(self.colored_fraction),
-            "expected_colored_area": fmt(self.expected_colored_area),
-            "expected_layer_area": fmt(self.expected_total_area),
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -374,17 +362,8 @@ class AuditReport:
     mismatches: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "construction": self.construction_kind,
-            "params": dict(self.params),
-            "layers": [layer.as_dict() for layer in self.layers],
-            "tiled_area": fmt(self.tiled_area),
-            "apex_remainder": fmt(self.apex_remainder),
-            "figure_area": fmt(self.figure_area),
-            "check": "pass" if self.ok else "fail",
-            "mismatches": list(self.mismatches),
-        }
+        """The `verify --format json` document, parsed from report_json_chunks."""
+        return json.loads("".join(report_json_chunks(self)))
 
 
 def _area_sums(polygons) -> tuple[int, int, int, int]:
@@ -554,35 +533,9 @@ def audit_scene(scene: Scene) -> AuditReport:
 
 
 def scene_to_json(scene: Scene) -> dict:
-    """JSON-ready document; every coordinate is a canonical "p/q" string.
-
-    A layer's polygons share their coordinate lines, so each distinct
-    numerator and denominator pair is reduced and printed once.
-    """
-    text = functools.lru_cache(maxsize=None)(fmt_parts)
-
-    def label(pt: Point, label_text: str) -> dict:
-        xn, yn, d = point_numerators(pt)
-        return {"x": text(xn, d), "y": text(yn, d), "text": label_text}
-
-    return {
-        "schema": 1,
-        "construction_kind": scene.construction_kind,
-        "params": dict(scene.params_echo),
-        "layers_rendered": scene.layers_rendered,
-        "polygons": [
-            {
-                "vertices": [
-                    [text(x, poly.den), text(y, poly.den)] for x, y in zip(poly.xs, poly.ys)
-                ],
-                "role": poly.role,
-                "layer_index": poly.layer_index,
-                "label": None,
-            }
-            for poly in scene.polygons
-        ],
-        "labels": [label(pt, label_text) for pt, label_text in scene.labels],
-    }
+    """The scene file of `render --emit-scene`, parsed from scene_json_chunks;
+    every coordinate is a canonical "p/q" string."""
+    return json.loads("".join(scene_json_chunks(scene)))
 
 
 def json_array(rows, fill, chunk: int):
@@ -624,7 +577,7 @@ _LABEL_JSON = '    {\n      "x": "%s",\n      "y": "%s",\n      "text": %s\n    
 
 @functools.lru_cache(maxsize=None)
 def _polygon_json(vertex_count: int) -> str:
-    """The %-template of a polygon of scene_to_json with vertex_count vertices:
+    """The %-template of a scene file's polygon with vertex_count vertices:
     x and y of each vertex, then role and layer_index."""
     vertex = '        [\n          "%s",\n          "%s"\n        ]'
     return (
@@ -634,8 +587,9 @@ def _polygon_json(vertex_count: int) -> str:
 
 
 def scene_json_chunks(scene: Scene):
-    """json.dumps(scene_to_json(scene), indent=2) + "\n", in pieces of _JSON_CHUNK
-    polygons; neither the document nor its whole text is built.
+    """The scene file of scene, laid out as json.dumps(doc, indent=2) + "\n", in
+    pieces of _JSON_CHUNK polygons; neither the document nor its whole text
+    is built.
 
     The polygons of a built layer share one denominator and their
     coordinate lines, so each distinct numerator is reduced and printed
@@ -696,7 +650,8 @@ _REPORT_AREAS = (
 
 
 def report_json_chunks(report: AuditReport):
-    """json.dumps(report.as_dict(), indent=2) + "\n", in pieces of _JSON_CHUNK layers.
+    """The `verify --format json` document of report, laid out as
+    json.dumps(doc, indent=2) + "\n", in pieces of _JSON_CHUNK layers.
 
     A passing layer's area is the very Fraction of its expectation, and
     every passing layer shares one colored fraction, so each piece formats

@@ -153,6 +153,15 @@ def test_brute_force_scan_finds_exactly_the_two_pictures():
     ]
 
 
+def test_brute_force_scan_finds_only_the_two_pictures_on_100x_the_default_range():
+    # n <= 10^4, r = 1/m for m <= 10^4 and r = 2/j for odd j < 2 x 10^4:
+    # about 2 x 10^4 ratios, each solved in one or two divisions
+    assert brute_force_scan(10**4, 10**4, 2 * 10**4 - 1) == [
+        (3, 1, Fraction(1, 2)),
+        (5, 4, Fraction(1, 3)),
+    ]
+
+
 def test_brute_force_scan_agrees_with_closed_form_enumeration():
     from_scan = {(n, a, r) for n, a, r in brute_force_scan()}
     from_formula = {

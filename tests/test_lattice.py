@@ -3,7 +3,10 @@
 The builders, the reader and the audit work on plain integers.  The
 reference below is the earlier Fraction builder and a Fraction audit that
 evaluates the area formulas at every layer, kept here so that the integer
-code must give the same vertices, labels, areas and audit reports.
+code must give the same vertices, labels, areas and audit reports.  The
+earlier dict builders of a scene file and an audit report are kept too:
+the streamed writers must give their json.dumps(indent=2) text, and the
+library's dict forms, parsed from that text, must equal them.
 """
 
 import json
@@ -32,12 +35,13 @@ from geoseries.geometry import (
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
+    point_numerators,
     report_json_chunks,
     scene_from_json,
     scene_json_chunks,
     scene_to_json,
 )
-from geoseries.rational import fmt
+from geoseries.rational import fmt, fmt_parts
 
 ONE, ZERO = Fraction(1), Fraction(0)
 
@@ -245,6 +249,67 @@ def test_scene_round_trips_through_json_even_when_unreduced(scene, factors):
     assert audit_scene(read) == audit_scene(scene)
 
 
+def reference_scene_doc(scene):
+    """The scene file of scene as a dict, built key by key."""
+
+    def label(pt, text):
+        xn, yn, d = point_numerators(pt)
+        return {"x": fmt_parts(xn, d), "y": fmt_parts(yn, d), "text": text}
+
+    return {
+        "schema": 1,
+        "construction_kind": scene.construction_kind,
+        "params": dict(scene.params_echo),
+        "layers_rendered": scene.layers_rendered,
+        "polygons": [
+            {
+                "vertices": [
+                    [fmt_parts(x, poly.den), fmt_parts(y, poly.den)]
+                    for x, y in zip(poly.xs, poly.ys)
+                ],
+                "role": poly.role,
+                "layer_index": poly.layer_index,
+                "label": None,
+            }
+            for poly in scene.polygons
+        ],
+        "labels": [label(pt, text) for pt, text in scene.labels],
+    }
+
+
+def reference_report_doc(report):
+    """The `verify --format json` document of report as a dict, built key by key."""
+    return {
+        "schema": 1,
+        "construction": report.construction_kind,
+        "params": dict(report.params),
+        "layers": [
+            {
+                "layer": layer.layer_index,
+                "polygons": layer.polygon_count,
+                "colored": layer.colored_count,
+                "colored_area": fmt(layer.colored_area),
+                "layer_area": fmt(layer.total_area),
+                "colored_fraction": fmt(layer.colored_fraction),
+                "expected_colored_area": fmt(layer.expected_colored_area),
+                "expected_layer_area": fmt(layer.expected_total_area),
+                "ok": layer.ok,
+            }
+            for layer in report.layers
+        ],
+        "tiled_area": fmt(report.tiled_area),
+        "apex_remainder": fmt(report.apex_remainder),
+        "figure_area": fmt(report.figure_area),
+        "check": "pass" if report.ok else "fail",
+        "mismatches": list(report.mismatches),
+    }
+
+
+def encoded(doc):
+    """doc as json.dumps(indent=2) lays it out, with the trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 STREAMED_SCENES = st.one_of(
     st.builds(
         lambda q, p, layers: build_staircase_scene(StaircaseParams(Fraction(p % q or 1, q)), layers),
@@ -259,10 +324,11 @@ STREAMED_SCENES = st.one_of(
 
 @given(STREAMED_SCENES)
 def test_streamed_json_matches_the_indented_encoder(scene):
-    text = "".join(scene_json_chunks(scene))
-    assert text == json.dumps(scene_to_json(scene), indent=2) + "\n"
+    assert "".join(scene_json_chunks(scene)) == encoded(reference_scene_doc(scene))
+    assert scene_to_json(scene) == reference_scene_doc(scene)
     report = audit_scene(scene)
-    assert "".join(report_json_chunks(report)) == json.dumps(report.as_dict(), indent=2) + "\n"
+    assert "".join(report_json_chunks(report)) == encoded(reference_report_doc(report))
+    assert report.as_dict() == reference_report_doc(report)
 
 
 def test_streamed_json_with_empty_params_matches_the_indented_encoder():
@@ -270,9 +336,36 @@ def test_streamed_json_with_empty_params_matches_the_indented_encoder():
     report = replace(audit_scene(scene), params={})
     scene = replace(scene, params_echo={})
     text = "".join(scene_json_chunks(scene))
-    assert text == json.dumps(scene_to_json(scene), indent=2) + "\n"
+    assert text == encoded(reference_scene_doc(scene))
     assert '"params": {},' in text
-    assert "".join(report_json_chunks(report)) == json.dumps(report.as_dict(), indent=2) + "\n"
+    assert "".join(report_json_chunks(report)) == encoded(reference_report_doc(report))
+
+
+def tampered_staircase():
+    """s = 3/5, L = 3 with layer 1's colored piece 11 times as tall, params.r wrong and a
+    param holding a quote, a backslash, a non-ASCII letter and a control character."""
+    scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)
+    polygons = list(scene.polygons)
+    (r, w, top) = polygons[1].vertices
+    polygons[1] = Polygon((r, w, Point(top.x, top.y * 11)), ROLE_COLORED, 1)
+    params = {**scene.params_echo, "r": "1/5", "note": 'q"b\\e\u00e9c\x01'}
+    return replace(scene, polygons=tuple(polygons), params_echo=params)
+
+
+def test_dict_forms_equal_the_reference_builders():
+    tampered = tampered_staircase()
+    report = audit_scene(tampered)
+    assert [layer.ok for layer in report.layers] == [False, True, True]
+    assert [m.split(":")[0] for m in report.mismatches] == [
+        "params.r", "layer 1", "layer 1", "tiling",
+    ]
+    for scene in (build_layered_scene(derive_config(4), 3), tampered):  # clamped m = 4
+        doc = scene_to_json(scene)
+        assert doc == reference_scene_doc(scene)
+        assert list(doc) == list(reference_scene_doc(scene))  # key order too
+        report = audit_scene(scene)
+        assert report.as_dict() == reference_report_doc(report)
+        assert list(report.as_dict()) == list(reference_report_doc(report))
 
 
 def test_layer_with_different_denominators_is_audited_exactly():

@@ -1,5 +1,7 @@
-"""The README's CLI examples run as written, and it states every cap the code uses."""
+"""The README's CLI examples run as written, it states every cap the code uses, and it
+names every key of each JSON document the CLI writes."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +47,50 @@ def test_readme_states_every_cap_the_code_uses():
     ]:
         number = re.compile(rf"(?<![\d.]){value}(?!\d)")
         assert any(word in p and number.search(p) for p in paragraphs), (word, value)
+
+
+def _object_keys(value):
+    """Every key of every object in a parsed JSON document, not counting the
+    keys of a params object, which are the construction's, not the layout's."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            if key != "params":
+                yield from _object_keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _object_keys(item)
+
+
+def test_readme_names_every_key_of_each_json_document(tmp_path, monkeypatch, capsys):
+    """The templates in src/ and README's "JSON formats" are the two copies of each
+    layout: every key a document holds is named in that document's README bullet."""
+    text = README.read_text()
+    section = text[text.index("\n## JSON formats\n") :]
+    section = section[: section.index("\n## ", 1)]
+    bullets = re.split(r"\n(?=- )", section)
+
+    def bullet(start):
+        (found,) = [b for b in bullets if b.startswith(start)]
+        return found
+
+    monkeypatch.chdir(tmp_path)
+    documents = {}
+    for start, argv in [
+        ("- `feasible --format json`", ["feasible", "--max-m", "4", "--format", "json"]),
+        ("- `verify --format json`",
+         ["verify", "--construction", "staircase", "--s", "1/2", "--layers", "2", "--format", "json"]),
+    ]:
+        assert main(argv) == 0
+        documents[start] = json.loads(capsys.readouterr().out)
+    argv = ["render", "--construction", "layered", "--m", "3", "--layers", "2", "--out", "pic.svg",
+            "--emit-scene"]
+    assert main(argv) == 0
+    documents["- scene files (`--emit-scene`)"] = json.loads((tmp_path / "pic.json").read_text())
+    for start, doc in documents.items():
+        described = bullet(start)
+        keys = set(_object_keys(doc))
+        assert len(keys) > 5, start
+        for key in keys:
+            name = "expected_*" if key.startswith("expected_") else key
+            assert re.search(rf"(?<![\w*]){re.escape(name)}(?![\w*])", described), (start, key)
