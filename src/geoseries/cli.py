@@ -15,11 +15,14 @@ from itertools import islice
 from .construction import StaircaseParams
 from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
 from .geometry import (
+    ARRAY,
+    FILL,
     MAX_POLYGONS,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
     json_array,
+    json_template,
     report_json_chunks,
     scene_from_json,
     scene_json_chunks,
@@ -61,7 +64,6 @@ _CONSTRUCTIONS = ("layered", "staircase")
 _DEFAULT_LAYERS = 4
 
 _YES = ("no", "yes")
-_JSON_BOOL = ("false", "true")
 
 _FEASIBLE_HEADERS = ("m", "r", "n", "a", "sum", "integral", "square", "bound", "a<n", "feasible")
 
@@ -106,16 +108,12 @@ def _feasible_lines(rows, widths, feasible_ms: list[int]):
         yield "".join([templates[ok, a < n] % (m, m, n, a, f"{a}/{n}") for m, n, a, ok in chunk])
 
 
-# one report of `feasible --format json`; _FEASIBLE_REPORTS[feasible] is the
-# report of a row with that verdict, to be filled with (m, m, n, a)
-_FEASIBLE_REPORT = (
-    "    {\n"
-    + ",\n".join(f"      {json.dumps(name)}: %s" for name in FeasibilityReport._fields)
-    + "\n    }"
-)
-_FEASIBLE_REPORTS = tuple(
-    _FEASIBLE_REPORT % ("%d", '"1/%d"', "true", "%d", "%d", "true", ok, ok) for ok in _JSON_BOOL
-)
+# `feasible --format json` around its reports; _FEASIBLE_REPORTS[feasible] is
+# the report of a row with that verdict, to be filled with (m, m, n, a)
+_FEASIBLE_HEAD, _FEASIBLE_TAIL = json_template({"schema": 1, "max_m": FILL, "reports": ARRAY})
+_FEASIBLE_REPORTS = tuple(json_template(
+    dict(zip(FeasibilityReport._fields, (FILL, "1/%s", True, FILL, FILL, True, ok, ok))), 2
+) for ok in (False, True))
 
 
 def _feasible_json(max_m: int, rows):
@@ -126,9 +124,9 @@ def _feasible_json(max_m: int, rows):
     so the document is never held whole; json.dumps with indent would run
     the pure-Python encoder and join millions of pieces at the end.
     """
-    yield '{\n  "schema": 1,\n  "max_m": %d,\n  "reports": ' % max_m
+    yield _FEASIBLE_HEAD % max_m
     yield from json_array(rows, _fill_feasible_reports, _CHUNK_ROWS)
-    yield "\n}\n"
+    yield _FEASIBLE_TAIL
 
 
 def _fill_feasible_reports(rows) -> list[str]:

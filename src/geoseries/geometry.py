@@ -31,6 +31,9 @@ Scene files and audit reports have one writer each, scene_json_chunks
 and report_json_chunks: they fill %-templates item by item and yield
 the text json.dumps(doc, indent=2) + "\n" would give, in pieces, through
 json_array, so neither the document nor its whole text is ever built.
+Every template is made once, by json_template, from json.dumps of a
+prototype document, so its layout is the encoder's; free text (params,
+label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
 """
@@ -268,8 +271,9 @@ def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, x
 
 
 def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
-    """Tessellated layered picture for r = 1/m, n = 2m-1.
+    """Tessellated layered picture for r = 1/m, n = 2m-1, a = (m-1)^2.
 
+    p must be derive_config(m), as the audit derives it from r alone.
     Each layer colors min(a, n) of its n triangles: an infeasible m has
     a = (m-1)^2 >= n, so its picture is the clamped one with every
     triangle colored.  The count is echoed as colored_per_layer.
@@ -279,8 +283,12 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
             f"layered tessellation requires a unit fraction r, got r = {fmt(p.r)}"
         )
     m = p.r.denominator
-    if p.n != 2 * m - 1:
-        raise ValueError(f"r = 1/{m} forces n = {2 * m - 1} triangles per layer, got n = {p.n}")
+    want = derive_config(m)
+    if p != want:
+        raise ValueError(
+            f"r = 1/{m} forces n = {want.n} triangles per layer and a = {want.a} colored, "
+            f"got n = {p.n}, a = {p.a}"
+        )
     colored = min(p.a, p.n)
     shrink = ONE - p.r
     # coloring order: m-1 downward triangles left to right, then m upward;
@@ -417,15 +425,15 @@ def audit_scene(scene: Scene) -> AuditReport:
     denominator, checked exactly (see _equals); an area equal to its
     expectation is reported as that Fraction, so no passing sum is reduced.
     Never raises on mismatch: failures come back as a report with ok=False
-    and one message per broken equality.  A layers_rendered below 1 or too
-    deep for the ratio (see check_depth) raises ValueError, as a scene file
-    holding it does.
+    and one message per broken equality.  A missing ratio, or a
+    layers_rendered below 1 or too deep for the ratio (see check_depth),
+    raises ValueError, as a scene file holding it does.
     """
     echo = scene.params_echo
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     if scene.construction_kind == "layered":
-        r = ratio = parse(echo["r"])
+        r = ratio = parse(_member(echo, "r", str, "params"))
         p = _layered_params(r)
         colored = min(p.a, p.n)
         basis = f"r = {fmt(r)}"
@@ -435,7 +443,7 @@ def audit_scene(scene: Scene) -> AuditReport:
         x = (ONE - r) ** 2
         figure = ONE
     elif scene.construction_kind == "staircase":
-        ratio = parse(echo["s"])
+        ratio = parse(_member(echo, "s", str, "params"))
         q = StaircaseParams(s=ratio)
         basis = f"s = {fmt(q.s)}"
         derived = {"r": q.ratio}
@@ -555,35 +563,37 @@ def json_array(rows, fill, chunk: int):
     yield "[]" if lead == "[\n" else "\n  ]"
 
 
-def _params_json(params: dict) -> str:
-    """params as a member of a top-level object laid out by json.dumps(indent=2),
-    each key and value encoded by json.dumps."""
-    if not params:
-        return "{}"
-    items = [f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in params.items()]
-    return "{\n" + ",\n".join(items) + "\n  }"
-
-
 # polygons or audited layers per piece of streamed JSON: at the depth cap a
 # piece of polygons is under a MiB of text
 _JSON_CHUNK = 64
+FILL, ARRAY = "\x00", "\x01"  # json_template's holes: a bare value, an array json_array writes
 
-_SCENE_HEAD = (
-    '{\n  "schema": 1,\n  "construction_kind": %s,\n  "params": %s,\n'
-    '  "layers_rendered": %d,\n  "polygons": '
-)
-_LABEL_JSON = '    {\n      "x": "%s",\n      "y": "%s",\n      "text": %s\n    }'
+
+def _dumps(doc, depth: int) -> str:
+    """json.dumps(doc, indent=2), as a value `depth` levels down in a document."""
+    return json.dumps(doc, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def json_template(doc, depth: int = 0):
+    """The %-template of the program's own prototype doc, laid out by json.dumps(doc, indent=2)
+    with each FILL value a bare %s and "%s" strings quoted holes: an array item `depth` levels
+    down, or at depth 0 a document with its newline, split around each ARRAY member."""
+    text = ("  " * depth + _dumps(doc, depth)).replace(json.dumps(FILL), "%s")
+    return text if depth else (text + "\n").split(json.dumps(ARRAY))
+
+
+_SCENE_HEAD, _SCENE_LABELS, _SCENE_TAIL = json_template({
+    "schema": 1, "construction_kind": FILL, "params": FILL, "layers_rendered": FILL,
+    "polygons": ARRAY, "labels": ARRAY})
+_LABEL_JSON = json_template({"x": "%s", "y": "%s", "text": FILL}, 2)
 
 
 @functools.lru_cache(maxsize=None)
 def _polygon_json(vertex_count: int) -> str:
     """The %-template of a scene file's polygon with vertex_count vertices:
     x and y of each vertex, then role and layer_index."""
-    vertex = '        [\n          "%s",\n          "%s"\n        ]'
-    return (
-        '    {\n      "vertices": [\n' + ",\n".join([vertex] * vertex_count)
-        + '\n      ],\n      "role": "%s",\n      "layer_index": %s,\n      "label": null\n    }'
-    )
+    return json_template({"vertices": [["%s", "%s"]] * vertex_count, "role": "%s",
+                          "layer_index": FILL, "label": None}, 2)
 
 
 def scene_json_chunks(scene: Scene):
@@ -597,7 +607,7 @@ def scene_json_chunks(scene: Scene):
     layer's text at most.
     """
     yield _SCENE_HEAD % (
-        json.dumps(scene.construction_kind), _params_json(scene.params_echo),
+        json.dumps(scene.construction_kind), _dumps(scene.params_echo, 1),
         scene.layers_rendered,
     )
     memo: dict[int, str] = {}
@@ -623,7 +633,7 @@ def scene_json_chunks(scene: Scene):
         return items
 
     yield from json_array(scene.polygons, fill, _JSON_CHUNK)
-    yield ',\n  "labels": '
+    yield _SCENE_LABELS
 
     def fill_labels(labels) -> list[str]:
         items = []
@@ -633,20 +643,17 @@ def scene_json_chunks(scene: Scene):
         return items
 
     yield from json_array(scene.labels, fill_labels, _JSON_CHUNK)
-    yield "\n}\n"
+    yield _SCENE_TAIL
 
 
-_REPORT_HEAD = '{\n  "schema": 1,\n  "construction": %s,\n  "params": %s,\n  "layers": '
-_LAYER_JSON = (
-    '    {\n      "layer": %d,\n      "polygons": %d,\n      "colored": %d,\n'
-    '      "colored_area": "%s",\n      "layer_area": "%s",\n      "colored_fraction": "%s",\n'
-    '      "expected_colored_area": "%s",\n      "expected_layer_area": "%s",\n'
-    '      "ok": %s\n    }'
-)
-_REPORT_AREAS = (
-    ',\n  "tiled_area": "%s",\n  "apex_remainder": "%s",\n  "figure_area": "%s",\n'
-    '  "check": "%s",\n  "mismatches": '
-)
+_REPORT_HEAD, _REPORT_AREAS, _REPORT_TAIL = json_template({
+    "schema": 1, "construction": FILL, "params": FILL, "layers": ARRAY, "tiled_area": "%s",
+    "apex_remainder": "%s", "figure_area": "%s", "check": "%s", "mismatches": ARRAY})
+_LAYER_JSON = json_template({
+    "layer": FILL, "polygons": FILL, "colored": FILL, "colored_area": "%s",
+    "layer_area": "%s", "colored_fraction": "%s", "expected_colored_area": "%s",
+    "expected_layer_area": "%s", "ok": FILL}, 2)
+_MISMATCH_JSON = json_template(FILL, 2)
 
 
 def report_json_chunks(report: AuditReport):
@@ -658,7 +665,7 @@ def report_json_chunks(report: AuditReport):
     each distinct object once, looked up by identity: hashing a big
     Fraction costs more than formatting it.
     """
-    yield _REPORT_HEAD % (json.dumps(report.construction_kind), _params_json(report.params))
+    yield _REPORT_HEAD % (json.dumps(report.construction_kind), _dumps(report.params, 1))
 
     def fill(layers) -> list[str]:
         memo: dict[int, str] = {}
@@ -683,9 +690,9 @@ def report_json_chunks(report: AuditReport):
         "pass" if report.ok else "fail",
     )
     yield from json_array(
-        report.mismatches, lambda part: ["    " + json.dumps(m) for m in part], _JSON_CHUNK
+        report.mismatches, lambda part: [_MISMATCH_JSON % json.dumps(m) for m in part], _JSON_CHUNK
     )
-    yield "\n}\n"
+    yield _REPORT_TAIL
 
 
 # the ratio the audit reads back, per construction kind; its denominator
@@ -787,7 +794,7 @@ def scene_from_json(doc) -> Scene:
     than 3 x MAX_POLYGONS vertices in all, is refused before anything is read.
 
     Anything malformed raises ValueError naming where, e.g.
-    ``polygons[3].vertices[1]: invalid literal for int() ...``.
+    ``polygons[3].vertices[1]: invalid literal for a "p/q" rational: ...``.
     """
     _typed(doc, dict, "scene")
     _check_counts(doc)

@@ -12,6 +12,7 @@ parse_parts and fmt_parts read and write "p/q" without a Fraction.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 Rational = Fraction
@@ -20,17 +21,24 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# "p/q" or a bare integer: an optional "-" and ASCII digits, then "/" and ASCII digits
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_parts(text: str) -> tuple[int, int]:
-    """(p, q) of "p/q" (q > 0) or of a bare integer (q = 1), not reduced: "2/4" is (2, 4)."""
-    s = text.strip()
-    if "/" in s:
-        num_text, den_text = s.split("/", 1)
-        num = int(num_text)
-        den = int(den_text)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return num, den
-    return int(s), 1
+    """(p, q) of "p/q" (q > 0) or of a bare integer (q = 1), not reduced: "2/4" is (2, 4).
+
+    Outer whitespace is stripped.  Unlike int(), it refuses a "+", a "_",
+    inner whitespace and non-ASCII digits.
+    """
+    match = _RATIONAL_TEXT.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f'invalid literal for a "p/q" rational: {text!r:.40}')
+    num_text, den_text = match.groups()
+    den = 1 if den_text is None else int(den_text)
+    if den == 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return int(num_text), den
 
 
 def parse(text: str) -> Rational:

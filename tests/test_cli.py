@@ -145,6 +145,14 @@ class TestTable:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("s", ["\u0663/\u0665", "3_0/5_0", " 3 / 5 ", "+3/5"])
+    def test_s_outside_the_p_q_grammar_is_usage_error(self, capsys, s):
+        # int() reads each part of these, so each once audited as s = 3/5
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--construction", "staircase", "--s", s])
+        assert exc.value.code == 2
+        assert 'argument --s: invalid literal for a "p/q" rational' in capsys.readouterr().err
+
     def test_staircase_json_reports_colored_fraction(self, capsys):
         code, out, _ = run(
             capsys,
@@ -944,7 +952,8 @@ def test_scene_file_has_the_canonical_layout(capsys, tmp_path, scene_args):
 
 def test_import_loads_no_xml_or_network_modules():
     """`import geoseries.cli` in a fresh interpreter, without site: no module of
-    xml, urllib, http, email or ssl is loaded by it."""
+    xml, urllib, http, email or ssl is loaded by it, and every module it loads is
+    geoseries' own or the standard library's."""
     src = str(Path(geoseries.__file__).resolve().parent.parent)
     code = (
         "import json, sys\n"
@@ -959,3 +968,6 @@ def test_import_loads_no_xml_or_network_modules():
     loaded = json.loads(done.stdout)
     assert "geoseries.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("xml", "urllib", "http", "email", "ssl")] == []
+    # stdlib-only at run time: a third-party package that happens to be importable is not loaded
+    top = {m.split(".")[0] for m in loaded}
+    assert sorted(top - {"geoseries"} - sys.stdlib_module_names) == []

@@ -154,6 +154,12 @@ class TestLayeredScene:
         with pytest.raises(ValueError):
             build_layered_scene(LayeredParams(4, 1, Fraction(1, 2)), 1)
 
+    def test_rejects_the_a_its_audit_would_reject(self):
+        # r = 1/2 forces a = 1: a = 2 would build a picture that audit_scene fails
+        message = r"^r = 1/2 forces n = 3 triangles per layer and a = 1 colored, got n = 3, a = 2$"
+        with pytest.raises(ValueError, match=message):
+            build_layered_scene(LayeredParams(3, 2, Fraction(1, 2)), 2)
+
     @pytest.mark.parametrize(
         "build, message",
         [
@@ -364,6 +370,18 @@ class TestAudit:
         with pytest.raises(ValueError, match=f"^{message}"):
             audit_scene(scene)
 
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda: build_layered_scene(EDGAR, 2), "r"),
+            (lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 2), "s"),
+        ],
+        ids=["layered", "staircase"],
+    )
+    def test_missing_ratio_raises_what_the_reader_raises(self, build, key):
+        with pytest.raises(ValueError, match=rf"^params\.{key} is missing$"):
+            audit_scene(replace(build(), params_echo={}))
+
     def test_tampered_scene_yields_structured_mismatch(self):
         scene = build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2)
         doc = scene_to_json(scene)
@@ -501,6 +519,7 @@ class TestSceneJson:
             (("polygons", 1, "layer_index"), 3, "polygons[1].layer_index must be an integer in [1, 2]"),
             (("polygons", 2, "layer_index"), None, "polygons[2].layer_index must be an integer in [1, 2]"),
             (("polygons", 1, "label"), 5, "polygons[1].label must be a string, got 5"),
+            (("labels", 0, "y"), "+1/2", 'labels[0]: invalid literal for a "p/q" rational'),
         ],
     )
     def test_malformed_document_names_the_path(self, path, value, message):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geoseries.cli import main
 from geoseries.construction import (
     StaircaseParams,
     layer_area,
@@ -341,15 +342,23 @@ def test_streamed_json_with_empty_params_matches_the_indented_encoder():
     assert "".join(report_json_chunks(report)) == encoded(reference_report_doc(report))
 
 
+# free text: one holding a quote, a backslash, a non-ASCII letter, control
+# characters and %-format text, then json_template's FILL and ARRAY values alone
+FREE_TEXTS = ('q"b\\e\u00e9c\x01\x00 5% %s', "\x00", "\x01")
+
+
 def tampered_staircase():
-    """s = 3/5, L = 3 with layer 1's colored piece 11 times as tall, params.r wrong and a
-    param holding a quote, a backslash, a non-ASCII letter and a control character."""
+    """s = 3/5, L = 3 with layer 1's colored piece 11 times as tall, params.r wrong, and
+    FREE_TEXTS as params note0, note1, ... and as the texts of the first labels."""
     scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 3)
     polygons = list(scene.polygons)
     (r, w, top) = polygons[1].vertices
     polygons[1] = Polygon((r, w, Point(top.x, top.y * 11)), ROLE_COLORED, 1)
-    params = {**scene.params_echo, "r": "1/5", "note": 'q"b\\e\u00e9c\x01'}
-    return replace(scene, polygons=tuple(polygons), params_echo=params)
+    params = {**scene.params_echo, "r": "1/5"}
+    params.update({f"note{i}": text for i, text in enumerate(FREE_TEXTS)})
+    labels = [(pt, text) for (pt, _), text in zip(scene.labels, FREE_TEXTS)]
+    labels = (*labels, *scene.labels[len(FREE_TEXTS):])
+    return replace(scene, polygons=tuple(polygons), labels=labels, params_echo=params)
 
 
 def test_dict_forms_equal_the_reference_builders():
@@ -366,6 +375,24 @@ def test_dict_forms_equal_the_reference_builders():
         report = audit_scene(scene)
         assert report.as_dict() == reference_report_doc(report)
         assert list(report.as_dict()) == list(reference_report_doc(report))
+
+
+def test_free_text_comes_back_intact_from_every_writer(tmp_path, capsys):
+    """Free text is encoded by json.dumps as it is written, never made part of a
+    %-template: the scene file, scene_to_json, the exit-1 diagnostic and as_dict
+    each give FREE_TEXTS back as they went in."""
+    scene = tampered_staircase()
+    path = tmp_path / "tampered.json"
+    path.write_text("".join(scene_json_chunks(scene)), encoding="utf-8")
+    notes = [f"note{i}" for i in range(len(FREE_TEXTS))]
+    for doc in (json.loads(path.read_text(encoding="utf-8")), scene_to_json(scene)):
+        assert [doc["params"][key] for key in notes] == list(FREE_TEXTS)
+        assert [label["text"] for label in doc["labels"][: len(FREE_TEXTS)]] == list(FREE_TEXTS)
+    assert main(["verify", "--from-scene", str(path)]) == 1
+    diagnostic = json.loads(capsys.readouterr().out)
+    for doc in (diagnostic, audit_scene(scene).as_dict()):
+        assert doc["check"] == "fail"
+        assert [doc["params"][key] for key in notes] == list(FREE_TEXTS)
 
 
 def test_layer_with_different_denominators_is_audited_exactly():

@@ -37,7 +37,9 @@ def test_parse_accepts_canonical_and_unreduced(text, expected):
     assert parse(text) == expected
 
 
-@pytest.mark.parametrize("text", ["1/0", "1/-2", "3/", "a/b", "1.5"])
+@pytest.mark.parametrize(
+    "text", ["1/0", "1/-2", "3/", "a/b", "1.5", "\u0663/\u0665", "3_0/5", "3 / 5", "+3/5"]
+)
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse(text)
