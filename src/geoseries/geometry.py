@@ -217,22 +217,41 @@ def _numerators(values, d: int) -> list[int]:
     return [v.numerator * (d // v.denominator) for v in values]
 
 
-def _master_triangle(kind: str, ratio: Rational) -> tuple[Point, Point, Point]:
-    """The outline (C, B, A) of a picture from its audited ratio: layered
-    (-1,0), (1,0), (0,1) for every r = 1/m; staircase (h-1,0), (h,0), (0,h)
-    with h = 1/(1-s)."""
+def _construction(kind: str, ratio: Rational):
+    """(echo, outline, shrink, layer1, figure): what a picture of this kind
+    derives from its ratio alone.
+
+    echo is the params a built scene echoes, outline is (C, B, A), shrink is
+    lam, layer1 is layer 1's (polygons, colored, colored area, layer area)
+    from the construction formulas, never from drawn tiles, and figure is
+    the figure's area.  Layered r = 1/m: n, a and min(a, n) colored through
+    derive_config, outline (-1,0), (1,0), (0,1), lam = 1 - r; a layered r
+    that is not 1/m raises ValueError naming params.r.  Staircase s: r = s^2,
+    outline (h-1,0), (h,0), (0,h) with h = 1/(1-s), lam = s.
+    """
     if kind == "layered":
-        return (Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE))
+        if ratio.numerator != 1:
+            raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(ratio)!r:.40}")
+        p = derive_config(ratio.denominator)
+        colored = min(p.a, p.n)
+        echo = {"n": str(p.n), "a": str(p.a), "r": fmt(ratio), "m": str(ratio.denominator),
+                "colored_per_layer": str(colored)}
+        outline = (Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE))
+        layer1 = (p.n, colored, colored * triangle_area(p, 1), layer_area(p, 1))
+        return echo, outline, ONE - ratio, layer1, ONE
+    q = StaircaseParams(ratio)
     h = ONE / (ONE - ratio)
-    return (Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h))
+    outline = (Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h))
+    layer1 = (2, 1, staircase_piece_area(q, 1), staircase_layer_area(q, 1))
+    return {"s": fmt(ratio), "r": fmt(q.ratio)}, outline, ratio, layer1, staircase_total_area(q)
 
 
-def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, xs, tiles,
-                 label_mid, label_dx) -> Scene:
+def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, label_dx) -> Scene:
     """The picture of `layers` layers: layer k is layer 1 shrunk toward A by shrink^(k-1).
 
-    outline is (C, B, A), C and B on the base y = 0 and the apex A = (0, apex_y),
-    so AB lies on x + y = apex_y.  Layer 1, from the base to y = apex_y (1 -
+    _construction(kind, ratio) gives the echoed params, shrink and the outline
+    (C, B, A), C and B on the base y = 0 and the apex A = (0, apex_y), so AB
+    lies on x + y = apex_y.  Layer 1, from the base to y = apex_y (1 -
     shrink), is given by its distinct x-coordinates xs and its tiles (role,
     corners), a corner being an (xs index, 0 bottom or 1 top line) pair; its
     label sits label_dx, a shift that does not shrink, right of the point
@@ -243,6 +262,7 @@ def _build_scene(kind, params_echo, layers, *, outline, vertex_labels, shrink, x
     becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
     Only u and v grow, by one integer product each per layer.
     """
+    params_echo, outline, shrink, _, _ = _construction(kind, ratio)
     check_depth(layers, shrink, "layers")
     apex_y = outline[-1].y
     top_y = apex_y - shrink * apex_y
@@ -303,11 +323,7 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
             corners = ((i, 0), (i + 2, 0), (i + 1, 1))
         tiles.append((ROLE_COLORED if idx < colored else ROLE_BLANK, corners))
     return _build_scene(
-        "layered",
-        {"n": str(p.n), "a": str(p.a), "r": fmt(p.r), "m": str(m),
-         "colored_per_layer": str(colored)},
-        layers,
-        outline=_master_triangle("layered", p.r),
+        "layered", p.r, layers,
         vertex_labels=[
             (Point(ZERO, ONE + Fraction(1, 20)), "A"),
             (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
@@ -315,7 +331,7 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
             (Point(shrink + Fraction(1, 20), p.r), "D"),
             (Point(-shrink - Fraction(1, 20), p.r), "E"),
         ],
-        shrink=shrink, xs=[Fraction(i - m, m) for i in range(2 * m + 1)], tiles=tiles,
+        xs=[Fraction(i - m, m) for i in range(2 * m + 1)], tiles=tiles,
         label_mid=(ONE + shrink) / 2, label_dx=Fraction(1, 4),  # midpoint of B and D
     )
 
@@ -325,19 +341,15 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
 
     Layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s.
     """
-    outline = _master_triangle("staircase", q.s)
-    h = outline[1].x  # B = (h, 0)
+    h = ONE / (ONE - q.s)  # B = (h, 0)
     return _build_scene(
-        "staircase",
-        {"s": fmt(q.s), "r": fmt(q.ratio)},
-        layers,
-        outline=outline,
+        "staircase", q.s, layers,
         vertex_labels=[
             (Point(ZERO, h + h / 20), "A"),
             (Point(h + h / 20, -h / 20), "B"),
             (Point(h - 1, -h / 20), "C"),
         ],
-        shrink=q.s, xs=[h - 1 - q.s, h - 1, h],
+        xs=[h - 1 - q.s, h - 1, h],
         tiles=[(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))],
         label_mid=h - Fraction(1, 2), label_dx=h / 10,  # midpoint of B and W_1
     )
@@ -404,62 +416,40 @@ def _points_text(points) -> str:
     return "(" + ", ".join([f"({fmt(pt.x)}, {fmt(pt.y)})" for pt in points]) + ")"
 
 
-def _layered_params(r: Rational) -> LayeredParams:
-    """derive_config(m) for r = 1/m; ValueError naming params.r for any other r."""
-    if r.numerator != 1:
-        raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(r)!r:.40}")
-    return derive_config(r.denominator)
-
-
 def audit_scene(scene: Scene) -> AuditReport:
-    """Check every polygon area against the construction formulas, exactly.
+    """Check the params, the outline and each layer's polygon counts and area
+    sums against the construction formulas, exactly; where a polygon lies is
+    not checked.
 
-    Only the ratio is read: layered r = 1/m gives n, a and the colored
-    count through derive_config, and staircase s gives r = s^2.  Every
-    other echoed param must equal its derived value.  The scene must hold
-    exactly one outline polygon, with the vertices of the master triangle
-    (C, B, A) in that cyclic order; its layer_index is not read.  Layer k
-    is layer 1 shrunk by x^(k-1) in area, x the series ratio, so the
-    formulas are evaluated at layer 1 only and the apex remainder is x^L
-    times the figure.  A layer's area sums are integers over one
+    Only the ratio is read; _construction derives the rest from it, and
+    every other echoed param must equal its derived value.  The scene must
+    hold exactly one outline polygon, with the vertices of the master
+    triangle (C, B, A) in that cyclic order; its layer_index is not read.
+    Layer k is layer 1 shrunk by x^(k-1) in area, x = shrink^2 the series
+    ratio, so the formulas are evaluated at layer 1 only and the apex
+    remainder is x^L times the figure.  A layer's area sums are integers over one
     denominator, checked exactly (see _equals); an area equal to its
     expectation is reported as that Fraction, so no passing sum is reduced.
     Never raises on mismatch: failures come back as a report with ok=False
-    and one message per broken equality.  A missing ratio, or a
-    layers_rendered below 1 or too deep for the ratio (see check_depth),
-    raises ValueError, as a scene file holding it does.
+    and one message per broken equality.  A missing ratio, a malformed
+    echoed param (see _echoed_ratio), or a layers_rendered below 1 or too
+    deep for the ratio (see check_depth), raises ValueError, as a scene file
+    holding it does.
     """
-    echo = scene.params_echo
+    kind, echo = scene.construction_kind, scene.params_echo
+    ratio = _echoed_ratio(kind, echo)
+    derived, outline, shrink, layer1, figure = _construction(kind, ratio)
+    check_depth(scene.layers_rendered, ratio, "layers_rendered")
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
-    if scene.construction_kind == "layered":
-        r = ratio = parse(_member(echo, "r", str, "params"))
-        p = _layered_params(r)
-        colored = min(p.a, p.n)
-        basis = f"r = {fmt(r)}"
-        derived = {"n": p.n, "a": p.a, "m": r.denominator, "colored_per_layer": colored}
-        want_count, want_colored_count = p.n, colored
-        want_colored, want_total = colored * triangle_area(p, 1), layer_area(p, 1)
-        x = (ONE - r) ** 2
-        figure = ONE
-    elif scene.construction_kind == "staircase":
-        ratio = parse(_member(echo, "s", str, "params"))
-        q = StaircaseParams(s=ratio)
-        basis = f"s = {fmt(q.s)}"
-        derived = {"r": q.ratio}
-        want_count, want_colored_count = 2, 1
-        want_colored, want_total = staircase_piece_area(q, 1), staircase_layer_area(q, 1)
-        x = q.ratio
-        figure = staircase_total_area(q)
-    else:
-        raise ValueError(f"unknown construction kind {scene.construction_kind!r}")
-    outline = _master_triangle(scene.construction_kind, ratio)
-    check_depth(scene.layers_rendered, ratio, "layers_rendered")
+    want_count, want_colored_count, want_colored, want_total = layer1
+    x = shrink * shrink
+    basis = f"{_RATIO_KEY[kind]} = {fmt(ratio)}"
 
     mismatches = [
-        f"params.{key}: echoed {echo[key]} != {fmt(want)} derived from {basis}"
+        f"params.{key}: echoed {echo[key]} != {want} derived from {basis}"
         for key, want in derived.items()
-        if key in echo and parse(echo[key]) != want
+        if key in echo and parse(echo[key]) != parse(want)
     ]
     outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
     if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
@@ -529,7 +519,7 @@ def audit_scene(scene: Scene) -> AuditReport:
             f"!= figure area {fmt(figure)}"
         )
     return AuditReport(
-        construction_kind=scene.construction_kind,
+        construction_kind=kind,
         params=dict(echo),
         layers=tuple(layers),
         tiled_area=tiled,
@@ -695,11 +685,10 @@ def report_json_chunks(report: AuditReport):
     yield _REPORT_TAIL
 
 
-# the ratio the audit reads back, per construction kind; its denominator
-# sets how deep layers_rendered may go
-_AUDITED_RATIO = {"layered": "r", "staircase": "s"}
+# the ratio a picture of each kind is read from, whose denominator sets how
+# deep layers_rendered may go; every other echoed param is a count or r
+_RATIO_KEY = {"layered": "r", "staircase": "s"}
 _COUNT_PARAMS = ("n", "a", "m", "colored_per_layer")
-_RATIO_PARAMS = ("r", "s")
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 # largest lcm, in bits, of a scene file's coordinate denominators: twice the
 # largest a built scene reaches, (q - p) q^L for the staircase s = p/q or
@@ -753,6 +742,21 @@ def _check_param(key: str, value) -> None:
         raise ValueError(f"params.{key} must be {want}, got {value!r:.40}")
 
 
+def _echoed_ratio(kind: str, params: dict) -> Rational:
+    """The ratio params[_RATIO_KEY[kind]] that a scene of this kind is read from,
+    after checking every echoed count and ratio (see _check_param); ValueError
+    for an unknown kind, a missing ratio or a malformed param."""
+    key = _RATIO_KEY.get(kind)
+    if key is None:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    if key not in params:
+        raise ValueError(f"params.{key} is missing")
+    for name in (*_COUNT_PARAMS, *_RATIO_KEY.values()):
+        if name in params:
+            _check_param(name, params[name])
+    return parse(params[key])
+
+
 def _check_counts(doc: dict) -> None:
     """ValueError naming the field if the document holds more polygons, vertices
     or labels than the largest built picture allows; counted before anything
@@ -802,18 +806,11 @@ def scene_from_json(doc) -> Scene:
     if type(schema) is not int or schema != 1:
         raise ValueError(f"unsupported scene schema: {schema!r:.40}")
     kind = _member(doc, "construction_kind", str, "")
-    if kind not in _AUDITED_RATIO:
+    if kind not in _RATIO_KEY:
         raise ValueError(f"construction_kind: unknown construction {kind!r:.40}")
     params = _member(doc, "params", dict, "")
-    ratio_key = _AUDITED_RATIO[kind]
-    if ratio_key not in params:
-        raise ValueError(f"params.{ratio_key} is missing")
-    for key in _COUNT_PARAMS + _RATIO_PARAMS:
-        if key in params:
-            _check_param(key, params[key])
-    ratio = parse(params[ratio_key])
-    if kind == "layered":
-        _layered_params(ratio)
+    ratio = _echoed_ratio(kind, params)
+    _construction(kind, ratio)  # a layered r must be 1/m
     layers = _member(doc, "layers_rendered", int, "")
     check_depth(layers, ratio, "layers_rendered")
     lcm = 1

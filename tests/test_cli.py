@@ -645,6 +645,55 @@ class TestVerify:
             for poly in doc["polygons"][1:]
         )
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the audit does not yet check where a polygon lies (ROADMAP item 4)",
+    )
+    @pytest.mark.parametrize(
+        "scene, tamper",
+        [
+            (
+                ("layered", "--m", "3"),
+                lambda polygons: polygons[3].update(vertices=[
+                    [str(Fraction(x) + 10), str(Fraction(y) - 3)]
+                    for x, y in polygons[3]["vertices"]
+                ]),
+            ),
+            (("layered", "--m", "3"), lambda polygons: polygons[3].update(polygons[2])),
+            (
+                ("layered", "--m", "3"),
+                lambda polygons: polygons[1].update(vertices=[
+                    [str(-Fraction(x)), y] for x, y in reversed(polygons[1]["vertices"])
+                ]),
+            ),
+            (
+                ("staircase", "--s", "3/5"),
+                lambda polygons: polygons[2].update(vertices=[
+                    ["7/3", "0"] if v == ["3/2", "0"] else v for v in polygons[2]["vertices"]
+                ]),
+            ),
+        ],
+        ids=["translated", "duplicated", "mirrored", "slid-vertex"],
+    )
+    def test_polygon_off_its_place_fails_the_audit(self, capsys, tmp_path, scene, tamper):
+        # each keeps every layer's counts and area sums: a translated triangle,
+        # a copy of its neighbour, a layer-1 triangle mirrored across x = 0
+        # onto its partner, and the staircase blank piece's base vertex slid
+        # along the base
+        run(
+            capsys,
+            "render", "--construction", *scene,
+            "--layers", "3", "--out", str(tmp_path / "pic.svg"), "--emit-scene",
+        )
+        scene_path = tmp_path / "pic.json"
+        doc = json.loads(scene_path.read_text())
+        before = json.dumps(doc)
+        tamper(doc["polygons"])
+        assert json.dumps(doc) != before
+        scene_path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert code == 1
+
 
 RENDER_SCENE = ("--construction", "layered", "--m", "3", "--layers", "3")
 

@@ -9,6 +9,7 @@ max_m up to 400 and both sides of 1000 and 10000.
 
 import collections
 import hashlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -81,8 +82,9 @@ def test_json_bytes_match_reference(capsys):
         assert feasible_stdout(capsys, max_m, "json") == want, f"max_m={max_m}"
 
 
-class ByteCounter:
-    """A stdout that keeps only the number of characters written."""
+class ByteCounter(io.TextIOBase):
+    """A stdout that keeps only the number of characters written; writelines
+    is TextIOBase's, one write per chunk."""
 
     def __init__(self):
         self.written = 0
@@ -172,7 +174,7 @@ def test_scan_runs_in_constant_memory(monkeypatch, fmt_name):
     assert large < 2 * small, f"peak {large} B at 200000, {small} B at 20000"
 
 
-class Sha256Writer:
+class Sha256Writer(io.TextIOBase):
     """A stdout that keeps only the sha256 of the UTF-8 bytes written."""
 
     def __init__(self):

@@ -538,13 +538,20 @@ class TestSceneJson:
             ("r", "2/5", "params.r must be 1/m for a layered scene, got '2/5'"),
             ("m", "0", "params.m must be an integer >= 1, got '0'"),
             ("m", "x", "params.m must be an integer >= 1, got 'x'"),
+            ("n", "x", "params.n must be an integer >= 1, got 'x'"),
+            ("m", " 3", "params.m must be an integer >= 1, got ' 3'"),
         ],
     )
     def test_malformed_layered_param_names_the_path(self, key, value, message):
-        doc = scene_to_json(build_layered_scene(EDGAR, 2))
+        # the audit reads a library scene's echoed params with the reader's grammar
+        scene = build_layered_scene(EDGAR, 2)
+        doc = scene_to_json(scene)
         doc["params"][key] = value
         with pytest.raises(ValueError) as exc:
             scene_from_json(doc)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            audit_scene(replace(scene, params_echo={**scene.params_echo, key: value}))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("extra_bits, ok", [(0, True), (1, False)])
