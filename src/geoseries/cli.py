@@ -117,23 +117,6 @@ _FEASIBLE_REPORTS = tuple(json_template(
 ) for ok in (False, True))
 
 
-def _feasible_json(max_m: int, rows):
-    """json.dumps(doc, indent=2) + "\n" of {"schema": 1, "max_m", "reports"}, in pieces.
-
-    Each (m, n, a, feasible) row is filled into the report of its verdict
-    and the reports are written through json_array, _CHUNK_ROWS at a time,
-    so the document is never held whole; json.dumps with indent would run
-    the pure-Python encoder and join millions of pieces at the end.
-    """
-    yield _FEASIBLE_HEAD % max_m
-    yield from json_array(rows, _fill_feasible_reports, _CHUNK_ROWS)
-    yield _FEASIBLE_TAIL
-
-
-def _fill_feasible_reports(rows) -> list[str]:
-    return [_FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in rows]
-
-
 def cmd_feasible(args: argparse.Namespace) -> int:
     if args.max_m < 2:
         raise CliError(f"--max-m must be >= 2, got {args.max_m}")
@@ -141,7 +124,16 @@ def cmd_feasible(args: argparse.Namespace) -> int:
         raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     scan = enumerate_feasible(args.max_m)
     if args.format == "json":
-        sys.stdout.writelines(_feasible_json(args.max_m, scan.rows()))
+        # each row is filled into the report of its verdict, _CHUNK_ROWS at a
+        # time, so the document is never held whole; json.dumps with indent
+        # would run the pure-Python encoder and join millions of pieces at the end
+        sys.stdout.write(_FEASIBLE_HEAD % args.max_m)
+        sys.stdout.writelines(json_array(
+            scan.rows(),
+            lambda rows: [_FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in rows],
+            _CHUNK_ROWS,
+        ))
+        sys.stdout.write(_FEASIBLE_TAIL)
         return 0
     # a cell never gets shorter as m grows, and yes/no never outgrows its
     # header: the last row fixes every width

@@ -74,10 +74,10 @@ ROLE_BLANK = "blank"
 ROLE_OUTLINE = "outline"
 
 # largest picture, in polygons (layers x n + 1 for layered m, 2 x layers + 1
-# for a staircase): layered m = 3 at the depth cap, 2048 x 5 + 1, so only a
-# clamped infeasible picture can exceed it.  At the cap a clamped picture
-# costs no more than m = 3 at 2048 layers (see MAX_DENOMINATOR_BITS).  A
-# scene file may hold as many polygons and labels, and 3 x as many vertices
+# for a staircase): layered m = 3 at the depth cap, 2048 x 5 + 1.  The builders
+# refuse a larger, clamped picture; one within it costs no more than m = 3 at
+# 2048 layers (see MAX_DENOMINATOR_BITS).  A scene file may hold as many
+# polygons and labels, and 3 x as many vertices
 MAX_POLYGONS = 10_241
 
 
@@ -212,9 +212,10 @@ def shoelace_area(polygon: Polygon) -> Rational:
     return polygon.area
 
 
-def _numerators(values, d: int) -> list[int]:
-    """The numerators of rational values over d, a multiple of every denominator."""
-    return [v.numerator * (d // v.denominator) for v in values]
+def _numerators(values, d: int = 1) -> tuple[list[int], int]:
+    """(numerators, lcm): rational values over lcm, the lcm of d and their denominators."""
+    d = math.lcm(d, *[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _construction(kind: str, ratio: Rational):
@@ -260,18 +261,19 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
     Layer 1 is put over one denominator d1, and with shrink = a/b and
     shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of layer 1
     becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
-    Only u and v grow, by one integer product each per layer.
+    Only u and v grow, by one integer product each per layer.  More than
+    MAX_POLYGONS polygons raise ValueError, as layers too deep do.
     """
-    params_echo, outline, shrink, _, _ = _construction(kind, ratio)
+    params_echo, outline, shrink, (per_layer, *_), _ = _construction(kind, ratio)
     check_depth(layers, shrink, "layers")
+    if (count := layers * per_layer + 1) > MAX_POLYGONS:
+        raise ValueError(f"layers {layers} draws {layers} x {per_layer} + 1 = {count} polygons, "
+                         f"over the cap of {MAX_POLYGONS}")
     apex_y = outline[-1].y
     top_y = apex_y - shrink * apex_y
-    d1 = math.lcm(*[c.denominator for c in (*xs, apex_y, top_y)])
-    xs1 = _numerators(xs, d1)
-    apex, top = _numerators((apex_y, top_y), d1)
+    (apex, top, *xs1), d1 = _numerators((apex_y, top_y, *xs))
     # the labels have their own denominator, so they do not widen the polygons'
-    dl = math.lcm(d1, label_mid.denominator, label_dx.denominator)
-    apex_l, mid, dx = _numerators((apex_y, label_mid, label_dx), dl)
+    (apex_l, mid, dx), dl = _numerators((apex_y, label_mid, label_dx), d1)
     a, b = shrink.numerator, shrink.denominator
     polygons = [Polygon(outline, ROLE_OUTLINE)]
     labels = list(vertex_labels)
@@ -437,8 +439,7 @@ def audit_scene(scene: Scene) -> AuditReport:
     holding it does.
     """
     kind, echo = scene.construction_kind, scene.params_echo
-    ratio = _echoed_ratio(kind, echo)
-    derived, outline, shrink, layer1, figure = _construction(kind, ratio)
+    ratio, echoed, (derived, outline, shrink, layer1, figure) = _echoed_ratio(kind, echo)
     check_depth(scene.layers_rendered, ratio, "layers_rendered")
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
@@ -449,7 +450,7 @@ def audit_scene(scene: Scene) -> AuditReport:
     mismatches = [
         f"params.{key}: echoed {echo[key]} != {want} derived from {basis}"
         for key, want in derived.items()
-        if key in echo and parse(echo[key]) != parse(want)
+        if key in echoed and echoed[key] != parse(want)
     ]
     outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
     if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
@@ -650,26 +651,22 @@ def report_json_chunks(report: AuditReport):
     """The `verify --format json` document of report, laid out as
     json.dumps(doc, indent=2) + "\n", in pieces of _JSON_CHUNK layers.
 
-    A passing layer's area is the very Fraction of its expectation, and
-    every passing layer shares one colored fraction, so each piece formats
-    each distinct object once, looked up by identity: hashing a big
-    Fraction costs more than formatting it.
+    Each layer's two expectations are formatted once, and an area equal (==)
+    to its expectation is written with that text, not formatted again.
     """
     yield _REPORT_HEAD % (json.dumps(report.construction_kind), _dumps(report.params, 1))
 
     def fill(layers) -> list[str]:
-        memo: dict[int, str] = {}
         items = []
         for layer in layers:
-            texts = []
-            for q in (layer.colored_area, layer.total_area, layer.colored_fraction,
-                      layer.expected_colored_area, layer.expected_total_area):
-                text = memo.get(id(q))
-                if text is None:
-                    text = memo[id(q)] = fmt(q)
-                texts.append(text)
+            want_colored, want_total = fmt(layer.expected_colored_area), fmt(layer.expected_total_area)
             items.append(_LAYER_JSON % (
-                layer.layer_index, layer.polygon_count, layer.colored_count, *texts,
+                layer.layer_index, layer.polygon_count, layer.colored_count,
+                want_colored if layer.colored_area == layer.expected_colored_area
+                else fmt(layer.colored_area),
+                want_total if layer.total_area == layer.expected_total_area
+                else fmt(layer.total_area),
+                fmt(layer.colored_fraction), want_colored, want_total,
                 "true" if layer.ok else "false",
             ))
         return items
@@ -722,39 +719,40 @@ def _pair_parts(pair, read) -> tuple[int, int, int, int]:
     raise ValueError(f'must be an ["x", "y"] pair of "p/q" strings, got {pair!r:.40}')
 
 
-def _check_param(key: str, value) -> None:
-    """ValueError naming params.<key> unless value is what the audit reads.
+def _check_param(key: str, value):
+    """value parsed, or ValueError naming params.<key> unless it is what the audit reads.
 
-    Counts are integers >= 1, as decimal strings or JSON integers; ratios
-    are "p/q" strings in (0, 1).
+    Counts are integers >= 1, as decimal strings or JSON integers, parsed to
+    int; ratios are "p/q" strings in (0, 1), parsed to Fraction.
     """
     try:
         if key in _COUNT_PARAMS:
             want = "an integer >= 1"
             text = str(value) if isinstance(value, int) else value
-            ok = isinstance(text, str) and text.isascii() and text.isdigit() and int(text) >= 1
+            if (isinstance(text, str) and text.isascii() and text.isdigit()
+                    and (count := int(text)) >= 1):
+                return count
         else:
             want = 'a "p/q" string in (0, 1)'
-            ok = isinstance(value, str) and 0 < parse(value) < 1
+            if isinstance(value, str) and 0 < (ratio := parse(value)) < 1:
+                return ratio
     except ValueError:  # not a rational, or too many digits to convert
-        ok = False
-    if not ok:
-        raise ValueError(f"params.{key} must be {want}, got {value!r:.40}")
+        pass
+    raise ValueError(f"params.{key} must be {want}, got {value!r:.40}")
 
 
-def _echoed_ratio(kind: str, params: dict) -> Rational:
-    """The ratio params[_RATIO_KEY[kind]] that a scene of this kind is read from,
-    after checking every echoed count and ratio (see _check_param); ValueError
-    for an unknown kind, a missing ratio or a malformed param."""
+def _echoed_ratio(kind: str, params: dict):
+    """(ratio, echoed, _construction(kind, ratio)): ratio is params[_RATIO_KEY[kind]], and
+    echoed maps every echoed count and ratio to its value parsed by _check_param; ValueError
+    for an unknown kind, a missing ratio, a malformed param or a layered r not 1/m."""
     key = _RATIO_KEY.get(kind)
     if key is None:
         raise ValueError(f"unknown construction kind {kind!r}")
     if key not in params:
         raise ValueError(f"params.{key} is missing")
-    for name in (*_COUNT_PARAMS, *_RATIO_KEY.values()):
-        if name in params:
-            _check_param(name, params[name])
-    return parse(params[key])
+    echoed = {name: _check_param(name, params[name])
+              for name in (*_COUNT_PARAMS, *_RATIO_KEY.values()) if name in params}
+    return echoed[key], echoed, _construction(kind, echoed[key])
 
 
 def _check_counts(doc: dict) -> None:
@@ -809,8 +807,7 @@ def scene_from_json(doc) -> Scene:
     if kind not in _RATIO_KEY:
         raise ValueError(f"construction_kind: unknown construction {kind!r:.40}")
     params = _member(doc, "params", dict, "")
-    ratio = _echoed_ratio(kind, params)
-    _construction(kind, ratio)  # a layered r must be 1/m
+    ratio, _, _ = _echoed_ratio(kind, params)
     layers = _member(doc, "layers_rendered", int, "")
     check_depth(layers, ratio, "layers_rendered")
     lcm = 1

@@ -171,12 +171,24 @@ class TestLayeredScene:
                 lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2)), 0),
                 r"^layers must be >= 1, got 0$",
             ),
+            (
+                lambda: build_layered_scene(derive_config(5), 1138),
+                r"^layers 1138 draws 1138 x 9 \+ 1 = 10243 polygons, over the cap of 10241$",
+            ),
         ],
-        ids=["layered-m3-L2049", "staircase-L0"],
+        ids=["layered-m3-L2049", "staircase-L0", "clamped-m5-L1138"],
     )
     def test_builders_refuse_the_layer_counts_the_cli_refuses(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_largest_clamped_m5_picture_round_trips(self):
+        # within m = 5's depth cap (1365 layers), 1137 layers is the most the polygon cap admits
+        scene = build_layered_scene(derive_config(5), 1137)
+        assert len(scene.polygons) == 1137 * 9 + 1 == 10234
+        read = scene_from_json(scene_to_json(scene))
+        assert len(read.polygons) == 10234
+        assert audit_scene(read).ok
 
     def test_clamped_coloring_override(self):
         p = LayeredParams(7, 9, Fraction(1, 4))
@@ -454,6 +466,18 @@ class TestAudit:
         report = audit_scene(scene_from_json(doc))
         assert report.mismatches == (f"params.{key}: {message}",)
         assert all(layer.ok for layer in report.layers)
+
+    def test_int_echoed_count_is_audited_by_value(self):
+        scene = build_layered_scene(EDGAR, 2)
+
+        def audit(n):
+            return audit_scene(replace(scene, params_echo={**scene.params_echo, "n": n}))
+
+        assert audit(5).ok
+        assert audit(6).mismatches == ("params.n: echoed 6 != 5 derived from r = 1/3",)
+        with pytest.raises(ValueError) as exc:
+            audit(True)
+        assert str(exc.value) == "params.n must be an integer >= 1, got True"
 
     def test_layered_audit_reads_only_the_ratio(self):
         doc = scene_to_json(build_layered_scene(EDGAR, 3))

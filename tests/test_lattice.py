@@ -368,13 +368,56 @@ def test_dict_forms_equal_the_reference_builders():
     assert [m.split(":")[0] for m in report.mismatches] == [
         "params.r", "layer 1", "layer 1", "tiling",
     ]
-    for scene in (build_layered_scene(derive_config(4), 3), tampered):  # clamped m = 4
+    # layer 2's blank triangle (P, Q, R) split at the midpoint M of QR into (P, Q, M) and
+    # (P, M, R): its counts fail, its areas still equal their expectations
+    polygons = list(tampered.polygons)
+    (i,) = [n for n, poly in enumerate(polygons)
+            if poly.layer_index == 2 and poly.role == ROLE_BLANK]
+    p, q, r = polygons[i].vertices
+    mid = Point((q.x + r.x) / 2, (q.y + r.y) / 2)
+    polygons[i : i + 1] = [Polygon((p, q, mid), ROLE_BLANK, 2), Polygon((p, mid, r), ROLE_BLANK, 2)]
+    split = replace(tampered, polygons=tuple(polygons))
+    report = audit_scene(split)
+    assert [layer.ok for layer in report.layers] == [False, False, True]
+    assert [m.split(":")[0] for m in report.mismatches] == [
+        "params.r", "layer 1", "layer 1", "layer 2", "tiling",
+    ]
+    second = report.layers[1]
+    assert second.colored_area == second.expected_colored_area
+    assert second.total_area == second.expected_total_area
+    for scene in (build_layered_scene(derive_config(4), 3), tampered, split):  # clamped m = 4
         doc = scene_to_json(scene)
         assert doc == reference_scene_doc(scene)
         assert list(doc) == list(reference_scene_doc(scene))  # key order too
         report = audit_scene(scene)
         assert report.as_dict() == reference_report_doc(report)
         assert list(report.as_dict()) == list(reference_report_doc(report))
+
+
+def test_report_writer_compares_areas_by_value_not_identity():
+    """A report whose areas are equal copies, not the audit's own Fraction objects,
+    streams the same bytes."""
+
+    def copied(q):
+        return Fraction(q.numerator, q.denominator)
+
+    for scene in (build_staircase_scene(StaircaseParams(Fraction(3, 5)), 40), tampered_staircase()):
+        report = audit_scene(scene)
+        copies = replace(report, layers=tuple(
+            replace(
+                layer,
+                colored_area=copied(layer.colored_area),
+                total_area=copied(layer.total_area),
+                colored_fraction=copied(layer.colored_fraction),
+                expected_colored_area=copied(layer.expected_colored_area),
+                expected_total_area=copied(layer.expected_total_area),
+            )
+            for layer in report.layers
+        ))
+        assert all(c.total_area is not layer.total_area and c.total_area == layer.total_area
+                   for c, layer in zip(copies.layers, report.layers))
+        text = "".join(report_json_chunks(report))
+        assert "".join(report_json_chunks(copies)) == text == encoded(reference_report_doc(report))
 
 
 def test_free_text_comes_back_intact_from_every_writer(tmp_path, capsys):

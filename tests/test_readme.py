@@ -75,19 +75,27 @@ def test_readme_names_every_key_of_each_json_document(tmp_path, monkeypatch, cap
         return found
 
     monkeypatch.chdir(tmp_path)
-    documents = {}
+    documents = []
     for start, argv in [
         ("- `feasible --format json`", ["feasible", "--max-m", "4", "--format", "json"]),
         ("- `verify --format json`",
          ["verify", "--construction", "staircase", "--s", "1/2", "--layers", "2", "--format", "json"]),
     ]:
         assert main(argv) == 0
-        documents[start] = json.loads(capsys.readouterr().out)
+        documents.append((start, json.loads(capsys.readouterr().out)))
     argv = ["render", "--construction", "layered", "--m", "3", "--layers", "2", "--out", "pic.svg",
             "--emit-scene"]
     assert main(argv) == 0
-    documents["- scene files (`--emit-scene`)"] = json.loads((tmp_path / "pic.json").read_text())
-    for start, doc in documents.items():
+    scene = json.loads((tmp_path / "pic.json").read_text())
+    documents.append(("- scene files (`--emit-scene`)", scene))
+    # a failing report: the file's echoed n lies
+    (tmp_path / "lying.json").write_text(json.dumps({**scene, "params": {**scene["params"], "n": "6"}}))
+    capsys.readouterr()
+    assert main(["verify", "--from-scene", "lying.json"]) == 1
+    failing = json.loads(capsys.readouterr().out)
+    assert failing["check"] == "fail"
+    documents.append(("- `verify --format json`", failing))
+    for start, doc in documents:
         described = bullet(start)
         keys = set(_object_keys(doc))
         assert len(keys) > 5, start
