@@ -2,13 +2,14 @@
 
 All user-facing numbers are exact "p/q" strings; decimals appear only
 inside SVG coordinates.  Exit status: 0 success, 1 verification
-mismatch, 2 usage error.
+mismatch, 2 usage error or standard output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -44,8 +45,8 @@ def _rational(text: str) -> Rational:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-# rows per write: few enough that a chunk of `feasible` output stays a few
-# hundred KiB, enough that the writes themselves cost little
+# `feasible` table rows per write: few enough that a chunk of the table stays
+# a few hundred KiB, enough that the writes themselves cost little
 _CHUNK_ROWS = 4096
 
 # largest scene file --from-scene reads, in bytes: twice the largest file
@@ -53,8 +54,8 @@ _CHUNK_ROWS = 4096
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (2.1 s as a table and 1.9 s
-# as JSON in a fresh process, in constant memory, 20-22 MiB peak RSS, with
+# largest --max-m: the acceptance gate's scan (3.2 s as a table and 2.0 s
+# as JSON in a fresh process, in constant memory, 17-20 MiB peak RSS, with
 # Python 3.11 on a shared 2-core Xeon host); a larger scan costs more and
 # finds nothing new
 MAX_M_LIMIT = 10**6
@@ -79,20 +80,20 @@ def _write_table(headers, widths, rows) -> None:
 
     rows holds tuples of str or int cells, at most 2048 of them (check_depth's
     cap on layers and terms; feasible writes its rows itself and passes
-    none), written at once from one %-format line.
+    none), each written as it is filled into one %-format line.
     """
     line = "  ".join(f"%-{w}s" for w in widths)
     write = sys.stdout.write
     write((line % tuple(headers)).rstrip() + "\n")
     write("  ".join("-" * w for w in widths) + "\n")
-    write("".join([(line % row).rstrip() + "\n" for row in rows]))
+    sys.stdout.writelines((line % row).rstrip() + "\n" for row in rows)
 
 
-def _feasible_lines(rows, widths, feasible_ms: list[int]):
+def _feasible_lines(rows, widths):
     """The table's lines under its header, _CHUNK_ROWS per piece, each filled
     from its (m, n, a, feasible) row into the template of its (feasible, a < n):
     r = 1/m is "1/" before m, the yes/no cells are baked in and the last is
-    not padded; each feasible m is appended to feasible_ms."""
+    not padded; then the closing `feasible m: {...}` line of every feasible m."""
     w_m, w_r, w_n, w_a, w_sum, *w_flags = widths
     head = f"%-{w_m}d  1/%-{w_r - 2}d  %-{w_n}d  %-{w_a}d  %-{w_sum}s"
     templates = {
@@ -100,6 +101,7 @@ def _feasible_lines(rows, widths, feasible_ms: list[int]):
         + f"  {_YES[ok]}\n"
         for ok in (False, True) for lt in (False, True)
     }
+    feasible_ms = []
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         feasible_ms.extend([m for m, _, _, ok in chunk if ok])
@@ -107,6 +109,7 @@ def _feasible_lines(rows, widths, feasible_ms: list[int]):
         # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3; the
         # integrality and square conditions hold for every row (see _row)
         yield "".join([templates[ok, a < n] % (m, m, n, a, f"{a}/{n}") for m, n, a, ok in chunk])
+    yield f"feasible m: {{{', '.join(map(str, feasible_ms))}}}\n"
 
 
 # `feasible --format json` around its reports; _FEASIBLE_REPORTS[feasible] is
@@ -124,14 +127,12 @@ def cmd_feasible(args: argparse.Namespace) -> int:
         raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     scan = enumerate_feasible(args.max_m)
     if args.format == "json":
-        # each row is filled into the report of its verdict, _CHUNK_ROWS at a
-        # time, so the document is never held whole; json.dumps with indent
+        # each row is filled into the report of its verdict, 64 at a time by
+        # json_array, so the document is never held whole; json.dumps with indent
         # would run the pure-Python encoder and join millions of pieces at the end
         sys.stdout.write(_FEASIBLE_HEAD % args.max_m)
         sys.stdout.writelines(json_array(
-            scan.rows(),
-            lambda rows: [_FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in rows],
-            _CHUNK_ROWS,
+            _FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in scan.rows()
         ))
         sys.stdout.write(_FEASIBLE_TAIL)
         return 0
@@ -139,10 +140,8 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     # header: the last row fixes every width
     last = [(m, f"1/{m}", n, a, f"{a}/{n}", *["yes"] * 5) for m, n, a, _ in scan.rows(-1)]
     widths = _widths(_FEASIBLE_HEADERS, last)
-    feasible_ms: list[int] = []
     _write_table(_FEASIBLE_HEADERS, widths, ())
-    sys.stdout.writelines(_feasible_lines(scan.rows(), widths, feasible_ms))
-    print(f"feasible m: {{{', '.join(map(str, feasible_ms))}}}")
+    sys.stdout.writelines(_feasible_lines(scan.rows(), widths))
     return 0
 
 
@@ -407,7 +406,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:  # before ValueError: io.UnsupportedOperation is both
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        try:  # the interpreter flushes stdout again at exit: let that write go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # no file descriptor, e.g. a StringIO
+            pass
+        return 2
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

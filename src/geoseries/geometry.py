@@ -537,25 +537,24 @@ def scene_to_json(scene: Scene) -> dict:
     return json.loads("".join(scene_json_chunks(scene)))
 
 
-def json_array(rows, fill, chunk: int):
+def json_array(items):
     """A JSON array, a member of a top-level object, laid out as
     json.dumps(indent=2) lays it out, in pieces.
 
-    rows is consumed `chunk` at a time, and fill maps each chunk to the
-    text of its items, each indented four spaces.  Yields "[]" for no
-    rows, else "[\n", the items joined by ",\n" a chunk at a time, and
-    "\n  ]".
+    items yields the text of each item, indented four spaces, and is
+    consumed _JSON_CHUNK items per piece.  Yields "[]" for no items, else
+    "[\n", the items joined by ",\n" a piece at a time, and "\n  ]".
     """
-    rows = iter(rows)
+    items = iter(items)
     lead = "[\n"
-    while part := list(islice(rows, chunk)):
-        yield lead + ",\n".join(fill(part))
+    while part := ",\n".join(islice(items, _JSON_CHUNK)):
+        yield lead + part
         lead = ",\n"
     yield "[]" if lead == "[\n" else "\n  ]"
 
 
-# polygons or audited layers per piece of streamed JSON: at the depth cap a
-# piece of polygons is under a MiB of text
+# items per piece of a streamed JSON array: at the depth cap a piece of
+# polygons is under a MiB of text
 _JSON_CHUNK = 64
 FILL, ARRAY = "\x00", "\x01"  # json_template's holes: a bare value, an array json_array writes
 
@@ -601,13 +600,11 @@ def scene_json_chunks(scene: Scene):
         json.dumps(scene.construction_kind), _dumps(scene.params_echo, 1),
         scene.layers_rendered,
     )
-    memo: dict[int, str] = {}
-    memo_den = None
 
-    def fill(polygons) -> list[str]:
-        nonlocal memo_den
-        items = []
-        for poly in polygons:
+    def polygons():
+        memo: dict[int, str] = {}
+        memo_den = None
+        for poly in scene.polygons:
             den = poly.den
             if den != memo_den:
                 memo.clear()
@@ -620,20 +617,16 @@ def scene_json_chunks(scene: Scene):
                         text = memo[value] = fmt_parts(value, den)
                     cells.append(text)
             layer_index = "null" if poly.layer_index is None else poly.layer_index
-            items.append(_polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index))
-        return items
+            yield _polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index)
 
-    yield from json_array(scene.polygons, fill, _JSON_CHUNK)
-    yield _SCENE_LABELS
-
-    def fill_labels(labels) -> list[str]:
-        items = []
-        for pt, text in labels:
+    def labels():
+        for pt, text in scene.labels:
             xn, yn, d = point_numerators(pt)
-            items.append(_LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text)))
-        return items
+            yield _LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text))
 
-    yield from json_array(scene.labels, fill_labels, _JSON_CHUNK)
+    yield from json_array(polygons())
+    yield _SCENE_LABELS
+    yield from json_array(labels())
     yield _SCENE_TAIL
 
 
@@ -656,11 +649,10 @@ def report_json_chunks(report: AuditReport):
     """
     yield _REPORT_HEAD % (json.dumps(report.construction_kind), _dumps(report.params, 1))
 
-    def fill(layers) -> list[str]:
-        items = []
-        for layer in layers:
+    def layers():
+        for layer in report.layers:
             want_colored, want_total = fmt(layer.expected_colored_area), fmt(layer.expected_total_area)
-            items.append(_LAYER_JSON % (
+            yield _LAYER_JSON % (
                 layer.layer_index, layer.polygon_count, layer.colored_count,
                 want_colored if layer.colored_area == layer.expected_colored_area
                 else fmt(layer.colored_area),
@@ -668,17 +660,14 @@ def report_json_chunks(report: AuditReport):
                 else fmt(layer.total_area),
                 fmt(layer.colored_fraction), want_colored, want_total,
                 "true" if layer.ok else "false",
-            ))
-        return items
+            )
 
-    yield from json_array(report.layers, fill, _JSON_CHUNK)
+    yield from json_array(layers())
     yield _REPORT_AREAS % (
         fmt(report.tiled_area), fmt(report.apex_remainder), fmt(report.figure_area),
         "pass" if report.ok else "fail",
     )
-    yield from json_array(
-        report.mismatches, lambda part: [_MISMATCH_JSON % json.dumps(m) for m in part], _JSON_CHUNK
-    )
+    yield from json_array(_MISMATCH_JSON % json.dumps(m) for m in report.mismatches)
     yield _REPORT_TAIL
 
 
@@ -864,6 +853,7 @@ def scene_from_json(doc) -> Scene:
         polygons=tuple(polygons),
         labels=tuple(labels),
         construction_kind=kind,
-        params_echo={k: str(v) for k, v in params.items()},
+        # a string as it is, any other value as its JSON text: 5 as "5", false as "false"
+        params_echo={k: v if isinstance(v, str) else json.dumps(v) for k, v in params.items()},
         layers_rendered=layers,
     )

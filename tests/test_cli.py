@@ -1,9 +1,12 @@
+import errno
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -568,6 +571,18 @@ class TestVerify:
         assert err == f"error: --from-scene takes its scene from the file, not from {given}\n"
         assert read == []
 
+    def test_scene_params_are_echoed_as_json_text(self, capsys, tmp_path):
+        # a non-string param was once echoed as its Python repr: "[1, True, None]", "False"
+        scene_path = self._m3_scene_file(capsys, tmp_path)
+        doc = json.loads(scene_path.read_text())
+        want = {**doc["params"], "n": "5", "note": "[1, true, null]", "flag": "false",
+                "none": "null"}
+        doc["params"].update({"n": 5, "note": [1, True, None], "flag": False, "none": None})
+        scene_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == want
+
 
     def _m3_scene_file(self, capsys, tmp_path):
         run(
@@ -954,6 +969,8 @@ CHUNK = geoseries.geometry._JSON_CHUNK
     [
         (("feasible", "--max-m", "2", "--format", "json"), 0),
         (("feasible", "--max-m", "10", "--format", "json"), 0),
+        # one report past a full piece of json_array
+        (("feasible", "--max-m", str(CHUNK + 2), "--format", "json"), 0),
         # one report past a full chunk of rows
         (("feasible", "--max-m", str(cli._CHUNK_ROWS + 2), "--format", "json"), 0),
         (("verify", "--construction", "layered", "--m", "3", "--layers", "5", "--format", "json"), 0),
@@ -964,8 +981,8 @@ CHUNK = geoseries.geometry._JSON_CHUNK
         (("verify", "--from-scene", "TAMPERED"), 1),
         (("verify", "--from-scene", "TAMPERED", "--format", "json"), 1),
     ],
-    ids=["feasible-2", "feasible-10", "feasible-chunk-plus-1", "verify-layered",
-         "verify-staircase", "verify-clamped-m4", "tampered", "tampered-json"],
+    ids=["feasible-2", "feasible-10", "feasible-piece-plus-1", "feasible-chunk-plus-1",
+         "verify-layered", "verify-staircase", "verify-clamped-m4", "tampered", "tampered-json"],
 )
 def test_json_output_has_the_canonical_layout(capsys, tmp_path, argv, want_code):
     """Every JSON writer prints json.dumps(doc, indent=2) + "\\n" of its own document."""
@@ -1020,3 +1037,81 @@ def test_import_loads_no_xml_or_network_modules():
     # stdlib-only at run time: a third-party package that happens to be importable is not loaded
     top = {m.split(".")[0] for m in loaded}
     assert sorted(top - {"geoseries"} - sys.stdlib_module_names) == []
+
+
+class CharCounter(io.TextIOBase):
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_verify_table_is_not_joined_whole(monkeypatch):
+    # the table's lines joined into one string held its text twice, a peak of
+    # about 4.5x the characters written; written line by line it is about 2.5x
+    counter = CharCounter()
+    monkeypatch.setattr("sys.stdout", counter)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--construction", "layered", "--m", "3", "--layers", "1024"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counter.written > 3_000_000
+    assert peak < 3.5 * counter.written, f"peak {peak} B for {counter.written} B written"
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout on a full disk: every write fails, as on /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_stdout_write_is_one_line_in_process(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    assert main(["feasible", "--max-m", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("feasible", "--max-m", "3"),
+        ("feasible", "--max-m", "200000"),
+        ("verify", "--construction", "layered", "--m", "3", "--layers", "300", "--format", "json"),
+    ],
+    ids=["feasible-3", "feasible-200000", "verify-json"],
+)
+def test_failed_stdout_write_exits_2_with_one_line(argv, sink, unbuffered):
+    """Output nobody can take ends in one error line and exit 2, not a traceback,
+    and not the interpreter's "Exception ignored" when it flushes stdout at exit."""
+    src = str(Path(geoseries.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "import sys; from geoseries.cli import main; sys.exit(main())"
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        stdout, reason = open("/dev/full", "w"), errno.ENOSPC
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout, reason = os.fdopen(write_end, "w"), errno.EPIPE
+    with stdout:
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=120,
+        )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write standard output: {os.strerror(reason)}\n"
