@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from .construction import StaircaseParams
 from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
@@ -45,17 +44,13 @@ def _rational(text: str) -> Rational:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-# `feasible` table rows per write: few enough that a chunk of the table stays
-# a few hundred KiB, enough that the writes themselves cost little
-_CHUNK_ROWS = 4096
-
 # largest scene file --from-scene reads, in bytes: twice the largest file
 # render --emit-scene writes, 56,510,244 bytes for layered m = 3 at the depth
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (3.2 s as a table and 2.0 s
-# as JSON in a fresh process, in constant memory, 17-20 MiB peak RSS, with
+# largest --max-m: the acceptance gate's scan (1.0 s as a table and 1.1 s
+# as JSON in a fresh process, in constant memory, 17-19 MiB peak RSS, with
 # Python 3.11 on a shared 2-core Xeon host); a larger scan costs more and
 # finds nothing new
 MAX_M_LIMIT = 10**6
@@ -89,26 +84,33 @@ def _write_table(headers, widths, rows) -> None:
     sys.stdout.writelines((line % row).rstrip() + "\n" for row in rows)
 
 
-def _feasible_lines(rows, widths):
-    """The table's lines under its header, _CHUNK_ROWS per piece, each filled
-    from its (m, n, a, feasible) row into the template of its (feasible, a < n):
-    r = 1/m is "1/" before m, the yes/no cells are baked in and the last is
-    not padded; then the closing `feasible m: {...}` line of every feasible m."""
+def _feasible_lines(blocks, widths):
+    """The table's lines under its header, one piece per RowBlock of the scan,
+    then the closing `feasible m: {...}` line of every feasible m.
+
+    Each block's template is built from its first row, since every row of a
+    block has the same digit counts and yes/no cells: %d fields padded to
+    their widths with literal spaces, r = 1/m as "1/" before m, sum = a/n
+    as "%d/%d", and the yes/no cells baked in, the last one not padded.
+    The block is filled by one C-level map of the template over its columns.
+    """
     w_m, w_r, w_n, w_a, w_sum, *w_flags = widths
-    head = f"%-{w_m}d  1/%-{w_r - 2}d  %-{w_n}d  %-{w_a}d  %-{w_sum}s"
-    templates = {
-        (ok, lt): "  ".join([head, *map(str.ljust, ("yes", "yes", _YES[ok], _YES[lt]), w_flags)])
-        + f"  {_YES[ok]}\n"
-        for ok in (False, True) for lt in (False, True)
-    }
     feasible_ms = []
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        feasible_ms.extend([m for m, _, _, ok in chunk if ok])
+    for block in blocks:
+        d_m, d_n, d_a = (len(str(column[0])) for column in (block.m, block.n, block.a))
         # r = 1/m and sum = a/n are already in lowest terms: n = 2m-1 =
         # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3; the
         # integrality and square conditions hold for every row (see _row)
-        yield "".join([templates[ok, a < n] % (m, m, n, a, f"{a}/{n}") for m, n, a, ok in chunk])
+        cells = (("%d", w_m - d_m), ("1/%d", w_r - 2 - d_m), ("%d", w_n - d_n),
+                 ("%d", w_a - d_a), ("%d/%d", w_sum - d_a - 1 - d_n))
+        flags = ("yes", "yes", _YES[block.feasible], _YES[block.a_lt_n])
+        template = "  ".join(
+            [*(field + " " * pad for field, pad in cells), *map(str.ljust, flags, w_flags)]
+        ) + f"  {_YES[block.feasible]}\n"
+        if block.feasible:
+            feasible_ms.extend(block.m)
+        m, n, a = block.m, block.n, block.a
+        yield "".join(map(template.__mod__, zip(m, m, n, a, a, n)))
     yield f"feasible m: {{{', '.join(map(str, feasible_ms))}}}\n"
 
 
@@ -141,7 +143,7 @@ def cmd_feasible(args: argparse.Namespace) -> int:
     last = [(m, f"1/{m}", n, a, f"{a}/{n}", *["yes"] * 5) for m, n, a, _ in scan.rows(-1)]
     widths = _widths(_FEASIBLE_HEADERS, last)
     _write_table(_FEASIBLE_HEADERS, widths, ())
-    sys.stdout.writelines(_feasible_lines(scan.rows(), widths))
+    sys.stdout.writelines(_feasible_lines(scan.blocks(), widths))
     return 0
 
 
@@ -315,8 +317,22 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help text reaches stdout or raises OSError.
+
+    argparse's own print_help drops a write error, and the interpreter's flush
+    at exit reports a buffered one as "Exception ignored"; main turns the
+    OSError into its one-line error and exit 2.  Subparsers take this class.
+    """
+
+    def print_help(self, file=None) -> None:
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geoseries",
         description="Construct, verify and render proof-without-words pictures "
         "for geometric series, in exact rational arithmetic.",
@@ -403,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import groupby
+from math import isqrt
+from operator import lt, mul
 from typing import NamedTuple
 
 from .construction import LayeredParams
@@ -37,6 +40,26 @@ class FeasibilityReport(NamedTuple):
     passes_square_constraint: bool
     passes_bound: bool
     feasible: bool
+
+
+class RowBlock(NamedTuple):
+    """Consecutive rows of a scan that share one shape: the verdict, whether
+    a < n, and the decimal digit count of m, of n and of a.
+
+    m and n are ranges and a a list, one entry per row; row i is
+    (m[i], n[i], a[i]), with a_lt_n and feasible for every row.
+    """
+
+    m: range
+    n: range
+    a: list[int]
+    a_lt_n: bool
+    feasible: bool
+
+
+# most rows in one RowBlock: few enough that a block's columns and its text
+# stay a few hundred KiB, enough that the per-block work costs little
+_CHUNK_ROWS = 4096
 
 
 def check_square_constraint(p: LayeredParams) -> bool:
@@ -89,7 +112,8 @@ class FeasibilityScan(Sequence):
     len, indexing (negative too), iteration and slicing (which returns a
     list) behave as on the list of every report, which is never held.
     rows() gives the same scan as plain-int (m, n, a, feasible) tuples,
-    with no report and no Fraction per row.
+    with no report and no Fraction per row; blocks() gives it as column
+    blocks of one shape each, with no Python-level work per row.
     """
 
     __slots__ = ("_ms",)
@@ -111,6 +135,38 @@ class FeasibilityScan(Sequence):
     def rows(self, start: int = 0) -> Iterator[tuple[int, int, int, bool]]:
         """(m, n, a, feasible) of each report from index start on (negative counts from the end)."""
         return map(_row, self._ms[start:])
+
+    def blocks(self) -> Iterator[RowBlock]:
+        """The rows in order as RowBlocks of at most _CHUNK_ROWS rows each.
+
+        A block ends every _CHUNK_ROWS rows, where m, n = 2m-1 or
+        a = (m-1)^2 gains a digit, and where the verdict or a < n changes.
+        The digit cuts follow from those forms; the verdict is decided for
+        every row by a C-level map and grouped per chunk, never over the scan.
+        """
+        first, stop = self._ms.start, self._ms.stop
+        cuts = {stop}
+        for digits in range(1, 2 * len(str(stop))):  # a < stop^2
+            power = 10**digits
+            # m, n and a reach power at these m
+            cuts.update((power, power // 2 + 1, isqrt(power - 1) + 2))
+        cuts.update(range(first + _CHUNK_ROWS, stop, _CHUNK_ROWS))
+        start = first
+        for end in sorted(cut for cut in cuts if first < cut <= stop):
+            ms = range(start, end)
+            ns = range(2 * start - 1, 2 * end - 1, 2)
+            m_1 = range(start - 1, end - 1)
+            as_ = list(map(mul, m_1, m_1))
+            row = 0
+            # _row's verdict m^2 - 4m + 2 < 0 is (m-1)^2 < 2m-1, i.e. a < n:
+            # one comparison per row decides both cells
+            for ok, run in groupby(map(lt, as_, ns)):
+                size = len(list(run))
+                yield RowBlock(
+                    ms[row:row + size], ns[row:row + size], as_[row:row + size], ok, ok
+                )
+                row += size
+            start = end
 
 
 def enumerate_feasible(max_m: int) -> FeasibilityScan:

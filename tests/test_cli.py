@@ -962,6 +962,7 @@ def _tampered_scene(tmp_path) -> Path:
 
 
 CHUNK = geoseries.geometry._JSON_CHUNK
+CHUNK_ROWS = geoseries.feasibility._CHUNK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -972,7 +973,7 @@ CHUNK = geoseries.geometry._JSON_CHUNK
         # one report past a full piece of json_array
         (("feasible", "--max-m", str(CHUNK + 2), "--format", "json"), 0),
         # one report past a full chunk of rows
-        (("feasible", "--max-m", str(cli._CHUNK_ROWS + 2), "--format", "json"), 0),
+        (("feasible", "--max-m", str(CHUNK_ROWS + 2), "--format", "json"), 0),
         (("verify", "--construction", "layered", "--m", "3", "--layers", "5", "--format", "json"), 0),
         (("verify", "--construction", "staircase", "--s", "3/5", "--layers", "6",
           "--format", "json"), 0),
@@ -1088,8 +1089,9 @@ def test_failed_stdout_write_is_one_line_in_process(capsys, monkeypatch):
         ("feasible", "--max-m", "3"),
         ("feasible", "--max-m", "200000"),
         ("verify", "--construction", "layered", "--m", "3", "--layers", "300", "--format", "json"),
+        ("feasible", "--help"),
     ],
-    ids=["feasible-3", "feasible-200000", "verify-json"],
+    ids=["feasible-3", "feasible-200000", "verify-json", "feasible-help"],
 )
 def test_failed_stdout_write_exits_2_with_one_line(argv, sink, unbuffered):
     """Output nobody can take ends in one error line and exit 2, not a traceback,

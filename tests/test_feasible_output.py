@@ -4,7 +4,10 @@ The reference below is the formatter `feasible` used before it wrote its
 output in chunks: every cell built first, column widths taken over all
 rows, the JSON document encoded whole by json.dumps(indent=2).  Column
 widths change whenever a number gains a digit, so the sizes cover every
-max_m up to 400 and both sides of 1000 and 10000.
+max_m up to 400 and both sides of 1000 and 10000.  The table is written
+from the scan's blocks of same-shape rows, one template per block, so the
+blocks are checked against the closed form at every digit cut up to 10^6,
+and the 10^6 table is pinned by its sha256.
 """
 
 import collections
@@ -205,14 +208,92 @@ def test_benchmark_scale_output_is_pinned(monkeypatch, fmt_name):
     assert writer.digest.hexdigest() == PINNED_200000[fmt_name]
 
 
+# sha256 of the `geoseries feasible --max-m 1000000` table as written by the
+# per-row writer the block writer replaced: n, a and m gain their last digits
+# at m = 316229, 500001 and 10^6, past the scan pinned above
+PINNED_1000000_TABLE = "bf3734d8893329900bbc0962d1df18e09b197f26fc99efa91427e446e5e0db69"
+
+
+def test_largest_table_is_pinned(monkeypatch):
+    writer = Sha256Writer()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert main(["feasible", "--max-m", "1000000"]) == 0
+    assert writer.digest.hexdigest() == PINNED_1000000_TABLE
+
+
+# the m at which n = 2m-1, a = (m-1)^2 and m gain a digit, up to 10^6, and the
+# first m whose verdict differs from m = 2's
+N_CUTS = [6, 51, 501, 5001, 50001, 500001]
+A_CUTS = [5, 11, 33, 101, 318, 1001, 3164, 10001, 31624, 100001, 316229]
+M_CUTS = [10**k for k in range(1, 7)]
+VERDICT_CUTS = [4]
+
+
+def shape(m, n, a, a_lt_n, ok):
+    return ok, a_lt_n, len(str(m)), len(str(n)), len(str(a))
+
+
+def test_blocks_hold_the_rows_of_the_closed_form():
+    max_m = 10**6
+    near_cuts = {m + d for m in N_CUTS + A_CUTS + M_CUTS + VERDICT_CUTS for d in range(-2, 3)}
+    checked = set(range(2, 10**4 + 1)) | {m for m in near_cuts if 2 <= m <= max_m}
+    seen, next_m = set(), 2
+    for block in enumerate_feasible(max_m).blocks():
+        assert 1 <= len(block.m) <= feasibility._CHUNK_ROWS
+        assert len(block.n) == len(block.a) == len(block.m)
+        assert block.m.start == next_m and block.m.step == 1
+        next_m = block.m.stop
+        first = shape(block.m[0], block.n[0], block.a[0], block.a_lt_n, block.feasible)
+        ends = {0, len(block.m) - 1}
+        for i, m in enumerate(block.m):
+            if m not in checked and i not in ends:
+                continue
+            seen.add(m)
+            _, n, a, ok = feasibility._row(m)
+            assert (block.n[i], block.a[i], block.feasible) == (n, a, ok), m
+            assert shape(m, n, a, a < n, ok) == first, m
+    assert next_m == max_m + 1
+    assert checked <= seen
+
+
+@pytest.mark.parametrize("max_m", [2, 3, 4, 5, 6, 4097, 4098])
+def test_blocks_cover_every_row(max_m):
+    scan = enumerate_feasible(max_m)
+    rows = [
+        (m, n, a, block.feasible)
+        for block in scan.blocks()
+        for m, n, a in zip(block.m, block.n, block.a)
+    ]
+    assert rows == list(scan.rows())
+
+
 class PatchedScan:
-    """enumerate_feasible's scan with the rows of some m replaced."""
+    """enumerate_feasible's scan with the rows of some m replaced; in blocks(),
+    each replaced row is a one-row block of its own."""
 
     def __init__(self, max_m, patch):
         self.scan, self.patch = enumerate_feasible(max_m), patch
 
     def rows(self, start=0):
         return (self.patch.get(row[0], row) for row in self.scan.rows(start))
+
+    def blocks(self):
+        for block in self.scan.blocks():
+            done = 0
+            for i, m in enumerate(block.m):
+                if m in self.patch:
+                    if done < i:
+                        yield cut(block, done, i)
+                    m, n, a, ok = self.patch[m]
+                    yield feasibility.RowBlock(range(m, m + 1), range(n, n + 1), [a], a < n, ok)
+                    done = i + 1
+            if done < len(block.m):
+                yield cut(block, done, len(block.m))
+
+
+def cut(block, start, stop):
+    """Rows start..stop-1 of block, as a block."""
+    return block._replace(m=block.m[start:stop], n=block.n[start:stop], a=block.a[start:stop])
 
 
 # m = 7 marked feasible, its a < n still false; m = 5 given a = 1 < n,

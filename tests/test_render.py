@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -14,7 +15,7 @@ from geoseries.cli import MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import Polygon, build_layered_scene, build_staircase_scene, shoelace_area
-from geoseries.render import RenderOptions, format_coordinate, layout, render
+from geoseries.render import _NOT_XML, RenderOptions, format_coordinate, layout, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -87,6 +88,14 @@ class TestRenderOptions:
 
     def test_accepts_every_other_character(self):
         RenderOptions(color_fill="\t\n\r \ud7ff\ue000\ufffd\U00010000\U0010ffff")
+
+    def test_forbidden_characters_are_the_complement_of_xml_char(self):
+        """_NOT_XML lists the forbidden code points; the reference is the complement
+        of XML 1.0's Char production, and the two agree on every code point."""
+        char = "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert _NOT_XML.findall(every) == re.findall(char, every)
+        assert len(_NOT_XML.findall(every)) == 29 + 2048 + 2
 
 
 class TestRender:
