@@ -195,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CliError(
                 f"--from-scene takes its scene from the file, not from {', '.join(given)}"
             )
-        path = _path(args.from_scene)
+        path = _path(args.from_scene, "--from-scene")
         try:
             size = path.stat().st_size
             if size > MAX_SCENE_FILE_BYTES:
@@ -204,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"{MAX_SCENE_FILE_BYTES}"
                 )
             with open(path, "rb") as file:
-                data = file.read(MAX_SCENE_FILE_BYTES + 1)
+                data = _read_capped(file, size)
             if len(data) > MAX_SCENE_FILE_BYTES:  # a pipe or a device: stat gives no size
                 raise CliError(
                     f"scene file {args.from_scene} holds more than {MAX_SCENE_FILE_BYTES} "
@@ -256,7 +256,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         show_layer_annotations=not args.no_layer_annotations,
         equilateral_look=not args.no_equilateral,
     )
-    out = _path(args.out)
+    out = _path(args.out, "--out")
     if args.emit_scene and out.suffix == ".json":
         raise CliError(
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
@@ -271,12 +271,38 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _path(text: str):
+def _path(text: str, flag: str):
     """pathlib.Path(text), imported here: pathlib loads urllib.parse, which only
-    the commands that read or write files need."""
+    the commands that read or write files need.  An empty text, which Path reads
+    as the current directory, is a usage error that names the flag."""
+    if not text:
+        raise CliError(f"{flag} must name a file, got ''")
     from pathlib import Path
 
     return Path(text)
+
+
+# bytes _read_capped asks for at a time once a file holds more than stat said
+_READ_CHUNK = 1 << 20
+
+
+def _read_capped(file, size: int):
+    """The file's bytes, up to one past MAX_SCENE_FILE_BYTES, in about as much
+    memory as it holds.
+
+    size is what stat gave; one more byte is asked for, to see the file hold
+    more. A read of n bytes reserves n up front, so a file that does hold more,
+    or a pipe or a device (stat gives 0), is read on in chunks of _READ_CHUNK.
+    """
+    data = file.read(size + 1)
+    if len(data) <= size:
+        return data
+    data = bytearray(data)
+    while len(data) <= MAX_SCENE_FILE_BYTES and (
+        chunk := file.read(min(_READ_CHUNK, MAX_SCENE_FILE_BYTES + 1 - len(data)))
+    ):
+        data += chunk
+    return data
 
 
 def _write_output(path, chunks) -> None:
@@ -318,12 +344,28 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose --help text reaches stdout or raises OSError.
+    """An ArgumentParser whose --help text reaches stdout or raises OSError, and
+    whose arguments may be added when it first parses.
 
     argparse's own print_help drops a write error, and the interpreter's flush
     at exit reports a buffered one as "Exception ignored"; main turns the
     OSError into its one-line error and exit 2.  Subparsers take this class.
+
+    fill, when given, is a function that adds the parser's arguments.
+    parse_known_args, which parse_args and the subparsers action of the chosen
+    subcommand both call, runs it once before its first parse: a command builds
+    the arguments of the subcommand it names and of no other.
     """
+
+    def __init__(self, *args, fill=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
     def print_help(self, file=None) -> None:
         file = sys.stdout if file is None else file
@@ -331,46 +373,35 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="geoseries",
-        description="Construct, verify and render proof-without-words pictures "
-        "for geometric series, in exact rational arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_feasible = sub.add_parser(
-        "feasible", help="enumerate which r = 1/m admit a layered picture"
-    )
-    p_feasible.add_argument(
+def _feasible_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--max-m",
         type=int,
         default=10,
         help=f"scan m = 2..MAX_M, at most {MAX_M_LIMIT} (default: 10)",
     )
-    p_feasible.add_argument("--format", choices=("table", "json"), default="table")
-    p_feasible.set_defaults(func=cmd_feasible)
+    p.add_argument("--format", choices=("table", "json"), default="table")
 
-    def add_scene_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--m",
-            type=int,
-            help="layered: r = 1/m; an infeasible m (with --allow-infeasible) draws "
-            f"layers x (2m - 1) + 1 polygons, at most {MAX_POLYGONS}",
-        )
-        p.add_argument("--s", type=_rational, help="staircase: s = P/Q, ratio r = s^2")
-        p.add_argument(
-            "--layers",
-            type=int,
-            help=f"layers to draw (default: {_DEFAULT_LAYERS}); layers x bit length of the "
-            f"denominator of r = 1/m or of s is at most {MAX_DENOMINATOR_BITS}",
-        )
-        p.add_argument("--allow-infeasible", action="store_true", default=None)
 
-    p_verify = sub.add_parser(
-        "verify", help="build a scene and audit every area against the formulas"
+def _scene_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--m",
+        type=int,
+        help="layered: r = 1/m; an infeasible m (with --allow-infeasible) draws "
+        f"layers x (2m - 1) + 1 polygons, at most {MAX_POLYGONS}",
     )
-    source = p_verify.add_mutually_exclusive_group(required=True)
+    p.add_argument("--s", type=_rational, help="staircase: s = P/Q, ratio r = s^2")
+    p.add_argument(
+        "--layers",
+        type=int,
+        help=f"layers to draw (default: {_DEFAULT_LAYERS}); layers x bit length of the "
+        f"denominator of r = 1/m or of s is at most {MAX_DENOMINATOR_BITS}",
+    )
+    p.add_argument("--allow-infeasible", action="store_true", default=None)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--construction", choices=_CONSTRUCTIONS)
     source.add_argument(
         "--from-scene",
@@ -378,43 +409,67 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a scene JSON file, which takes no other scene argument; its "
         "layers_rendered has the cap of --layers",
     )
-    add_scene_args(p_verify)
-    p_verify.add_argument("--format", choices=("table", "json"), default="table")
-    p_verify.set_defaults(func=cmd_verify)
+    _scene_args(p)
+    p.add_argument("--format", choices=("table", "json"), default="table")
 
-    p_render = sub.add_parser("render", help="render a scene to a deterministic SVG")
-    p_render.add_argument("--construction", choices=_CONSTRUCTIONS, required=True)
-    add_scene_args(p_render)
-    p_render.add_argument("--out", required=True, metavar="PATH")
-    p_render.add_argument("--emit-scene", action="store_true")
-    p_render.add_argument("--width", type=int, default=RenderOptions.canvas_width_px)
-    p_render.add_argument("--fill", default=RenderOptions.color_fill)
-    p_render.add_argument("--stroke", default=RenderOptions.stroke_color)
-    p_render.add_argument("--decimal-places", type=int, default=RenderOptions.decimal_places)
-    p_render.add_argument("--no-labels", action="store_true")
-    p_render.add_argument("--no-layer-annotations", action="store_true")
-    p_render.add_argument("--no-equilateral", action="store_true")
-    p_render.set_defaults(func=cmd_render)
 
-    p_table = sub.add_parser(
-        "table", help="print partial sums of a geometric series, naive and closed"
-    )
-    p_table.add_argument("--ratio", type=_rational, required=True)
-    p_table.add_argument(
+def _render_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--construction", choices=_CONSTRUCTIONS, required=True)
+    _scene_args(p)
+    p.add_argument("--out", required=True, metavar="PATH")
+    p.add_argument("--emit-scene", action="store_true")
+    p.add_argument("--width", type=int, default=RenderOptions.canvas_width_px)
+    p.add_argument("--fill", default=RenderOptions.color_fill)
+    p.add_argument("--stroke", default=RenderOptions.stroke_color)
+    p.add_argument("--decimal-places", type=int, default=RenderOptions.decimal_places)
+    p.add_argument("--no-labels", action="store_true")
+    p.add_argument("--no-layer-annotations", action="store_true")
+    p.add_argument("--no-equilateral", action="store_true")
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ratio", type=_rational, required=True)
+    p.add_argument(
         "--first-term",
         type=_rational,
         default=parse("1"),
         help=f"first term P/Q (default: 1); P and Q are at most {MAX_DENOMINATOR_BITS} bits each",
     )
-    p_table.add_argument(
+    p.add_argument(
         "--terms",
         type=int,
         default=10,
         help="rows to print (default: 10); terms x bit length of the ratio's "
         f"denominator is at most {MAX_DENOMINATOR_BITS}",
     )
-    p_table.set_defaults(func=cmd_table)
 
+
+# each subcommand: its name, its line in --help, the function that adds its
+# arguments and the function that runs it
+_COMMANDS = (
+    ("feasible", "enumerate which r = 1/m admit a layered picture", _feasible_args, cmd_feasible),
+    ("verify", "build a scene and audit every area against the formulas", _verify_args,
+     cmd_verify),
+    ("render", "render a scene to a deterministic SVG", _render_args, cmd_render),
+    ("table", "print partial sums of a geometric series, naive and closed", _table_args,
+     cmd_table),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The geoseries parser, with each subcommand's name, help line and handler.
+
+    A subcommand's arguments are added when its parser first parses, that is
+    when the command line names it: a command pays for its own arguments only.
+    """
+    parser = _Parser(
+        prog="geoseries",
+        description="Construct, verify and render proof-without-words pictures "
+        "for geometric series, in exact rational arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, fill, handler in _COMMANDS:
+        sub.add_parser(name, help=help_line, fill=fill).set_defaults(func=handler)
     return parser
 
 

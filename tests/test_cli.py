@@ -1,4 +1,6 @@
+import argparse
 import errno
+import hashlib
 import io
 import json
 import os
@@ -524,6 +526,31 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: scene file /dev/zero holds more than 1000 bytes, the cap\n"
 
+    def test_scene_file_is_read_in_about_its_own_size(self, capsys, tmp_path):
+        # a read of n bytes reserves n up front: a read of up to the byte cap
+        # peaks at 113 MB, over 140x the size of this 0.8 MB file
+        out_path = tmp_path / "deep.svg"
+        render_args = ("--construction", "layered", "--m", "3", "--layers", "200")
+        assert run(capsys, "render", *render_args, "--out", str(out_path), "--emit-scene")[0] == 0
+        scene_path = out_path.with_suffix(".json")
+        size = scene_path.stat().st_size
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--from-scene", str(scene_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert size > 700_000
+        assert peak < 20 * size, f"peak {peak} B for a {size} B file"
+
+    def test_empty_scene_path_is_usage_error(self, capsys, monkeypatch):
+        # Path("") is the current directory, which open() refuses only as a directory
+        monkeypatch.setattr(cli, "scene_from_json", lambda doc: pytest.fail("a scene was read"))
+        assert run(capsys, "verify", "--from-scene", "") == (
+            2, "", "error: --from-scene must name a file, got ''\n"
+        )
+
     @pytest.mark.parametrize(
         "data, reason",
         [
@@ -895,6 +922,16 @@ class TestRender:
         assert built == []
         assert not out_path.exists()
 
+    def test_empty_out_is_usage_error_before_the_build(self, capsys, monkeypatch):
+        # Path("") is the current directory: unchecked, the scene is built and
+        # rendered before its write fails with "cannot write .: Is a directory"
+        built = []
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: built.append(args))
+        assert run(capsys, "render", *RENDER_SCENE, "--out", "") == (
+            2, "", "error: --out must name a file, got ''\n"
+        )
+        assert built == []
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["render", "--construction", "layered", "--m", "2", "--bogus"])
@@ -930,6 +967,94 @@ class TestRender:
 )
 def test_usage_error_is_one_line_with_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# argv, exit code, and the sha256 of stdout + "\0" + stderr at COLUMNS=80 and
+# at COLUMNS=40: every help text, usage line and parse error, pinned so that
+# adding a subcommand's arguments only when it parses cannot change a byte
+_PARSER_TEXTS = [
+    (("--help",), 0,
+     "7f133db2064faaa0b24711b89eb18b48ed5cd59dc8383385e2f7990839b5796b",
+     "ef18ef492b216f16bef057300a86c5f7a64b24485ed8c460db079f9f78461f0d"),
+    (("feasible", "--help"), 0,
+     "c6ddf9f40f18ba721cac48450ec0c6927b77fc11d957e6aa7674bb38470aadaf",
+     "4c030b83f21f229c089cf5ab3b80e206dad61aae8c0bdacca3afb817b1bd25d0"),
+    (("verify", "--help"), 0,
+     "d872323996e93ef862f88fb03d6b609fa387a6cd1bac5e6785ba6a7de882a227",
+     "fa66aea989bacddf3d5d27959345aa9c3cb14a3d5093e686c005b198f158219a"),
+    (("render", "--help"), 0,
+     "38150161acd8acf7ed640707859f978a74ad3c4dd812e8ad3db24e6f55fdf334",
+     "c2ef21df9f0214793355b800e180ed10190e49027e3632f227730050d77b560a"),
+    (("table", "--help"), 0,
+     "47dd72558a87bcf047b02cc283ed79bde6c73d9401b6daac6a0ba7c09a7ce24e",
+     "d240b30e5ec977d83617fb99827db951dfaf4a76c67fbea5c4cdc26d86b0094c"),
+    ((), 2,
+     "a7fec73f26b1068a84f0e2e6e32381af21431cf57e80a32dddcc1b343c06f127",
+     "24fe194fe98f4e230c0bf88b20b41252b82005d2280ccd183f26610057ce35c8"),
+    (("bogus",), 2,
+     "da7a9d784fd3f1e40d094f407c4c883baaa849a39b6cac514a7db3727caf0f3c",
+     "559a8b63a5cf5b8e0d67068535c12b10d3e02808d8fd7c45ec56cc30c2d36315"),
+    (("--bogus", "feasible"), 2,
+     "223f405065d029d3de505b04d795ce678a38ce46e4f519bb6d3b089addd5bd30",
+     "bd8b4e0f0415e019221beb163f1ebaa53cb8774d7f6965f8fd58c8123e69e1ed"),
+    (("feasible", "--bogus"), 2,
+     "223f405065d029d3de505b04d795ce678a38ce46e4f519bb6d3b089addd5bd30",
+     "bd8b4e0f0415e019221beb163f1ebaa53cb8774d7f6965f8fd58c8123e69e1ed"),
+    (("feasible", "--max-m", "1e3"), 2,
+     "373fdc11f745b95551e748d637b55ab9008f287227e3e697fb39b86a03485f5b",
+     "584c6edbd4d30aa59bb4874e24cd673b365d3bf44956e1af986b7e66cbec6001"),
+    (("verify", "--m", "3"), 2,
+     "27a438ef3c804a1b7bfef146e924e94204d04e191b2af14f6c9b4d8fb0d4567d",
+     "1d9c851bf44dfbb7ca30713bf9be713c753abbbe5863655c054e9f2008f8d3ca"),
+    (("verify", "--construction", "layered", "--from-scene", "x.json"), 2,
+     "8a640ba6c8d81432173870b53e0e8de8c0b3256139ac09a84bdef0ada0a49cbc",
+     "bca7c05c154502031446a05856a0aa9bf0f12ce5e2b92b900d2c9a9d8874b8e9"),
+    (("render", "--construction", "layered"), 2,
+     "46ec679e87d17e6eefea397281f310e4abfa333975da6489b462db182ec45f5c",
+     "7db3a2276ed9ca36754fc8092ec5da348a6f5668cd7bd487162903061c11a935"),
+]
+
+
+@pytest.mark.parametrize("columns", [80, 40])
+@pytest.mark.parametrize(
+    "argv, want_code, digest80, digest40",
+    _PARSER_TEXTS,
+    ids=[" ".join(argv) or "no-command" for argv, *_ in _PARSER_TEXTS],
+)
+def test_parser_texts_are_pinned(
+    capsys, monkeypatch, columns, argv, want_code, digest80, digest40
+):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
+    assert exc.value.code == want_code
+    assert digest == (digest80 if columns == 80 else digest40), out + err
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("feasible", "--max-m", "3"), {"--construction", "--ratio", "--out"}),
+        (("table", "--ratio", "1/4", "--terms", "3"), {"--from-scene", "--max-m", "--out"}),
+    ],
+    ids=["feasible", "table"],
+)
+def test_a_command_adds_only_its_own_arguments(capsys, monkeypatch, argv, absent):
+    # every argument, a mutually exclusive group's too, is made as an Action;
+    # ArgumentParser.add_argument alone would miss verify's --from-scene
+    added = []
+    init = argparse.Action.__init__
+
+    def record(self, option_strings, *args, **kwargs):
+        added.extend(option_strings)
+        init(self, option_strings, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.Action, "__init__", record)
+    assert run(capsys, *argv)[0] == 0
+    assert argv[1] in added
+    assert absent.isdisjoint(added), sorted(absent.intersection(added))
 
 
 @pytest.mark.parametrize(
