@@ -8,6 +8,7 @@ mismatch, 2 usage error or standard output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -210,7 +211,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"scene file {args.from_scene} holds more than {MAX_SCENE_FILE_BYTES} "
                     "bytes, the cap"
                 )
-            doc = json.loads(data.decode("utf-8"))
+            # each buffer is dropped once the next is made: the bytes, the text
+            # and the document held together peak at over 3x the file's size
+            text = data.decode("utf-8")
+            del data
+            doc = json.loads(text)
+            del text
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError: not UTF-8, not JSON, or an integer too long to convert
             raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
@@ -261,6 +267,11 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise CliError(
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
         )
+    # refused before the build, as open() would refuse it after the render
+    if out.is_dir():
+        raise CliError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+    if not out.parent.exists():
+        raise CliError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
     scene = _build_scene(args)
     _write_output(out, [render(scene, opts)])
     print(f"wrote {out}")

@@ -36,6 +36,16 @@ prototype document, so its layout is the encoder's; free text (params,
 label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
+
+A built scene keeps its layer 1 and lam = a/b outside its fields, and
+the scene writer fills it a layer at a time: each distinct value of a
+layer is reduced and printed once, an x value by its gcd with a small
+layer-1 numerator, and each reduced denominator once; each tile's
+template, its role baked in, is filled from those texts.  A scene
+without them, read from a file or made by dataclasses.replace, is
+written polygon by polygon, each distinct coordinate of a run over one
+denominator reduced by one gcd.  Both give the same text; the tests
+hold the second as the first's reference.
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 from .construction import (
     LayeredParams,
@@ -62,6 +73,7 @@ from .rational import (
     ONE,
     ZERO,
     Rational,
+    _int_text,
     check_depth,
     fmt,
     fmt_parts,
@@ -247,6 +259,17 @@ def _construction(kind: str, ratio: Rational):
     return {"s": fmt(ratio), "r": fmt(q.ratio)}, outline, ratio, layer1, staircase_total_area(q)
 
 
+def _layer_lines(apex: int, top: int, a: int, b: int, layers: int):
+    """(k, u, v, (bottom, top)) of layers k = 1..layers of a picture with shrink
+    = a/b: shrink^(k-1) = u/v, and the y numerators over d1 v of layer k's
+    bottom and top lines, apex and top being A's and layer 1's top's over d1."""
+    u = v = 1
+    for k in range(1, layers + 1):
+        yield k, u, v, (apex * (v - u), apex * v - u * (apex - top))
+        u *= a
+        v *= b
+
+
 def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, label_dx) -> Scene:
     """The picture of `layers` layers: layer k is layer 1 shrunk toward A by shrink^(k-1).
 
@@ -263,6 +286,10 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
     becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
     Only u and v grow, by one integer product each per layer.  More than
     MAX_POLYGONS polygons raise ValueError, as layers too deep do.
+
+    The scene keeps layer 1 and shrink as (d1, xs, apex, top, a, b, tiles),
+    outside its fields, so ==, repr and dataclasses.replace never see them;
+    scene_json_chunks writes the layers from them.
     """
     params_echo, outline, shrink, (per_layer, *_), _ = _construction(kind, ratio)
     check_depth(layers, shrink, "layers")
@@ -275,21 +302,20 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
     # the labels have their own denominator, so they do not widen the polygons'
     (apex_l, mid, dx), dl = _numerators((apex_y, label_mid, label_dx), d1)
     a, b = shrink.numerator, shrink.denominator
+    assert math.gcd(a, d1 * b) == 1  # for both kinds; _layer_items relies on it
     polygons = [Polygon(outline, ROLE_OUTLINE)]
     labels = list(vertex_labels)
-    u = v = 1
-    for k in range(1, layers + 1):
+    for k, u, v, y in _layer_lines(apex, top, a, b, layers):
         x = [u * c for c in xs1]
-        y = (apex * (v - u), apex * v - u * (apex - top))
         d = d1 * v
         for role, corners in tiles:
             polygons.append(Polygon.over(
                 tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
             ))
         labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
-        u *= a
-        v *= b
-    return Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
+    scene = Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
+    object.__setattr__(scene, "_layer1", (d1, tuple(xs1), apex, top, a, b, tuple(tiles)))
+    return scene
 
 
 def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
@@ -586,45 +612,90 @@ def _polygon_json(vertex_count: int) -> str:
                           "layer_index": FILL, "label": None}, 2)
 
 
+def _polygon_items(polygons):
+    """Each polygon's item in a scene file: each distinct numerator of a run of
+    polygons over one denominator is reduced and printed once; the memo holds
+    one run's text at most."""
+    memo: dict[int, str] = {}
+    memo_den = None
+    for poly in polygons:
+        den = poly.den
+        if den != memo_den:
+            memo.clear()
+            memo_den = den
+        cells = []
+        for x, y in zip(poly.xs, poly.ys):
+            for value in (x, y):
+                text = memo.get(value)
+                if text is None:
+                    text = memo[value] = fmt_parts(value, den)
+                cells.append(text)
+        layer_index = "null" if poly.layer_index is None else poly.layer_index
+        yield _polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index)
+
+
+def _layer_items(layer1, layers: int):
+    """The items of a built scene's layered polygons, filled a layer at a time
+    from the (d1, xs, apex, top, a, b, tiles) that _build_scene keeps.
+
+    Each distinct value of a layer is reduced and printed once.  For both
+    kinds gcd(a, d1 b) = 1, so with shrink^(k-1) = u/v, gcd(u, d1 v) = 1 and
+    layer k's x value u c / (d1 v) reduces by the small gcd(c, d1 v); each
+    reduced denominator is printed once.  The two y values are reduced by
+    fmt_parts.  Each tile's item is a template, its role baked in, filled
+    from the layer's texts.
+    """
+    d1, xs, apex, top, a, b, tiles = layer1
+    n = len(xs)
+    fills = []  # (template, cells): cells picks a tile's texts from the layer's
+    for role, corners in tiles:
+        # the layer's texts: its x values, its bottom and top y values, its index
+        order = [t for i, j in corners for t in (i, n + j)] + [n + 2]
+        holes = ("%s",) * (2 * len(corners))
+        fills.append((_polygon_json(len(corners)) % (*holes, role, "%s"), itemgetter(*order)))
+    for k, u, v, ys in _layer_lines(apex, top, a, b, layers):
+        den = d1 * v
+        dens: dict[int, str] = {}
+        texts = []
+        for c in xs:
+            g = math.gcd(c, den)
+            over = dens.get(g)
+            if over is None:
+                over = dens[g] = "" if g == den else "/" + _int_text(den // g)
+            texts.append(_int_text(u * (c // g)) + over)
+        texts += [fmt_parts(y, den) for y in ys]
+        texts.append(k)
+        for template, cells in fills:
+            yield template % cells(texts)
+
+
 def scene_json_chunks(scene: Scene):
     """The scene file of scene, laid out as json.dumps(doc, indent=2) + "\n", in
     pieces of _JSON_CHUNK polygons; neither the document nor its whole text
     is built.
 
-    The polygons of a built layer share one denominator and their
-    coordinate lines, so each distinct numerator is reduced and printed
-    once per run of polygons over one denominator; the memo holds one
-    layer's text at most.
+    A scene from the builders is written a layer at a time from the layer 1
+    it keeps (see _layer_items); any other scene, as one read from a file or
+    made by dataclasses.replace, polygon by polygon (see _polygon_items).
+    Both give the same text for the same scene.
     """
     yield _SCENE_HEAD % (
         json.dumps(scene.construction_kind), _dumps(scene.params_echo, 1),
         scene.layers_rendered,
     )
-
-    def polygons():
-        memo: dict[int, str] = {}
-        memo_den = None
-        for poly in scene.polygons:
-            den = poly.den
-            if den != memo_den:
-                memo.clear()
-                memo_den = den
-            cells = []
-            for x, y in zip(poly.xs, poly.ys):
-                for value in (x, y):
-                    text = memo.get(value)
-                    if text is None:
-                        text = memo[value] = fmt_parts(value, den)
-                    cells.append(text)
-            layer_index = "null" if poly.layer_index is None else poly.layer_index
-            yield _polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index)
+    layer1 = scene.__dict__.get("_layer1")
+    if layer1 is None:
+        polygons = _polygon_items(scene.polygons)
+    else:  # the builders put the outline first
+        polygons = chain(_polygon_items(scene.polygons[:1]),
+                         _layer_items(layer1, scene.layers_rendered))
 
     def labels():
         for pt, text in scene.labels:
             xn, yn, d = point_numerators(pt)
             yield _LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text))
 
-    yield from json_array(polygons())
+    yield from json_array(polygons)
     yield _SCENE_LABELS
     yield from json_array(labels())
     yield _SCENE_TAIL

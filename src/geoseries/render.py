@@ -6,9 +6,14 @@ held as integers over one shared denominator.  A vertex x = p/d, p an
 integer numerator of its polygon over the polygon's denominator d, then
 maps to the unreduced fraction (ax*p + bx*d) / (den*d), with no gcd, and
 is printed by the one rounding rule format_coordinate also uses: decimal
-digits expanded from integers, half away from zero.  The equilateral
-look for layered scenes is a cosmetic y-stretch by a fixed rational
-stand-in for sqrt(3); the audit never sees these coordinates.
+digits expanded from integers, half away from zero.  A run of polygons
+over one denominator, as a built layer is, shares its coordinate lines:
+each distinct x and y numerator of a run is mapped and printed once, by
+one memo per axis, cleared where the denominator changes.  The memo
+reads nothing but the polygons, so a scene read from a file takes the
+same path.  The equilateral look for layered scenes is a cosmetic
+y-stretch by a fixed rational stand-in for sqrt(3); the audit never sees
+these coordinates.
 """
 
 from __future__ import annotations
@@ -163,9 +168,26 @@ def _px(lay: Layout, xn: int, yn: int, d: int, dp: int) -> tuple[str, str]:
     return _fixed(lay.ax * xn + lay.bx * d, den, dp), _fixed(lay.ay * yn + lay.by * d, den, dp)
 
 
-def _points_attr(poly, lay: Layout, dp: int) -> str:
-    d = poly.den
-    return " ".join([",".join(_px(lay, x, y, d, dp)) for x, y in zip(poly.xs, poly.ys)])
+def _points_attrs(polygons, lay: Layout, dp: int):
+    """Each polygon's points attribute, in order: each distinct x and y numerator
+    of a run of polygons over one denominator is mapped and printed once."""
+    den = None
+    for poly in polygons:
+        if poly.den != den:
+            den = poly.den
+            scale, bx, by = lay.den * den, lay.bx * den, lay.by * den
+            px: dict[int, str] = {}
+            py: dict[int, str] = {}
+        cells = []
+        for x, y in zip(poly.xs, poly.ys):
+            tx = px.get(x)
+            if tx is None:
+                tx = px[x] = _fixed(lay.ax * x + bx, scale, dp)
+            ty = py.get(y)
+            if ty is None:
+                ty = py[y] = _fixed(lay.ay * y + by, scale, dp)
+            cells.append(f"{tx},{ty}")
+        yield " ".join(cells)
 
 
 def render(scene: Scene, opts: RenderOptions | None = None) -> str:
@@ -191,9 +213,10 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
     filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
     filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
-    for poly in outlines + filled:
+    polygons = outlines + filled
+    for poly, points in zip(polygons, _points_attrs(polygons, lay, dp)):
         lines.append(
-            f'<polygon points="{_points_attr(poly, lay, dp)}" fill="{fills[poly.role]}" '
+            f'<polygon points="{points}" fill="{fills[poly.role]}" '
             f'stroke="{stroke_attr}" stroke-width="1"/>'
         )
     for pt, text in scene.labels:

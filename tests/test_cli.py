@@ -544,6 +544,25 @@ class TestVerify:
         assert size > 700_000
         assert peak < 20 * size, f"peak {peak} B for a {size} B file"
 
+    def test_scene_file_bytes_and_text_are_dropped_as_it_is_parsed(self, capsys, tmp_path):
+        # the file's bytes, its text and the parsed document held together
+        # peaked at 3.24x the size of this 14.85 MB file
+        out_path = tmp_path / "deep.svg"
+        render_args = ("--construction", "layered", "--m", "3", "--layers", "1024")
+        assert run(capsys, "render", *render_args, "--out", str(out_path), "--emit-scene")[0] == 0
+        scene_path = out_path.with_suffix(".json")
+        size = scene_path.stat().st_size
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--from-scene", str(scene_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert size > 14_000_000
+        assert peak < 2.6 * size, f"peak {peak} B for a {size} B file"
+
     def test_empty_scene_path_is_usage_error(self, capsys, monkeypatch):
         # Path("") is the current directory, which open() refuses only as a directory
         monkeypatch.setattr(cli, "scene_from_json", lambda doc: pytest.fail("a scene was read"))
@@ -931,6 +950,21 @@ class TestRender:
             2, "", "error: --out must name a file, got ''\n"
         )
         assert built == []
+
+    @pytest.mark.parametrize(
+        "name, error", [("adir", errno.EISDIR), ("nodir/x.svg", errno.ENOENT)],
+        ids=["a-directory", "no-parent"],
+    )
+    def test_unwritable_out_is_usage_error_before_the_build(
+        self, capsys, monkeypatch, tmp_path, name, error
+    ):
+        # unchecked, the scene is built and rendered before its write fails
+        (tmp_path / "adir").mkdir()
+        out_path = tmp_path / name
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
+        assert run(capsys, "render", *RENDER_SCENE, "--out", str(out_path)) == (
+            2, "", f"error: cannot write {out_path}: {os.strerror(error)}\n"
+        )
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoseries.construction import (
@@ -21,6 +21,7 @@ from geoseries.geometry import (
     ROLE_BLANK,
     ROLE_COLORED,
     ROLE_OUTLINE,
+    MAX_POLYGONS,
     MAX_SCENE_DENOMINATOR_BITS,
     Point,
     Polygon,
@@ -29,9 +30,11 @@ from geoseries.geometry import (
     build_layered_scene,
     build_staircase_scene,
     scene_from_json,
+    scene_json_chunks,
     scene_to_json,
     shoelace_area,
 )
+from geoseries.rational import MAX_DENOMINATOR_BITS
 
 MABRY = LayeredParams(3, 1, Fraction(1, 2))
 EDGAR = LayeredParams(5, 4, Fraction(1, 3))
@@ -606,6 +609,48 @@ class TestSceneJson:
         doc = scene_to_json(build_layered_scene(MABRY, 1))
         doc["polygons"][1]["label"] = "top"
         assert {p["label"] for p in scene_to_json(scene_from_json(doc))["polygons"]} == {None}
+
+
+def _written_layer_by_layer_as_polygon_by_polygon(scene):
+    # a dataclasses.replace copy keeps no layer 1, so it is written polygon by polygon
+    twin = replace(scene)
+    assert "_layer1" in scene.__dict__ and "_layer1" not in twin.__dict__
+    assert twin == scene
+    assert "".join(scene_json_chunks(scene)) == "".join(scene_json_chunks(twin))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_layered_scene(derive_config(2), 60),
+        lambda: build_layered_scene(derive_config(3), 60),
+        lambda: build_layered_scene(derive_config(5), 30),  # clamped
+        lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2)), 60),
+        lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 60),
+        lambda: build_staircase_scene(StaircaseParams(Fraction(7, 9)), 60),
+        lambda: build_staircase_scene(StaircaseParams(Fraction(1, 10**100)), 12),  # its depth cap
+    ],
+    ids=["m2", "m3", "clamped-m5", "s1_2", "s3_5", "s7_9", "s1_10e100-cap"],
+)
+def test_built_scene_is_written_as_the_polygon_writer_writes_it(build):
+    _written_layer_by_layer_as_polygon_by_polygon(build())
+
+
+@settings(deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda s: 0 < s < 1),
+    st.integers(2, 12),
+    st.integers(1, 40),
+)
+def test_any_built_scene_is_written_as_the_polygon_writer_writes_it(s, m, layers):
+    most = MAX_DENOMINATOR_BITS // s.denominator.bit_length()
+    _written_layer_by_layer_as_polygon_by_polygon(
+        build_staircase_scene(StaircaseParams(s), min(layers, most))
+    )
+    most = (MAX_POLYGONS - 1) // (2 * m - 1)
+    _written_layer_by_layer_as_polygon_by_polygon(
+        build_layered_scene(derive_config(m), min(layers, most))
+    )
 
 
 def _paths(node, prefix=()):

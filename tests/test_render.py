@@ -14,7 +14,14 @@ import pytest
 from geoseries.cli import MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.feasibility import derive_config
-from geoseries.geometry import Polygon, build_layered_scene, build_staircase_scene, shoelace_area
+from geoseries.geometry import (
+    Polygon,
+    build_layered_scene,
+    build_staircase_scene,
+    scene_from_json,
+    scene_to_json,
+    shoelace_area,
+)
 from geoseries.render import _NOT_XML, RenderOptions, format_coordinate, layout, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -303,6 +310,38 @@ def test_depth_cap_scene_file_matches_its_pin_and_sets_the_byte_cap(tmp_path, ca
         "a8c5f8c6f2b9feaef3bbe3cd451076f692c815919b72573b899b69a24c1848eb"
     )
     assert 2 * len(data) == MAX_SCENE_FILE_BYTES
+
+
+def test_depth_cap_svg_matches_its_pin():
+    """The largest picture, layered m = 3 at 2048 layers, at the default options."""
+    svg = render(build_layered_scene(derive_config(3), 2048))
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+        "65a23ff58004bdea0262a3cf04d3494b8e7dc4d63d2b1e1285e3cb5c52da432c"
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_layered_scene(derive_config(3), 200),
+        lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 500),
+        lambda: build_layered_scene(derive_config(5), 20),  # clamped
+    ],
+    ids=["layered-m3-L200", "staircase-3_5-L500", "clamped-m5-L20"],
+)
+@pytest.mark.parametrize(
+    "opts", [RenderOptions(), RenderOptions(decimal_places=1, equilateral_look=False)],
+    ids=["default", "dp1-flat"],
+)
+def test_render_of_a_read_back_scene_is_the_same(build, opts):
+    scene = build()
+    back = scene_from_json(scene_to_json(scene))
+    if scene.construction_kind == "staircase":
+        # read back, each polygon is over its own reduced denominator: a layer's
+        # two differ, so render's memo is cleared inside a layer
+        assert [poly.layer_index for poly in back.polygons[1:3]] == [1, 1]
+        assert back.polygons[1].den != back.polygons[2].den
+    assert render(back, opts) == render(scene, opts)
 
 
 def test_scene_file_is_written_without_holding_its_text(tmp_path, capsys):
