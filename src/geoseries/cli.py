@@ -11,6 +11,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 
 from .construction import StaircaseParams
@@ -270,8 +271,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     # refused before the build, as open() would refuse it after the render
     if out.is_dir():
         raise CliError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
-    if not out.parent.exists():
-        raise CliError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
+    try:  # a missing parent, or a file on the way to it
+        parent_mode = os.stat(out.parent).st_mode
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror}") from None
+    if not stat.S_ISDIR(parent_mode):
+        raise CliError(f"cannot write {out}: {os.strerror(errno.ENOTDIR)}")
     scene = _build_scene(args)
     _write_output(out, [render(scene, opts)])
     print(f"wrote {out}")

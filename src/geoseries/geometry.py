@@ -37,15 +37,17 @@ label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
 
-A built scene keeps its layer 1 and lam = a/b outside its fields, and
-the scene writer fills it a layer at a time: each distinct value of a
-layer is reduced and printed once, an x value by its gcd with a small
-layer-1 numerator, and each reduced denominator once; each tile's
-template, its role baked in, is filled from those texts.  A scene
-without them, read from a file or made by dataclasses.replace, is
-written polygon by polygon, each distinct coordinate of a run over one
-denominator reduced by one gcd.  Both give the same text; the tests
-hold the second as the first's reference.
+A built scene keeps its layer 1, its layer labels' rule and lam = a/b
+outside its fields, and the scene writer fills it a layer at a time:
+each distinct value of a layer is reduced and printed once, and no value
+of a layer, polygon or label, is reduced by a big gcd.  As gcd(a, b) = 1,
+each value's gcd with its denominator is its gcd with a small number
+known from layer 1 (see _layer_items), and each reduced denominator is
+printed once; each tile's template, its role baked in, is filled from
+those texts.  A scene without them, read from a file or made by
+dataclasses.replace, is written polygon by polygon, each distinct
+coordinate of a run over one denominator reduced by one gcd.  Both give
+the same text; the tests hold the second as the first's reference.
 """
 
 from __future__ import annotations
@@ -133,10 +135,20 @@ def _point_parts(pt: Point) -> tuple[int, int, int, int]:
     return x.numerator, x.denominator, y.numerator, y.denominator
 
 
+def _lcm(values) -> int:
+    """math.lcm of a sequence of positive integers, with no gcd taken where one
+    value divides the other, as nested denominators almost always do."""
+    d = values[0] if values else 1
+    for e in values:
+        if e != d and d % e:
+            d = e if e % d == 0 else d * (e // math.gcd(d, e))
+    return d
+
+
 def _over_lcm(parts) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(xs, ys, d): points given as (xn, xd, yn, yd) as integer numerators over d,
     the lcm of their denominators."""
-    d = math.lcm(*[e for _, xd, _, yd in parts for e in (xd, yd)])
+    d = _lcm([e for _, xd, _, yd in parts for e in (xd, yd)])
     return (
         tuple([xn * (d // xd) for xn, xd, _, _ in parts]),
         tuple([yn * (d // yd) for _, _, yn, yd in parts]),
@@ -151,8 +163,26 @@ def point_numerators(pt: Point) -> tuple[int, int, int]:
 
 
 def _cross(xs, ys) -> int:
-    """The shoelace sum of xs[i-1] ys[i] - xs[i] ys[i-1]: twice the signed area times d^2."""
-    return sum([xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs))])
+    """The shoelace sum of xs[i-1] ys[i] - xs[i] ys[i-1]: twice the signed area times d^2.
+
+    It is summed from vertex 0: the sum of X_i Y_(i+1) - X_(i+1) Y_i over
+    i = 1..n-2, with X = x - xs[0] and Y = y - ys[0], is the same integer for
+    any closed polygon, as the terms in xs[0] and ys[0] cancel.  A triangle
+    then takes 2 products instead of 6, of differences that in a built layer
+    are shorter than the coordinates: multiples of u where the y numerators
+    are near apex v (see _build_scene).
+    """
+    x0, y0 = xs[0], ys[0]
+    px, py = xs[1] - x0, ys[1] - y0
+    if len(xs) == 3:  # every polygon of both pictures
+        return px * (ys[2] - y0) - (xs[2] - x0) * py
+    total = 0
+    for x, y in zip(xs[2:], ys[2:]):
+        x -= x0
+        y -= y0
+        total += px * y - x * py
+        px, py = x, y
+    return total
 
 
 @dataclass(frozen=True)
@@ -287,9 +317,11 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
     Only u and v grow, by one integer product each per layer.  More than
     MAX_POLYGONS polygons raise ValueError, as layers too deep do.
 
-    The scene keeps layer 1 and shrink as (d1, xs, apex, top, a, b, tiles),
-    outside its fields, so ==, repr and dataclasses.replace never see them;
-    scene_json_chunks writes the layers from them.
+    The scene keeps, outside its fields, layer 1 and shrink as (d1, xs, apex,
+    top, a, b, tiles) and, last in that tuple, the layer labels' rule as
+    (vertex label count, apex_l, mid, dx, dl), so ==, repr and
+    dataclasses.replace never see them; scene_json_chunks writes the layers
+    and their labels from them.
     """
     params_echo, outline, shrink, (per_layer, *_), _ = _construction(kind, ratio)
     check_depth(layers, shrink, "layers")
@@ -314,7 +346,8 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
             ))
         labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
     scene = Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
-    object.__setattr__(scene, "_layer1", (d1, tuple(xs1), apex, top, a, b, tuple(tiles)))
+    object.__setattr__(scene, "_layer1", (d1, tuple(xs1), apex, top, a, b, tuple(tiles),
+                                          (len(vertex_labels), apex_l, mid, dx, dl)))
     return scene
 
 
@@ -422,7 +455,7 @@ def _area_sums(polygons) -> tuple[int, int, int, int]:
     polygons' denominators; in a built scene a layer has one, so every
     scale factor is 1.
     """
-    d = math.lcm(*[poly.den for poly in polygons])
+    d = _lcm([poly.den for poly in polygons])
     count = colored = total = 0
     for poly in polygons:
         cross = poly.cross * (d // poly.den) ** 2
@@ -497,7 +530,7 @@ def audit_scene(scene: Scene) -> AuditReport:
     fraction_1 = want_colored / want_total
     for k, polys in by_layer.items():  # want_colored and want_total are layer 1's times x^(k-1)
         colored_count, colored_num, total_num, den = _area_sums(polys)
-        tiled_den, old_den = math.lcm(tiled_den, den), tiled_den
+        tiled_den, old_den = _lcm((tiled_den, den)), tiled_den
         tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
         colored_ok = _equals(colored_num, den, want_colored)
         total_ok = _equals(total_num, den, want_total)
@@ -634,18 +667,30 @@ def _polygon_items(polygons):
         yield _polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index)
 
 
+def _over(den: int, g: int, dens: dict) -> str:
+    """The denominator text of a value over den reduced by g: "/" and den // g,
+    or "" where g = den; dens memoizes it by g."""
+    over = dens.get(g)
+    if over is None:
+        over = dens[g] = "" if g == den else "/" + _int_text(den // g)
+    return over
+
+
 def _layer_items(layer1, layers: int):
     """The items of a built scene's layered polygons, filled a layer at a time
     from the (d1, xs, apex, top, a, b, tiles) that _build_scene keeps.
 
-    Each distinct value of a layer is reduced and printed once.  For both
-    kinds gcd(a, d1 b) = 1, so with shrink^(k-1) = u/v, gcd(u, d1 v) = 1 and
-    layer k's x value u c / (d1 v) reduces by the small gcd(c, d1 v); each
-    reduced denominator is printed once.  The two y values are reduced by
-    fmt_parts.  Each tile's item is a template, its role baked in, filled
-    from the layer's texts.
+    Each distinct value of a layer is reduced and printed once, and none by
+    a big gcd.  With shrink^(k-1) = u/v, layer k lies over d1 v, and for both
+    kinds gcd(a, d1 b) = 1, so gcd(u, d1 v) = 1: an x value u c / (d1 v)
+    reduces by the small gcd(c, d1 v), and c and -c share one printed
+    magnitude.  A y value Y = apex v - u w, w being apex on the bottom line
+    and apex - top on the top one, has gcd(Y, v) = gcd(w, v), as gcd(u, v) =
+    1; so gcd(Y, d1 v) divides the small s = d1 gcd(w, v), and is gcd(Y, s).
+    Each reduced denominator is printed once per layer.  Each tile's item is
+    a template, its role baked in, filled from the layer's texts.
     """
-    d1, xs, apex, top, a, b, tiles = layer1
+    d1, xs, apex, top, a, b, tiles, _ = layer1
     n = len(xs)
     fills = []  # (template, cells): cells picks a tile's texts from the layer's
     for role, corners in tiles:
@@ -653,20 +698,50 @@ def _layer_items(layer1, layers: int):
         order = [t for i, j in corners for t in (i, n + j)] + [n + 2]
         holes = ("%s",) * (2 * len(corners))
         fills.append((_polygon_json(len(corners)) % (*holes, role, "%s"), itemgetter(*order)))
+    magnitudes = sorted({abs(c) for c in xs})
+    signed = [("-" if c < 0 else "", magnitudes.index(abs(c))) for c in xs]
+    offsets = (apex, apex - top)  # w of the bottom and the top line
     for k, u, v, ys in _layer_lines(apex, top, a, b, layers):
         den = d1 * v
         dens: dict[int, str] = {}
-        texts = []
-        for c in xs:
+        printed = []
+        for c in magnitudes:
             g = math.gcd(c, den)
-            over = dens.get(g)
-            if over is None:
-                over = dens[g] = "" if g == den else "/" + _int_text(den // g)
-            texts.append(_int_text(u * (c // g)) + over)
-        texts += [fmt_parts(y, den) for y in ys]
+            printed.append(_int_text(u * (c // g)) + _over(den, g, dens))
+        texts = [sign + printed[i] for sign, i in signed]
+        for y, w in zip(ys, offsets):
+            g = math.gcd(y, d1 * math.gcd(w, v))
+            texts.append(_int_text(y // g) + _over(den, g, dens))
         texts.append(k)
         for template, cells in fills:
             yield template % cells(texts)
+
+
+def _label_items(labels):
+    """Each label's item in a scene file, its coordinates reduced by fmt_parts."""
+    for pt, text in labels:
+        xn, yn, d = point_numerators(pt)
+        yield _LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text))
+
+
+def _layer_label_items(layer1, layers: int):
+    """The items of a built scene's layer labels, from the (vertex label count,
+    apex_l, mid, dx, dl) that _build_scene keeps: layer k's label is
+    (u mid + v dx, apex_l v - u mid) / (dl v).  Both numerators are u mid
+    modulo v, and gcd(u, v) = 1, so each has gcd(mid, v) in common with v and
+    is reduced, as in _layer_items, by its gcd with the small s = dl gcd(mid, v).
+    """
+    _, _, apex, top, a, b, _, (_, apex_l, mid, dx, dl) = layer1
+    template = _LABEL_JSON % ("%s", "%s", json.dumps("layer %s"))
+    for k, u, v, _ in _layer_lines(apex, top, a, b, layers):
+        den = dl * v
+        s = dl * math.gcd(mid, v)
+        dens: dict[int, str] = {}
+        texts = []
+        for num in (u * mid + v * dx, apex_l * v - u * mid):
+            g = math.gcd(num, s)
+            texts.append(_int_text(num // g) + _over(den, g, dens))
+        yield template % (*texts, k)
 
 
 def scene_json_chunks(scene: Scene):
@@ -675,9 +750,10 @@ def scene_json_chunks(scene: Scene):
     is built.
 
     A scene from the builders is written a layer at a time from the layer 1
-    it keeps (see _layer_items); any other scene, as one read from a file or
-    made by dataclasses.replace, polygon by polygon (see _polygon_items).
-    Both give the same text for the same scene.
+    it keeps (see _layer_items and _layer_label_items); any other scene, as
+    one read from a file or made by dataclasses.replace, polygon by polygon
+    and label by label (see _polygon_items and _label_items).  Both give the
+    same text for the same scene.
     """
     yield _SCENE_HEAD % (
         json.dumps(scene.construction_kind), _dumps(scene.params_echo, 1),
@@ -686,18 +762,15 @@ def scene_json_chunks(scene: Scene):
     layer1 = scene.__dict__.get("_layer1")
     if layer1 is None:
         polygons = _polygon_items(scene.polygons)
-    else:  # the builders put the outline first
-        polygons = chain(_polygon_items(scene.polygons[:1]),
-                         _layer_items(layer1, scene.layers_rendered))
-
-    def labels():
-        for pt, text in scene.labels:
-            xn, yn, d = point_numerators(pt)
-            yield _LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text))
-
+        labels = _label_items(scene.labels)
+    else:  # the builders put the outline first, and the vertex labels before the layers'
+        layers = scene.layers_rendered
+        polygons = chain(_polygon_items(scene.polygons[:1]), _layer_items(layer1, layers))
+        labels = chain(_label_items(scene.labels[:layer1[-1][0]]),
+                       _layer_label_items(layer1, layers))
     yield from json_array(polygons)
     yield _SCENE_LABELS
-    yield from json_array(labels())
+    yield from json_array(labels)
     yield _SCENE_TAIL
 
 

@@ -952,19 +952,24 @@ class TestRender:
         assert built == []
 
     @pytest.mark.parametrize(
-        "name, error", [("adir", errno.EISDIR), ("nodir/x.svg", errno.ENOENT)],
-        ids=["a-directory", "no-parent"],
+        "name, error",
+        [("adir", errno.EISDIR), ("nodir/x.svg", errno.ENOENT), ("afile/x.svg", errno.ENOTDIR),
+         ("afile/sub/x.svg", errno.ENOTDIR)],
+        ids=["a-directory", "no-parent", "under-a-file", "deeper-under-a-file"],
     )
     def test_unwritable_out_is_usage_error_before_the_build(
         self, capsys, monkeypatch, tmp_path, name, error
     ):
-        # unchecked, the scene is built and rendered before its write fails
+        # unchecked, the scene is built and rendered before its write fails, with this line
         (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
         out_path = tmp_path / name
+        line = f"error: cannot write {out_path}: {os.strerror(error)}\n"
+        with pytest.raises(cli.CliError) as late:
+            cli._write_output(out_path, [""])
+        assert f"error: {late.value}\n" == line
         monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
-        assert run(capsys, "render", *RENDER_SCENE, "--out", str(out_path)) == (
-            2, "", f"error: cannot write {out_path}: {os.strerror(error)}\n"
-        )
+        assert run(capsys, "render", *RENDER_SCENE, "--out", str(out_path)) == (2, "", line)
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

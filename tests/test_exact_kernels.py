@@ -15,14 +15,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from geoseries import geometry
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
     ROLE_OUTLINE,
     Point,
     Polygon,
+    _lcm,
     build_layered_scene,
     build_staircase_scene,
+    scene_json_chunks,
     shoelace_area,
 )
 from geoseries.render import SQRT3, RenderOptions, _fixed, format_coordinate, render
@@ -181,6 +184,85 @@ def test_polygon_area_is_half_the_fraction_reference(vertices):
     polygon = Polygon(tuple(vertices), ROLE_OUTLINE)
     assert polygon.area == abs(doubled) / 2
     assert shoelace_area(polygon) == polygon.area
+
+
+def textbook_cross(xs, ys):
+    return sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
+
+
+BIG = st.integers(-(2**1200), 2**1200)
+
+
+@given(st.lists(st.tuples(BIG, BIG), min_size=3, max_size=8), st.integers(1, 2**1200))
+def test_cross_from_vertex_0_is_the_textbook_sum(vertices, den):
+    # random vertex lists are mostly non-convex, and many cross themselves
+    doubled = textbook_cross(*zip(*vertices))
+    assume(doubled != 0)
+    if doubled < 0:
+        vertices.reverse()
+    xs, ys = (tuple(c) for c in zip(*vertices))
+    assert Polygon.over(xs, ys, den, ROLE_OUTLINE).cross == abs(doubled)
+
+
+BIG_UNIT = 2**1200 + 7
+# a dart, counterclockwise: its vertex (2, 1) is reflex
+DART = ((0, 0), (4, 0), (2, 1), (4, 4))
+
+
+@pytest.mark.parametrize("shift", [0, -(2**1199), 3**700], ids=["at-0", "shifted-down", "shifted-up"])
+def test_cross_of_a_non_convex_polygon(shift):
+    xs = tuple(BIG_UNIT * x + shift for x, _ in DART)
+    ys = tuple(BIG_UNIT * y - shift for _, y in DART)
+    cross = Polygon.over(xs, ys, 3, ROLE_OUTLINE).cross
+    assert cross == textbook_cross(xs, ys) == 8 * BIG_UNIT**2
+    with pytest.raises(ValueError, match="counterclockwise"):
+        Polygon.over(xs[::-1], ys[::-1], 3, ROLE_OUTLINE)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (1,), (1, 1, 1), (6, 6), (4, 6), (2**1200 * 3, 2**1200 * 5, 2**1200 * 3),
+     (3**500, 3**700, 3**600, 1), (2**64 + 1, 2**64 - 1)],
+    ids=["empty", "one", "ones", "equal", "neither-divides", "big-neither-divides",
+         "nested", "coprime"],
+)
+def test_lcm_cases(values):
+    assert _lcm(values) == math.lcm(*values)
+
+
+# nested values, as a scene's denominators are, and arbitrary ones
+LCM_VALUES = st.lists(
+    st.one_of(
+        st.just(1),
+        st.integers(1, 2**1200),
+        st.builds(lambda b, k: b**k, st.sampled_from([2, 3, 6, 10]), st.integers(0, 400)),
+    ),
+    max_size=8,
+)
+
+
+@given(LCM_VALUES)
+def test_lcm_is_math_lcm(values):
+    assert _lcm(values) == math.lcm(*values)
+    assert _lcm(values + values) == math.lcm(*values)
+
+
+def test_built_layers_are_written_without_fmt_parts(monkeypatch):
+    # only the outline and the vertex labels are reduced by fmt_parts's big gcd;
+    # every layer's polygons and labels are reduced by small ones
+    scene = build_layered_scene(derive_config(3), 50)
+    outline = scene.polygons[0]
+    vertex_labels = [pt for pt, text in scene.labels if not text.startswith("layer ")]
+    allowed = {(c, outline.den) for c in outline.xs + outline.ys}
+    for pt in vertex_labels:
+        xn, yn, d = geometry.point_numerators(pt)
+        allowed |= {(xn, d), (yn, d)}
+    calls = []
+    real = geometry.fmt_parts
+    monkeypatch.setattr(geometry, "fmt_parts", lambda num, den: calls.append((num, den)) or real(num, den))
+    "".join(scene_json_chunks(scene))
+    assert len(vertex_labels) == 5 and set(calls) <= allowed
+    assert len(calls) <= 6 + 2 * len(vertex_labels)
 
 
 @given(
