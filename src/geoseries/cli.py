@@ -13,6 +13,7 @@ import json
 import os
 import stat
 import sys
+from itertools import chain
 
 from .construction import StaircaseParams
 from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
@@ -51,10 +52,10 @@ def _rational(text: str) -> Rational:
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (1.0 s as a table and 1.1 s
-# as JSON in a fresh process, in constant memory, 17-19 MiB peak RSS, with
-# Python 3.11 on a shared 2-core Xeon host); a larger scan costs more and
-# finds nothing new
+# largest --max-m: the acceptance gate's scan (1.8 s as a table and 1.2-1.8 s
+# as JSON in a fresh process, medians of two batches of 7, in constant memory,
+# 19 and 18 MiB peak RSS, with Python 3.11 on a shared 2-core Xeon host); a
+# larger scan costs more and finds nothing new
 MAX_M_LIMIT = 10**6
 
 _CONSTRUCTIONS = ("layered", "staircase")
@@ -102,7 +103,7 @@ def _feasible_lines(blocks, widths):
         d_m, d_n, d_a = (len(str(column[0])) for column in (block.m, block.n, block.a))
         # r = 1/m and sum = a/n are already in lowest terms: n = 2m-1 =
         # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3; the
-        # integrality and square conditions hold for every row (see _row)
+        # integrality and square conditions hold for every row (see _report)
         cells = (("%d", w_m - d_m), ("1/%d", w_r - 2 - d_m), ("%d", w_n - d_n),
                  ("%d", w_a - d_a), ("%d/%d", w_sum - d_a - 1 - d_n))
         flags = ("yes", "yes", _YES[block.feasible], _YES[block.a_lt_n])
@@ -131,19 +132,20 @@ def cmd_feasible(args: argparse.Namespace) -> int:
         raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     scan = enumerate_feasible(args.max_m)
     if args.format == "json":
-        # each row is filled into the report of its verdict, 64 at a time by
-        # json_array, so the document is never held whole; json.dumps with indent
-        # would run the pure-Python encoder and join millions of pieces at the end
+        # each block is filled into the report of its verdict by one C-level
+        # map, 64 reports a piece by json_array, so the document is never held
+        # whole; json.dumps with indent would run the pure-Python encoder
         sys.stdout.write(_FEASIBLE_HEAD % args.max_m)
-        sys.stdout.writelines(json_array(
-            _FEASIBLE_REPORTS[ok] % (m, m, n, a) for m, n, a, ok in scan.rows()
-        ))
+        sys.stdout.writelines(json_array(chain.from_iterable(
+            map(_FEASIBLE_REPORTS[block.feasible].__mod__, zip(block.m, block.m, block.n, block.a))
+            for block in scan.blocks()
+        )))
         sys.stdout.write(_FEASIBLE_TAIL)
         return 0
     # a cell never gets shorter as m grows, and yes/no never outgrows its
-    # header: the last row fixes every width
-    last = [(m, f"1/{m}", n, a, f"{a}/{n}", *["yes"] * 5) for m, n, a, _ in scan.rows(-1)]
-    widths = _widths(_FEASIBLE_HEADERS, last)
+    # header: the m, n and a of the last report fix every width
+    m, _, _, n, a, *_ = scan[-1]
+    widths = _widths(_FEASIBLE_HEADERS, [(m, f"1/{m}", n, a, f"{a}/{n}", *["yes"] * 5)])
     _write_table(_FEASIBLE_HEADERS, widths, ())
     sys.stdout.writelines(_feasible_lines(scan.blocks(), widths))
     return 0
@@ -268,20 +270,13 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise CliError(
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
         )
-    # refused before the build, as open() would refuse it after the render
-    if out.is_dir():
-        raise CliError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
-    try:  # a missing parent, or a file on the way to it
-        parent_mode = os.stat(out.parent).st_mode
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc.strerror}") from None
-    if not stat.S_ISDIR(parent_mode):
-        raise CliError(f"cannot write {out}: {os.strerror(errno.ENOTDIR)}")
+    _check_writable(out)
+    if args.emit_scene:
+        _check_writable(scene_path := out.with_suffix(".json"))
     scene = _build_scene(args)
     _write_output(out, [render(scene, opts)])
     print(f"wrote {out}")
     if args.emit_scene:
-        scene_path = out.with_suffix(".json")
         _write_output(scene_path, scene_json_chunks(scene))
         print(f"wrote {scene_path}")
     return 0
@@ -296,6 +291,18 @@ def _path(text: str, flag: str):
     from pathlib import Path
 
     return Path(text)
+
+
+def _check_writable(path) -> None:
+    """Refuse before the build what open() would refuse after the render."""
+    if path.is_dir():
+        raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    try:  # a missing parent, or a file on the way to it
+        parent_mode = os.stat(path.parent).st_mode
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
+    if not stat.S_ISDIR(parent_mode):
+        raise CliError(f"cannot write {path}: {os.strerror(errno.ENOTDIR)}")
 
 
 # bytes _read_capped asks for at a time once a file holds more than stat said

@@ -87,8 +87,8 @@ def derive_config(m: int) -> LayeredParams:
     return LayeredParams(n=2 * m - 1, a=(m - 1) ** 2, r=Fraction(1, m))
 
 
-def _row(m: int) -> tuple[int, int, int, bool]:
-    """(m, n, a, feasible) for r = 1/m, in plain integers.
+def _report(m: int) -> FeasibilityReport:
+    """The report for r = 1/m, decided in plain integers.
 
     For r = 1/m the integrality condition 2/r = 2m holds trivially, and
     the square condition holds identically for (n, a) = (2m-1, (m-1)^2).
@@ -98,11 +98,7 @@ def _row(m: int) -> tuple[int, int, int, bool]:
     and m = 3 only.  The test suite re-checks every step against the
     generic predicates.
     """
-    return m, 2 * m - 1, (m - 1) ** 2, m * m - 4 * m + 2 < 0
-
-
-def _report(m: int) -> FeasibilityReport:
-    m, n, a, feasible = _row(m)
+    n, a, feasible = 2 * m - 1, (m - 1) ** 2, m * m - 4 * m + 2 < 0
     return FeasibilityReport(m, Fraction(1, m), True, n, a, True, feasible, feasible)
 
 
@@ -111,9 +107,9 @@ class FeasibilityScan(Sequence):
 
     len, indexing (negative too), iteration and slicing (which returns a
     list) behave as on the list of every report, which is never held.
-    rows() gives the same scan as plain-int (m, n, a, feasible) tuples,
-    with no report and no Fraction per row; blocks() gives it as column
-    blocks of one shape each, with no Python-level work per row.
+    blocks() gives the same scan as column blocks of one shape each, with
+    no report, no Fraction and no Python-level work per row; both
+    `feasible` writers read it.
     """
 
     __slots__ = ("_ms",)
@@ -131,10 +127,6 @@ class FeasibilityScan(Sequence):
 
     def __iter__(self) -> Iterator[FeasibilityReport]:
         return map(_report, self._ms)
-
-    def rows(self, start: int = 0) -> Iterator[tuple[int, int, int, bool]]:
-        """(m, n, a, feasible) of each report from index start on (negative counts from the end)."""
-        return map(_row, self._ms[start:])
 
     def blocks(self) -> Iterator[RowBlock]:
         """The rows in order as RowBlocks of at most _CHUNK_ROWS rows each.
@@ -158,7 +150,7 @@ class FeasibilityScan(Sequence):
             m_1 = range(start - 1, end - 1)
             as_ = list(map(mul, m_1, m_1))
             row = 0
-            # _row's verdict m^2 - 4m + 2 < 0 is (m-1)^2 < 2m-1, i.e. a < n:
+            # _report's verdict m^2 - 4m + 2 < 0 is (m-1)^2 < 2m-1, i.e. a < n:
             # one comparison per row decides both cells
             for ok, run in groupby(map(lt, as_, ns)):
                 size = len(list(run))
@@ -173,7 +165,7 @@ def enumerate_feasible(max_m: int) -> FeasibilityScan:
     """One report per m in [2, max_m]; feasible exactly when every constraint holds.
 
     The reports form a lazy sequence: each is decided by the closed form
-    in _row when it is read, so a scan of any size runs in constant memory.
+    in _report when it is read, so a scan of any size runs in constant memory.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")

@@ -893,17 +893,20 @@ class TestRender:
         assert err.startswith(f"error: cannot write {out_path}: ")
         assert err.count("\n") == 1
 
-    def test_unwritable_scene_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_scene_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # refused before the build, as --out is: unchecked, the SVG is written
+        # and reported before the scene's write fails
         (tmp_path / "pic.json").mkdir()  # the scene's path is taken by a directory
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
         code, out, err = run(
             capsys,
             "render", "--construction", "layered", "--m", "2", "--layers", "2",
             "--out", str(tmp_path / "pic.svg"), "--emit-scene",
         )
-        assert code == 2
-        assert out == f"wrote {tmp_path / 'pic.svg'}\n"
-        assert err.startswith(f"error: cannot write {tmp_path / 'pic.json'}: ")
-        assert err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {tmp_path / 'pic.json'}: {os.strerror(errno.EISDIR)}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["pic.json"]
+        assert list((tmp_path / "pic.json").iterdir()) == []
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_scene_write_that_fails_midway_is_usage_error(self, capsys, tmp_path):

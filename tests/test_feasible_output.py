@@ -4,10 +4,10 @@ The reference below is the formatter `feasible` used before it wrote its
 output in chunks: every cell built first, column widths taken over all
 rows, the JSON document encoded whole by json.dumps(indent=2).  Column
 widths change whenever a number gains a digit, so the sizes cover every
-max_m up to 400 and both sides of 1000 and 10000.  The table is written
-from the scan's blocks of same-shape rows, one template per block, so the
-blocks are checked against the closed form at every digit cut up to 10^6,
-and the 10^6 table is pinned by its sha256.
+max_m up to 400 and both sides of 1000 and 10000.  Both are written from
+the scan's blocks of same-shape rows, the table with one template per
+block, so the blocks are checked against the closed form at every digit
+cut up to 10^6, and the 10^6 table and JSON are pinned by their sha256.
 """
 
 import collections
@@ -212,6 +212,9 @@ def test_benchmark_scale_output_is_pinned(monkeypatch, fmt_name):
 # per-row writer the block writer replaced: n, a and m gain their last digits
 # at m = 316229, 500001 and 10^6, past the scan pinned above
 PINNED_1000000_TABLE = "bf3734d8893329900bbc0962d1df18e09b197f26fc99efa91427e446e5e0db69"
+# and of `--format json` at that size, as written by the per-row writer the
+# block writer replaced
+PINNED_1000000_JSON = "59d9ce3730d7fbbfac6603ce500dfc3e786a72d158e40ee8328810eda524b446"
 
 
 def test_largest_table_is_pinned(monkeypatch):
@@ -219,6 +222,13 @@ def test_largest_table_is_pinned(monkeypatch):
     monkeypatch.setattr("sys.stdout", writer)
     assert main(["feasible", "--max-m", "1000000"]) == 0
     assert writer.digest.hexdigest() == PINNED_1000000_TABLE
+
+
+def test_largest_json_is_pinned(monkeypatch):
+    writer = Sha256Writer()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert main(["feasible", "--max-m", "1000000", "--format", "json"]) == 0
+    assert writer.digest.hexdigest() == PINNED_1000000_JSON
 
 
 # the m at which n = 2m-1, a = (m-1)^2 and m gain a digit, up to 10^6, and the
@@ -249,7 +259,8 @@ def test_blocks_hold_the_rows_of_the_closed_form():
             if m not in checked and i not in ends:
                 continue
             seen.add(m)
-            _, n, a, ok = feasibility._row(m)
+            report = feasibility._report(m)
+            n, a, ok = report.derived_n, report.derived_a, report.feasible
             assert (block.n[i], block.a[i], block.feasible) == (n, a, ok), m
             assert shape(m, n, a, a < n, ok) == first, m
     assert next_m == max_m + 1
@@ -264,18 +275,22 @@ def test_blocks_cover_every_row(max_m):
         for block in scan.blocks()
         for m, n, a in zip(block.m, block.n, block.a)
     ]
-    assert rows == list(scan.rows())
+    assert rows == [(r.candidate_m, r.derived_n, r.derived_a, r.feasible) for r in scan]
 
 
 class PatchedScan:
-    """enumerate_feasible's scan with the rows of some m replaced; in blocks(),
-    each replaced row is a one-row block of its own."""
+    """enumerate_feasible's scan with the rows of some m replaced: by index, in
+    the report of each; in blocks(), each as a one-row block of its own."""
 
     def __init__(self, max_m, patch):
         self.scan, self.patch = enumerate_feasible(max_m), patch
 
-    def rows(self, start=0):
-        return (self.patch.get(row[0], row) for row in self.scan.rows(start))
+    def __getitem__(self, index):
+        report = self.scan[index]
+        if report.candidate_m not in self.patch:
+            return report
+        m, n, a, ok = self.patch[report.candidate_m]
+        return report._replace(derived_n=n, derived_a=a, passes_bound=ok, feasible=ok)
 
     def blocks(self):
         for block in self.scan.blocks():
@@ -302,10 +317,8 @@ PATCH = {7: (7, 13, 36, True), 5: (5, 9, 1, False)}
 
 
 def patched_reports(max_m):
-    return [
-        feasibility.FeasibilityReport(m, Fraction(1, m), True, n, a, True, ok, ok)
-        for m, n, a, ok in PatchedScan(max_m, PATCH).rows()
-    ]
+    scan = PatchedScan(max_m, PATCH)
+    return [scan[i] for i in range(max_m - 1)]
 
 
 @pytest.mark.parametrize("max_m", [7, 10, 1001])
