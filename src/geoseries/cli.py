@@ -13,6 +13,7 @@ import json
 import os
 import stat
 import sys
+from functools import cached_property
 from itertools import chain
 
 from .construction import StaircaseParams
@@ -352,7 +353,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 f"{MAX_DENOMINATOR_BITS} bits for its numerator and its denominator"
             )
     check_depth(args.terms, args.ratio, "--terms")
-    limit = args.first_term / (1 - args.ratio)
+    limit = fmt(args.first_term / (1 - args.ratio))
     headers = ("k", "term", "partial_naive", "partial_closed", "limit")
     rows = []
     running = parse("0")
@@ -360,40 +361,52 @@ def cmd_table(args: argparse.Namespace) -> int:
     for k in range(1, args.terms + 1):
         running += term  # naive column: honest term-by-term accumulation
         closed = args.first_term * partial_sum_closed(args.ratio, k - 1)
-        rows.append((str(k), fmt(term), fmt(running), fmt(closed), fmt(limit)))
+        # each distinct value printed once: the closed column shows the
+        # naive column's text only where the two sums are equal
+        naive = fmt(running)
+        rows.append((str(k), fmt(term), naive, naive if closed == running else fmt(closed), limit))
         term *= args.ratio
     _write_table(headers, _widths(headers, rows), rows)
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose --help text reaches stdout or raises OSError, and
-    whose arguments may be added when it first parses.
+    """An ArgumentParser whose --help text reaches stdout or raises OSError.
 
     argparse's own print_help drops a write error, and the interpreter's flush
     at exit reports a buffered one as "Exception ignored"; main turns the
-    OSError into its one-line error and exit 2.  Subparsers take this class.
-
-    fill, when given, is a function that adds the parser's arguments.
-    parse_known_args, which parse_args and the subparsers action of the chosen
-    subcommand both call, runs it once before its first parse: a command builds
-    the arguments of the subcommand it names and of no other.
+    OSError into its one-line error and exit 2.  Each subcommand's parser is
+    one too, made by its _Subcommand.
     """
-
-    def __init__(self, *args, fill=None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fill = fill
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._fill is not None:
-            fill, self._fill = self._fill, None
-            fill(self)
-        return super().parse_known_args(args, namespace)
 
     def print_help(self, file=None) -> None:
         file = sys.stdout if file is None else file
         file.write(self.format_help())
         file.flush()
+
+
+class _Subcommand:
+    """A subcommand's parser, made when argparse first asks it for anything.
+
+    The subparsers action calls this class where it would call the parser's
+    own, with the keywords of add_parser: fill adds the subcommand's arguments,
+    handler runs it, and the rest go to _Parser.  On Python 3.10 to 3.13 the
+    action asks only the parser the command line names, and only to parse, so
+    a command makes two parsers: the top-level one and its own.
+    """
+
+    def __init__(self, *, fill, handler, **kwargs) -> None:
+        self._fill, self._handler, self._kwargs = fill, handler, kwargs
+
+    @cached_property
+    def parser(self) -> _Parser:
+        parser = _Parser(**self._kwargs)
+        self._fill(parser)
+        parser.set_defaults(func=self._handler)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self.parser, name)
 
 
 def _feasible_args(p: argparse.ArgumentParser) -> None:
@@ -468,7 +481,8 @@ def _table_args(p: argparse.ArgumentParser) -> None:
 
 
 # each subcommand: its name, its line in --help, the function that adds its
-# arguments and the function that runs it
+# arguments to its parser and the function that runs it; build_parser hands
+# the last two to the subcommand's _Subcommand
 _COMMANDS = (
     ("feasible", "enumerate which r = 1/m admit a layered picture", _feasible_args, cmd_feasible),
     ("verify", "build a scene and audit every area against the formulas", _verify_args,
@@ -480,19 +494,20 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The geoseries parser, with each subcommand's name, help line and handler.
+    """The geoseries parser, with each subcommand's name and help line.
 
-    A subcommand's arguments are added when its parser first parses, that is
-    when the command line names it: a command pays for its own arguments only.
+    Each subcommand is a _Subcommand: its parser, arguments and handler are
+    made when the command line names it, so a command pays for its own
+    parser only.  Nothing is kept between calls.
     """
     parser = _Parser(
         prog="geoseries",
         description="Construct, verify and render proof-without-words pictures "
         "for geometric series, in exact rational arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, help_line, fill, handler in _COMMANDS:
-        sub.add_parser(name, help=help_line, fill=fill).set_defaults(func=handler)
+        sub.add_parser(name, help=help_line, fill=fill, handler=handler)
     return parser
 
 

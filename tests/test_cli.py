@@ -98,6 +98,19 @@ class TestTable:
         assert closed == partials
         assert all(row.split()[4] == "1/3" for row in rows)
 
+    def test_closed_column_shows_its_own_value(self, capsys, monkeypatch):
+        # the closed column reuses the naive column's text only where the two
+        # sums are equal, so a closed form off by one shows as such
+        closed = cli.partial_sum_closed
+        monkeypatch.setattr(cli, "partial_sum_closed", lambda x, n: closed(x, n) + 1)
+        code, out, _ = run(
+            capsys, "table", "--ratio", "1/4", "--first-term", "1/4", "--terms", "3"
+        )
+        assert code == 0
+        rows = [row.split() for row in out.splitlines()[2:]]
+        assert [row[2] for row in rows] == ["1/4", "5/16", "21/64"]
+        assert [row[3] for row in rows] == ["1/2", "9/16", "37/64"]
+
     def test_rejects_ratio_outside_interval(self, capsys):
         code, _, err = run(capsys, "table", "--ratio", "5/4")
         assert code == 2
@@ -1097,6 +1110,69 @@ def test_a_command_adds_only_its_own_arguments(capsys, monkeypatch, argv, absent
     assert run(capsys, *argv)[0] == 0
     assert argv[1] in added
     assert absent.isdisjoint(added), sorted(absent.intersection(added))
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, parsers",
+    [
+        (("feasible", "--max-m", "3"), 0, 2),
+        (("verify", "--construction", "layered", "--m", "3", "--layers", "1"), 0, 2),
+        (("render", "--construction", "layered", "--m", "3", "--layers", "1", "--out", "OUT"),
+         0, 2),
+        (("table", "--ratio", "1/4", "--terms", "3"), 0, 2),
+        (("--help",), 0, 1),
+        ((), 2, 1),
+        (("bogus",), 2, 1),
+    ],
+    ids=["feasible", "verify", "render", "table", "help", "no-command", "bogus"],
+)
+def test_a_command_makes_only_its_own_parser(
+    capsys, monkeypatch, tmp_path, argv, want_code, parsers
+):
+    # the top-level parser, and the parser of the subcommand named, if any
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    try:
+        code = main([str(tmp_path / "pic.svg") if a == "OUT" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code == want_code
+    assert len(made) == parsers, made
+
+
+_MINIMAL_ARGS = {
+    "feasible": (),
+    "verify": ("--construction", "layered", "--m", "3"),
+    "render": ("--construction", "layered", "--out", "pic.svg"),
+    "table": ("--ratio", "1/4"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, handler", [(name, handler) for name, _, _, handler in cli._COMMANDS],
+    ids=[name for name, *_ in cli._COMMANDS],
+)
+def test_a_subcommand_stub_acts_as_its_parser(capsys, monkeypatch, name, handler):
+    monkeypatch.setenv("COLUMNS", "80")
+    args = cli.build_parser().parse_args([name, *_MINIMAL_ARGS[name]])
+    assert args.func is handler
+    # an argparse that asks a subcommand for more than a parse, here its help
+    # text, gets what the subcommand's own parser gives
+    parser = cli.build_parser()
+    stub = next(action for action in parser._actions if action.dest == "command").choices[name]
+    assert isinstance(stub, cli._Subcommand) and "parser" not in vars(stub)
+    text = stub.format_help()
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize(
