@@ -10,14 +10,13 @@ series ratio r = s^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import ONE, Rational, fmt
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LayeredParams:
+class LayeredParams(Record):
     """Triple (n, a, r): triangles per layer, colored per layer, height ratio.
 
     a < n is required for a drawable picture but is deliberately not
@@ -30,13 +29,14 @@ class LayeredParams:
     a: int
     r: Rational
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.a < 1:
-            raise ValueError(f"a must be a positive integer, got {self.a}")
-        if not 0 < self.r < 1:
-            raise ValueError(f"r must lie strictly in (0,1), got {fmt(self.r)}")
+    def __init__(self, n: int, a: int, r: Rational) -> None:
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
+        if a < 1:
+            raise ValueError(f"a must be a positive integer, got {a}")
+        if not 0 < r < 1:
+            raise ValueError(f"r must lie strictly in (0,1), got {fmt(r)}")
+        self.__dict__.update(n=n, a=a, r=r)
 
     @property
     def drawable(self) -> bool:
@@ -44,15 +44,15 @@ class LayeredParams:
         return self.a < self.n
 
 
-@dataclass(frozen=True)
-class StaircaseParams:
+class StaircaseParams(Record):
     """Staircase parameter s in (0,1); the recovered series ratio is r = s**2."""
 
     s: Rational
 
-    def __post_init__(self) -> None:
-        if not 0 < self.s < 1:
-            raise ValueError(f"s must lie strictly in (0,1), got {fmt(self.s)}")
+    def __init__(self, s: Rational) -> None:
+        if not 0 < s < 1:
+            raise ValueError(f"s must lie strictly in (0,1), got {fmt(s)}")
+        self.__dict__["s"] = s
 
     @property
     def ratio(self) -> Rational:

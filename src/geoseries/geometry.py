@@ -45,7 +45,7 @@ each value's gcd with its denominator is its gcd with a small number
 known from layer 1 (see _layer_items), and each reduced denominator is
 printed once; each tile's template, its role baked in, is filled from
 those texts.  A scene without them, read from a file or made by
-dataclasses.replace, is written polygon by polygon, each distinct
+Scene._replace, is written polygon by polygon, each distinct
 coordinate of a run over one denominator reduced by one gcd.  Both give
 the same text; the tests hold the second as the first's reference.
 """
@@ -55,7 +55,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
@@ -82,6 +81,7 @@ from .rational import (
     parse,
     parse_parts,
 )
+from .record import Record
 
 ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
@@ -95,8 +95,7 @@ ROLE_OUTLINE = "outline"
 MAX_POLYGONS = 10_241
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A point with exact rational coordinates.
 
     A point of a built or read scene is made by lattice_point from integer
@@ -106,6 +105,9 @@ class Point:
 
     x: Rational
     y: Rational
+
+    def __init__(self, x: Rational, y: Rational) -> None:
+        self.__dict__.update(x=x, y=y)
 
     def __getattr__(self, name: str):
         # reached only while x and y of a lattice point are not made yet
@@ -185,8 +187,7 @@ def _cross(xs, ys) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Simple polygon with distinct vertices in counterclockwise order.
 
     Held as integer numerators xs, ys over one denominator den > 0, with
@@ -200,8 +201,10 @@ class Polygon:
     role: str
     layer_index: int | None = None
 
-    def __post_init__(self) -> None:
-        self._settle(*_over_lcm([_point_parts(pt) for pt in self.vertices]))
+    def __init__(self, vertices: tuple[Point, ...], role: str,
+                 layer_index: int | None = None) -> None:
+        self.__dict__.update(vertices=vertices, role=role, layer_index=layer_index)
+        self._settle(*_over_lcm([_point_parts(pt) for pt in vertices]))
 
     @classmethod
     def over(cls, xs: tuple[int, ...], ys: tuple[int, ...], den: int, role: str,
@@ -238,8 +241,7 @@ class Polygon:
         return Fraction(self.cross, 2 * self.den * self.den)
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     """A fully built picture: polygons, text labels, and parameter echo."""
 
     polygons: tuple[Polygon, ...]
@@ -247,6 +249,11 @@ class Scene:
     construction_kind: str  # "layered" | "staircase"
     params_echo: dict[str, str]
     layers_rendered: int
+
+    def __init__(self, polygons: tuple[Polygon, ...], labels: tuple[tuple[Point, str], ...],
+                 construction_kind: str, params_echo: dict[str, str], layers_rendered: int) -> None:
+        self.__dict__.update(polygons=polygons, labels=labels, construction_kind=construction_kind,
+                             params_echo=params_echo, layers_rendered=layers_rendered)
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
@@ -319,8 +326,8 @@ def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, la
 
     The scene keeps, outside its fields, layer 1 and shrink as (d1, xs, apex,
     top, a, b, tiles) and, last in that tuple, the layer labels' rule as
-    (vertex label count, apex_l, mid, dx, dl), so ==, repr and
-    dataclasses.replace never see them; scene_json_chunks writes the layers
+    (vertex label count, apex_l, mid, dx, dl), so ==, repr and _replace
+    never see them; scene_json_chunks writes the layers
     and their labels from them.
     """
     params_echo, outline, shrink, (per_layer, *_), _ = _construction(kind, ratio)
@@ -416,8 +423,11 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
     )
 
 
-@dataclass(frozen=True)
-class LayerAudit:
+class LayerAudit(Record):
+    """One layer's exact tallies: its polygon counts, its colored and total
+    areas and their ratio, against the areas the formulas expect of it; ok is
+    False where a count or an area differs."""
+
     layer_index: int
     polygon_count: int
     colored_count: int
@@ -428,9 +438,19 @@ class LayerAudit:
     expected_total_area: Rational
     ok: bool
 
+    def __init__(self, layer_index: int, polygon_count: int, colored_count: int,
+                 colored_area: Rational, total_area: Rational, colored_fraction: Rational,
+                 expected_colored_area: Rational, expected_total_area: Rational,
+                 ok: bool) -> None:
+        self.__dict__.update(
+            layer_index=layer_index, polygon_count=polygon_count, colored_count=colored_count,
+            colored_area=colored_area, total_area=total_area, colored_fraction=colored_fraction,
+            expected_colored_area=expected_colored_area, expected_total_area=expected_total_area,
+            ok=ok,
+        )
 
-@dataclass(frozen=True)
-class AuditReport:
+
+class AuditReport(Record):
     """Per-layer exact tallies of a scene against the analytic formulas."""
 
     construction_kind: str
@@ -441,6 +461,15 @@ class AuditReport:
     figure_area: Rational
     ok: bool
     mismatches: tuple[str, ...] = ()
+
+    def __init__(self, construction_kind: str, params: dict[str, str],
+                 layers: tuple[LayerAudit, ...], tiled_area: Rational, apex_remainder: Rational,
+                 figure_area: Rational, ok: bool, mismatches: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(
+            construction_kind=construction_kind, params=params, layers=layers,
+            tiled_area=tiled_area, apex_remainder=apex_remainder, figure_area=figure_area,
+            ok=ok, mismatches=mismatches,
+        )
 
     def as_dict(self) -> dict:
         """The `verify --format json` document, parsed from report_json_chunks."""
@@ -751,7 +780,7 @@ def scene_json_chunks(scene: Scene):
 
     A scene from the builders is written a layer at a time from the layer 1
     it keeps (see _layer_items and _layer_label_items); any other scene, as
-    one read from a file or made by dataclasses.replace, polygon by polygon
+    one read from a file or made by Scene._replace, polygon by polygon
     and label by label (see _polygon_items and _label_items).  Both give the
     same text for the same scene.
     """

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, point_numerators
 from .rational import ONE, Rational
+from .record import Record
 
 # 18 correct digits of sqrt(3); cosmetic stretch only, never audited.
 SQRT3 = Fraction(1_732_050_807_568_877_293, 10**18)
@@ -50,8 +50,15 @@ def _escape_attr(text: str) -> str:
 MAX_CANVAS_WIDTH_PX = 1_000_000
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(Record):
+    """How render draws a scene: the canvas width in px, the colored tiles'
+    fill and every outline's stroke color, the digits after the point of each
+    coordinate, whether the vertex labels and the layer annotations are
+    drawn, and whether a layered scene is stretched to look equilateral.
+
+    The defaults are class attributes, which the CLI's render options read.
+    """
+
     canvas_width_px: int = 600
     color_fill: str = "#00ffff"
     stroke_color: str = "#000000"
@@ -60,24 +67,38 @@ class RenderOptions:
     show_layer_annotations: bool = True
     equilateral_look: bool = True
 
-    def __post_init__(self) -> None:
-        if self.canvas_width_px < 1:
-            raise ValueError(f"canvas width must be positive, got {self.canvas_width_px}")
-        if self.canvas_width_px > MAX_CANVAS_WIDTH_PX:
+    def __init__(  # each default is the class attribute above
+        self,
+        canvas_width_px: int = canvas_width_px,
+        color_fill: str = color_fill,
+        stroke_color: str = stroke_color,
+        decimal_places: int = decimal_places,
+        show_labels: bool = show_labels,
+        show_layer_annotations: bool = show_layer_annotations,
+        equilateral_look: bool = equilateral_look,
+    ) -> None:
+        if canvas_width_px < 1:
+            raise ValueError(f"canvas width must be positive, got {canvas_width_px}")
+        if canvas_width_px > MAX_CANVAS_WIDTH_PX:
             raise ValueError(
-                f"canvas width must be at most {MAX_CANVAS_WIDTH_PX}, got {self.canvas_width_px}"
+                f"canvas width must be at most {MAX_CANVAS_WIDTH_PX}, got {canvas_width_px}"
             )
-        if not 1 <= self.decimal_places <= 12:
+        if not 1 <= decimal_places <= 12:
             raise ValueError(
-                f"decimal_places must lie in [1, 12], got {self.decimal_places}"
+                f"decimal_places must lie in [1, 12], got {decimal_places}"
             )
-        for name, color in (("fill", self.color_fill), ("stroke", self.stroke_color)):
+        for name, color in (("fill", color_fill), ("stroke", stroke_color)):
             bad = _NOT_XML.search(color)
             if bad:
                 raise ValueError(
                     f"{name} color must not contain U+{ord(bad.group()):04X}, "
                     "a character XML 1.0 does not allow"
                 )
+        self.__dict__.update(
+            canvas_width_px=canvas_width_px, color_fill=color_fill, stroke_color=stroke_color,
+            decimal_places=decimal_places, show_labels=show_labels,
+            show_layer_annotations=show_layer_annotations, equilateral_look=equilateral_look,
+        )
 
 
 def _fixed(num: int, den: int, decimal_places: int) -> str:
@@ -104,8 +125,7 @@ def format_coordinate(q: Rational, decimal_places: int) -> str:
     return _fixed(q.numerator, q.denominator, decimal_places)
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(Record):
     """Exact scene-to-pixel map, one affine map per axis over one denominator:
     px = (ax*x + bx) / den and py = (ay*y + by) / den, all five integers.
 
@@ -119,6 +139,11 @@ class Layout:
     den: int
     width_px: int
     height_px: int
+
+    def __init__(self, ax: int, bx: int, ay: int, by: int, den: int, width_px: int,
+                 height_px: int) -> None:
+        self.__dict__.update(ax=ax, bx=bx, ay=ay, by=by, den=den, width_px=width_px,
+                             height_px=height_px)
 
     @property
     def area_scale(self) -> Fraction:

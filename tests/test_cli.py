@@ -1261,22 +1261,26 @@ def test_scene_file_has_the_canonical_layout(capsys, tmp_path, scene_args):
 
 
 def test_import_loads_no_xml_or_network_modules():
-    """`import geoseries.cli` in a fresh interpreter, without site: no module of
-    xml, urllib, http, email or ssl is loaded by it, and every module it loads is
-    geoseries' own or the standard library's."""
+    """`import geoseries.cli` and build_parser() in a fresh interpreter, without
+    site: no module of xml, urllib, http, email or ssl is loaded by them, nor
+    dataclasses or inspect, and every module they load is geoseries' own or the
+    standard library's."""
     src = str(Path(geoseries.__file__).resolve().parent.parent)
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import geoseries.cli\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "geoseries.cli.build_parser()\n"
+        "print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    loaded = json.loads(done.stdout)
+    loaded, every = json.loads(done.stdout)
     assert "geoseries.cli" in loaded
+    # the record classes are written out: a cold start compiles no dataclass methods
+    assert [m for m in every if m in ("dataclasses", "inspect")] == []
     assert [m for m in loaded if m.split(".")[0] in ("xml", "urllib", "http", "email", "ssl")] == []
     # stdlib-only at run time: a third-party package that happens to be importable is not loaded
     top = {m.split(".")[0] for m in loaded}

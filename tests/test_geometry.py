@@ -1,6 +1,5 @@
 import copy
 import pickle
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -65,7 +64,7 @@ class TestShoelace:
     def test_area_is_kept_outside_the_fields(self):
         poly = tri((0, 0), (2, 0), (0, 1))
         assert poly.area == 1
-        assert [f.name for f in fields(Polygon)] == ["vertices", "role", "layer_index"]
+        assert Polygon._fields == ("vertices", "role", "layer_index")
         assert "area" not in repr(poly)
         assert poly == tri((0, 0), (2, 0), (0, 1))
 
@@ -267,7 +266,7 @@ class TestStaircaseScene:
 def _shrunk(poly, apex_y, t, k):
     """poly shrunk by t toward the apex (0, apex_y), as a layer-k polygon."""
     vertices = tuple(Point(t * v.x, apex_y - t * (apex_y - v.y)) for v in poly.vertices)
-    return replace(poly, vertices=vertices, layer_index=k)
+    return poly._replace(vertices=vertices, layer_index=k)
 
 
 class TestSelfSimilarity:
@@ -347,11 +346,11 @@ class TestAudit:
     def test_scene_the_audit_cannot_read_raises(self, change, message):
         scene = build_layered_scene(EDGAR, 2)
         if "kind" in change:
-            scene = replace(scene, construction_kind=change["kind"])
+            scene = scene._replace(construction_kind=change["kind"])
         else:
             first, colored, *rest = scene.polygons
-            colored = replace(colored, layer_index=change["layer_index"])
-            scene = replace(scene, polygons=(first, colored, *rest))
+            colored = colored._replace(layer_index=change["layer_index"])
+            scene = scene._replace(polygons=(first, colored, *rest))
         with pytest.raises(ValueError, match=f"^{message}$"):
             audit_scene(scene)
 
@@ -381,7 +380,7 @@ class TestAudit:
         # the outline alone: with no layer to audit, a count of 0 would pass as
         # a proof, and one of 3000 would report 9001 mismatches
         scene = build()
-        scene = replace(scene, polygons=scene.polygons[:1], layers_rendered=layers)
+        scene = scene._replace(polygons=scene.polygons[:1], layers_rendered=layers)
         with pytest.raises(ValueError, match=f"^{message}"):
             audit_scene(scene)
 
@@ -395,7 +394,7 @@ class TestAudit:
     )
     def test_missing_ratio_raises_what_the_reader_raises(self, build, key):
         with pytest.raises(ValueError, match=rf"^params\.{key} is missing$"):
-            audit_scene(replace(build(), params_echo={}))
+            audit_scene(build()._replace(params_echo={}))
 
     def test_tampered_scene_yields_structured_mismatch(self):
         scene = build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2)
@@ -411,10 +410,10 @@ class TestAudit:
         scene = build_staircase_scene(StaircaseParams(s), 4)
         swap = {ROLE_COLORED: ROLE_BLANK, ROLE_BLANK: ROLE_COLORED}
         polygons = tuple(
-            replace(poly, role=swap[poly.role]) if poly.layer_index == 2 else poly
+            poly._replace(role=swap[poly.role]) if poly.layer_index == 2 else poly
             for poly in scene.polygons
         )
-        report = audit_scene(replace(scene, polygons=polygons))
+        report = audit_scene(scene._replace(polygons=polygons))
         assert not report.ok
         assert len(report.mismatches) == 1
         assert report.mismatches[0].startswith("layer 2: colored area ")
@@ -430,9 +429,9 @@ class TestAudit:
         i, small = next((i, p) for i, p in enumerate(scene.polygons) if p.layer_index == 1)
         double = tuple(Point(2 * v.x, 2 * v.y) for v in small.vertices)
         polygons = list(scene.polygons)
-        polygons[i] = replace(small, vertices=double)
+        polygons[i] = small._replace(vertices=double)
         assert polygons[i].area == 4 * small.area  # recomputed, never copied
-        report = audit_scene(replace(scene, polygons=tuple(polygons)))
+        report = audit_scene(scene._replace(polygons=tuple(polygons)))
         assert not report.ok
         assert [layer.ok for layer in report.layers] == [False, True, True]
         first = report.layers[0]
@@ -474,7 +473,7 @@ class TestAudit:
         scene = build_layered_scene(EDGAR, 2)
 
         def audit(n):
-            return audit_scene(replace(scene, params_echo={**scene.params_echo, "n": n}))
+            return audit_scene(scene._replace(params_echo={**scene.params_echo, "n": n}))
 
         assert audit(5).ok
         assert audit(6).mismatches == ("params.n: echoed 6 != 5 derived from r = 1/3",)
@@ -578,7 +577,7 @@ class TestSceneJson:
             scene_from_json(doc)
         assert str(exc.value) == message
         with pytest.raises(ValueError) as exc:
-            audit_scene(replace(scene, params_echo={**scene.params_echo, key: value}))
+            audit_scene(scene._replace(params_echo={**scene.params_echo, key: value}))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("extra_bits, ok", [(0, True), (1, False)])
@@ -612,8 +611,8 @@ class TestSceneJson:
 
 
 def _written_layer_by_layer_as_polygon_by_polygon(scene):
-    # a dataclasses.replace copy keeps no layer 1, so it is written polygon by polygon
-    twin = replace(scene)
+    # a _replace copy keeps no layer 1, so it is written polygon by polygon
+    twin = scene._replace()
     assert "_layer1" in scene.__dict__ and "_layer1" not in twin.__dict__
     assert twin == scene
     assert "".join(scene_json_chunks(scene)) == "".join(scene_json_chunks(twin))

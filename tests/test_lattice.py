@@ -10,7 +10,6 @@ library's dict forms, parsed from that text, must equal them.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -334,8 +333,8 @@ def test_streamed_json_matches_the_indented_encoder(scene):
 
 def test_streamed_json_with_empty_params_matches_the_indented_encoder():
     scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), 2)
-    report = replace(audit_scene(scene), params={})
-    scene = replace(scene, params_echo={})
+    report = audit_scene(scene)._replace(params={})
+    scene = scene._replace(params_echo={})
     text = "".join(scene_json_chunks(scene))
     assert text == encoded(reference_scene_doc(scene))
     assert '"params": {},' in text
@@ -358,7 +357,7 @@ def tampered_staircase():
     params.update({f"note{i}": text for i, text in enumerate(FREE_TEXTS)})
     labels = [(pt, text) for (pt, _), text in zip(scene.labels, FREE_TEXTS)]
     labels = (*labels, *scene.labels[len(FREE_TEXTS):])
-    return replace(scene, polygons=tuple(polygons), labels=labels, params_echo=params)
+    return scene._replace(polygons=tuple(polygons), labels=labels, params_echo=params)
 
 
 def test_dict_forms_equal_the_reference_builders():
@@ -376,7 +375,7 @@ def test_dict_forms_equal_the_reference_builders():
     p, q, r = polygons[i].vertices
     mid = Point((q.x + r.x) / 2, (q.y + r.y) / 2)
     polygons[i : i + 1] = [Polygon((p, q, mid), ROLE_BLANK, 2), Polygon((p, mid, r), ROLE_BLANK, 2)]
-    split = replace(tampered, polygons=tuple(polygons))
+    split = tampered._replace(polygons=tuple(polygons))
     report = audit_scene(split)
     assert [layer.ok for layer in report.layers] == [False, False, True]
     assert [m.split(":")[0] for m in report.mismatches] == [
@@ -403,9 +402,8 @@ def test_report_writer_compares_areas_by_value_not_identity():
 
     for scene in (build_staircase_scene(StaircaseParams(Fraction(3, 5)), 40), tampered_staircase()):
         report = audit_scene(scene)
-        copies = replace(report, layers=tuple(
-            replace(
-                layer,
+        copies = report._replace(layers=tuple(
+            layer._replace(
                 colored_area=copied(layer.colored_area),
                 total_area=copied(layer.total_area),
                 colored_fraction=copied(layer.colored_fraction),
@@ -454,7 +452,7 @@ def test_layer_with_different_denominators_is_audited_exactly():
     moved = Point(a.x - Fraction(1, 3**40), a.y)
     polygons[j] = Polygon((r, w, moved), ROLE_BLANK, 2)
     assert len({p.den for p in polygons if p.layer_index == 2}) == 2
-    tampered = audit_scene(replace(scene, polygons=tuple(polygons)))
+    tampered = audit_scene(scene._replace(polygons=tuple(polygons)))
     second = tampered.layers[1]
     assert second.colored_area == second.expected_colored_area
     want_total = reference_area(colored.vertices) + reference_area((r, w, moved))

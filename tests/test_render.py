@@ -4,7 +4,6 @@ import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -111,7 +110,7 @@ class TestRender:
         as xml.sax.saxutils.escape did."""
         scene = build_layered_scene(MABRY, 1)
         hostile = 'a&b<c>d"e'
-        scene = replace(scene, labels=tuple((pt, hostile) for pt, _ in scene.labels))
+        scene = scene._replace(labels=tuple((pt, hostile) for pt, _ in scene.labels))
         opts = RenderOptions(color_fill=hostile, stroke_color="&<>\"")
         svg = render(scene, opts)
         assert f">{escape(hostile)}</text>" in svg
@@ -157,14 +156,14 @@ class TestRender:
             tuple(x + 10 * d for x in small.xs), tuple(y - 3 * d for y in small.ys), d,
             small.role, small.layer_index,
         )
-        svg = render(replace(scene, polygons=(scene.polygons[0], moved, *scene.polygons[2:])))
+        svg = render(scene._replace(polygons=(scene.polygons[0], moved, *scene.polygons[2:])))
         assert ET.fromstring(svg).get("viewBox") == "0 0 600 415"
         xs = [[x for x, _ in parse_points(poly)] for poly in polygons_of(svg)]
         assert all(50 <= x <= 550 for poly_xs in xs for x in poly_xs)
         assert max(xs[1]) == 550  # the moved triangle sets the right edge
 
     def test_layout_of_a_scene_without_polygons_is_refused(self):
-        scene = replace(build_layered_scene(MABRY, 1), polygons=())
+        scene = build_layered_scene(MABRY, 1)._replace(polygons=())
         with pytest.raises(ValueError, match="^a layout needs at least one polygon$"):
             layout(scene, RenderOptions())
 
