@@ -53,10 +53,10 @@ def _rational(text: str) -> Rational:
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (1.8 s as a table and 1.2-1.8 s
-# as JSON in a fresh process, medians of two batches of 7, in constant memory,
-# 19 and 18 MiB peak RSS, with Python 3.11 on a shared 2-core Xeon host); a
-# larger scan costs more and finds nothing new
+# largest --max-m: the acceptance gate's scan (1.1 s as a table and 1.0 s as
+# JSON in a fresh process, median of 5, in constant memory, 18 and 17 MiB peak
+# RSS, with Python 3.11 on a shared 2-core Xeon host; an older batch there read
+# 1.8 s and 1.2-1.8 s); a larger scan costs more and finds nothing new
 MAX_M_LIMIT = 10**6
 
 _CONSTRUCTIONS = ("layered", "staircase")
@@ -376,7 +376,7 @@ class _Parser(argparse.ArgumentParser):
     argparse's own print_help drops a write error, and the interpreter's flush
     at exit reports a buffered one as "Exception ignored"; main turns the
     OSError into its one-line error and exit 2.  Each subcommand's parser is
-    one too, made by its _Subcommand.
+    one too, made by _subparser.
     """
 
     def print_help(self, file=None) -> None:
@@ -385,25 +385,32 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
+def _subparser(*, fill, handler, **kwargs) -> _Parser:
+    """A subcommand's parser: fill adds its arguments, handler is its func, and
+    the rest of the keywords go to _Parser."""
+    parser = _Parser(**kwargs)
+    fill(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 class _Subcommand:
-    """A subcommand's parser, made when argparse first asks it for anything.
+    """A subcommand's parser, made by _subparser when argparse first asks it
+    for anything.
 
     The subparsers action calls this class where it would call the parser's
-    own, with the keywords of add_parser: fill adds the subcommand's arguments,
-    handler runs it, and the rest go to _Parser.  On Python 3.10 to 3.13 the
-    action asks only the parser the command line names, and only to parse, so
-    a command makes two parsers: the top-level one and its own.
+    own, with the keywords of add_parser.  On Python 3.10 to 3.13 the action
+    asks only the parser the command line names, and only to parse.  main
+    parses most command lines without the top-level parser, so a command
+    makes one parser; see _parse.
     """
 
-    def __init__(self, *, fill, handler, **kwargs) -> None:
-        self._fill, self._handler, self._kwargs = fill, handler, kwargs
+    def __init__(self, **kwargs) -> None:
+        self._kwargs = kwargs
 
     @cached_property
     def parser(self) -> _Parser:
-        parser = _Parser(**self._kwargs)
-        self._fill(parser)
-        parser.set_defaults(func=self._handler)
-        return parser
+        return _subparser(**self._kwargs)
 
     def __getattr__(self, name):
         return getattr(self.parser, name)
@@ -481,8 +488,8 @@ def _table_args(p: argparse.ArgumentParser) -> None:
 
 
 # each subcommand: its name, its line in --help, the function that adds its
-# arguments to its parser and the function that runs it; build_parser hands
-# the last two to the subcommand's _Subcommand
+# arguments to its parser and the function that runs it; _parse and
+# build_parser's _Subcommand hand the last two to _subparser
 _COMMANDS = (
     ("feasible", "enumerate which r = 1/m admit a layered picture", _feasible_args, cmd_feasible),
     ("verify", "build a scene and audit every area against the formulas", _verify_args,
@@ -497,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The geoseries parser, with each subcommand's name and help line.
 
     Each subcommand is a _Subcommand: its parser, arguments and handler are
-    made when the command line names it, so a command pays for its own
-    parser only.  Nothing is kept between calls.
+    made when the command line names it.  main makes this parser only for
+    --help, errors and the command lines _parse does not take by itself.
+    Nothing is kept between calls.
     """
     parser = _Parser(
         prog="geoseries",
@@ -511,9 +519,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, made with one parser where
+    argv starts with a subcommand's name.
+
+    There the top-level parser only hands argv[1:], as it is, to that
+    subcommand's parser, so this calls that parser itself.  If words are left
+    over, and for every other command line, the top-level parser parses argv:
+    --help, its usage errors and "unrecognized arguments" stay its own.
+    """
+    for name, _, fill, handler in _COMMANDS:
+        if argv[:1] == [name]:
+            parser = _subparser(fill=fill, handler=handler, prog=f"geoseries {name}")
+            args, extra = parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=name, func=handler)
+            )
+            if not extra:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -188,7 +188,11 @@ def _cross(xs, ys) -> int:
 
 
 class Polygon(Record):
-    """Simple polygon with distinct vertices in counterclockwise order.
+    """Polygon of at least 3 vertices, a known role and a positive shoelace sum.
+
+    Those three are all that is checked, so the vertices run counterclockwise
+    on the whole, but a repeated vertex or a self-crossing outline passes: the
+    pentagon (0,0), (6,0), (6,4), (3,-2), (0,4) is accepted, with area 6.
 
     Held as integer numerators xs, ys over one denominator den > 0, with
     cross the integer shoelace sum: the area is cross / (2 den^2).  None of

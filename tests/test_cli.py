@@ -1067,6 +1067,20 @@ _PARSER_TEXTS = [
     (("render", "--construction", "layered"), 2,
      "46ec679e87d17e6eefea397281f310e4abfa333975da6489b462db182ec45f5c",
      "7db3a2276ed9ca36754fc8092ec5da348a6f5668cd7bd487162903061c11a935"),
+    # a command line its subcommand parses with a word left over: the
+    # top-level parser's "unrecognized arguments"
+    (("feasible", "--format", "json", "x"), 2,
+     "ecfd48772ccc261ba1efc8f7ded093b27ac6472204742404b4e53049b598e7fe",
+     "c9932b9ea79ccf0f2a6a7e3248ce0891688888e16cdf0d4fdc778f57144b1e1d"),
+    (("verify", "--construction", "layered", "--m", "3", "--bogus"), 2,
+     "223f405065d029d3de505b04d795ce678a38ce46e4f519bb6d3b089addd5bd30",
+     "bd8b4e0f0415e019221beb163f1ebaa53cb8774d7f6965f8fd58c8123e69e1ed"),
+    (("render", "--construction", "layered", "--m", "3", "--out", "o.svg", "x"), 2,
+     "ecfd48772ccc261ba1efc8f7ded093b27ac6472204742404b4e53049b598e7fe",
+     "c9932b9ea79ccf0f2a6a7e3248ce0891688888e16cdf0d4fdc778f57144b1e1d"),
+    (("table", "--ratio", "1/4", "--bogus"), 2,
+     "223f405065d029d3de505b04d795ce678a38ce46e4f519bb6d3b089addd5bd30",
+     "bd8b4e0f0415e019221beb163f1ebaa53cb8774d7f6965f8fd58c8123e69e1ed"),
 ]
 
 
@@ -1115,11 +1129,11 @@ def test_a_command_adds_only_its_own_arguments(capsys, monkeypatch, argv, absent
 @pytest.mark.parametrize(
     "argv, want_code, parsers",
     [
-        (("feasible", "--max-m", "3"), 0, 2),
-        (("verify", "--construction", "layered", "--m", "3", "--layers", "1"), 0, 2),
+        (("feasible", "--max-m", "3"), 0, 1),
+        (("verify", "--construction", "layered", "--m", "3", "--layers", "1"), 0, 1),
         (("render", "--construction", "layered", "--m", "3", "--layers", "1", "--out", "OUT"),
-         0, 2),
-        (("table", "--ratio", "1/4", "--terms", "3"), 0, 2),
+         0, 1),
+        (("table", "--ratio", "1/4", "--terms", "3"), 0, 1),
         (("--help",), 0, 1),
         ((), 2, 1),
         (("bogus",), 2, 1),
@@ -1129,7 +1143,8 @@ def test_a_command_adds_only_its_own_arguments(capsys, monkeypatch, argv, absent
 def test_a_command_makes_only_its_own_parser(
     capsys, monkeypatch, tmp_path, argv, want_code, parsers
 ):
-    # the top-level parser, and the parser of the subcommand named, if any
+    # a command makes its subcommand's parser alone; --help, no command and an
+    # unknown one make the top-level parser alone
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -1145,6 +1160,57 @@ def test_a_command_makes_only_its_own_parser(
     capsys.readouterr()
     assert code == want_code
     assert len(made) == parsers, made
+
+
+# command lines main parses, by its subcommand's parser alone or by the
+# top-level one: the README's ten, then other spellings and word orders
+_PARSE_ROUTE_LINES = [
+    "render --construction layered --m 2 --layers 4 --out mabry_L4.svg",
+    "render --construction layered --m 3 --layers 3 --out edgar_L3.svg",
+    "render --construction staircase --s 3/5 --layers 3 --out staircase_3_5_L3.svg",
+    "feasible --max-m 10 --format table",
+    "table --ratio 1/4 --first-term 1/4 --terms 5",
+    "verify --construction layered --m 3 --layers 6",
+    "verify --construction staircase --s 1/2 --layers 8 --format json",
+    "render --construction staircase --s 3/5 --layers 3 --out pic.svg --emit-scene",
+    "verify --from-scene pic.json",
+    "render --construction layered --m 4 --layers 2 --allow-infeasible --out m4.svg",
+    "table --ratio=1/4 --terms=3",
+    "verify --construction layered --m 3 --lay 2",
+    "feasible --max 5",
+    "feasible --max-m 3 --max-m 5 --format json --format table",
+    "table -h --ratio x",
+    "feasible -h --bogus",
+    "feasible --he",
+    "feasible -hx",
+    "feasible -- x",
+    "feasible --",
+    "-- feasible",
+    "table --ratio 1/4 --first-term -1/2",
+    "feasible --max-m 1e3",
+    "verify --m 3",
+    "render --construction layered --m 3 --out o.svg x",
+    "--help",
+    "",
+    "bogus",
+    "--bogus feasible",
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """parse(argv)'s vars, or the exit code, stdout and stderr it exits with."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("line", _PARSE_ROUTE_LINES, ids=lambda line: line or "no-command")
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    want = _parse_outcome(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == want
 
 
 _MINIMAL_ARGS = {
