@@ -13,7 +13,6 @@ import json
 import os
 import stat
 import sys
-from functools import cached_property
 from itertools import chain
 
 from .construction import StaircaseParams
@@ -375,8 +374,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse's own print_help drops a write error, and the interpreter's flush
     at exit reports a buffered one as "Exception ignored"; main turns the
-    OSError into its one-line error and exit 2.  Each subcommand's parser is
-    one too, made by _subparser.
+    OSError into its one-line error and exit 2.  Every subcommand's parser is
+    one too.
     """
 
     def print_help(self, file=None) -> None:
@@ -385,35 +384,12 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def _subparser(*, fill, handler, **kwargs) -> _Parser:
-    """A subcommand's parser: fill adds its arguments, handler is its func, and
-    the rest of the keywords go to _Parser."""
-    parser = _Parser(**kwargs)
+def _subparser(parser: _Parser, fill, handler) -> _Parser:
+    """parser, filled as a subcommand's: fill adds its arguments, and handler
+    is its func."""
     fill(parser)
     parser.set_defaults(func=handler)
     return parser
-
-
-class _Subcommand:
-    """A subcommand's parser, made by _subparser when argparse first asks it
-    for anything.
-
-    The subparsers action calls this class where it would call the parser's
-    own, with the keywords of add_parser.  On Python 3.10 to 3.13 the action
-    asks only the parser the command line names, and only to parse.  main
-    parses most command lines without the top-level parser, so a command
-    makes one parser; see _parse.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-
-    @cached_property
-    def parser(self) -> _Parser:
-        return _subparser(**self._kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.parser, name)
 
 
 def _feasible_args(p: argparse.ArgumentParser) -> None:
@@ -489,7 +465,7 @@ def _table_args(p: argparse.ArgumentParser) -> None:
 
 # each subcommand: its name, its line in --help, the function that adds its
 # arguments to its parser and the function that runs it; _parse and
-# build_parser's _Subcommand hand the last two to _subparser
+# build_parser hand the last two to _subparser
 _COMMANDS = (
     ("feasible", "enumerate which r = 1/m admit a layered picture", _feasible_args, cmd_feasible),
     ("verify", "build a scene and audit every area against the formulas", _verify_args,
@@ -501,21 +477,19 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The geoseries parser, with each subcommand's name and help line.
+    """The geoseries parser, with every subcommand's parser, name and help line.
 
-    Each subcommand is a _Subcommand: its parser, arguments and handler are
-    made when the command line names it.  main makes this parser only for
-    --help, errors and the command lines _parse does not take by itself.
-    Nothing is kept between calls.
+    main makes it only for --help, usage errors and the command lines _parse
+    does not take by itself.  Nothing is kept between calls.
     """
     parser = _Parser(
         prog="geoseries",
         description="Construct, verify and render proof-without-words pictures "
         "for geometric series, in exact rational arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, help_line, fill, handler in _COMMANDS:
-        sub.add_parser(name, help=help_line, fill=fill, handler=handler)
+        _subparser(sub.add_parser(name, help=help_line), fill, handler)
     return parser
 
 
@@ -530,10 +504,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """
     for name, _, fill, handler in _COMMANDS:
         if argv[:1] == [name]:
-            parser = _subparser(fill=fill, handler=handler, prog=f"geoseries {name}")
-            args, extra = parser.parse_known_args(
-                argv[1:], argparse.Namespace(command=name, func=handler)
-            )
+            parser = _subparser(_Parser(prog=f"geoseries {name}"), fill, handler)
+            args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
             if not extra:
                 return args
             break

@@ -1134,9 +1134,9 @@ def test_a_command_adds_only_its_own_arguments(capsys, monkeypatch, argv, absent
         (("render", "--construction", "layered", "--m", "3", "--layers", "1", "--out", "OUT"),
          0, 1),
         (("table", "--ratio", "1/4", "--terms", "3"), 0, 1),
-        (("--help",), 0, 1),
-        ((), 2, 1),
-        (("bogus",), 2, 1),
+        (("--help",), 0, 1 + len(cli._COMMANDS)),
+        ((), 2, 1 + len(cli._COMMANDS)),
+        (("bogus",), 2, 1 + len(cli._COMMANDS)),
     ],
     ids=["feasible", "verify", "render", "table", "help", "no-command", "bogus"],
 )
@@ -1144,7 +1144,7 @@ def test_a_command_makes_only_its_own_parser(
     capsys, monkeypatch, tmp_path, argv, want_code, parsers
 ):
     # a command makes its subcommand's parser alone; --help, no command and an
-    # unknown one make the top-level parser alone
+    # unknown one make the top-level parser and every subcommand's
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -1225,20 +1225,18 @@ _MINIMAL_ARGS = {
     "name, handler", [(name, handler) for name, _, _, handler in cli._COMMANDS],
     ids=[name for name, *_ in cli._COMMANDS],
 )
-def test_a_subcommand_stub_acts_as_its_parser(capsys, monkeypatch, name, handler):
+def test_a_subcommand_parses_alike_on_both_routes(capsys, monkeypatch, name, handler):
     monkeypatch.setenv("COLUMNS", "80")
-    args = cli.build_parser().parse_args([name, *_MINIMAL_ARGS[name]])
-    assert args.func is handler
-    # an argparse that asks a subcommand for more than a parse, here its help
-    # text, gets what the subcommand's own parser gives
-    parser = cli.build_parser()
-    stub = next(action for action in parser._actions if action.dest == "command").choices[name]
-    assert isinstance(stub, cli._Subcommand) and "parser" not in vars(stub)
-    text = stub.format_help()
-    with pytest.raises(SystemExit) as exc:
-        main([name, "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == text
+    assert cli.build_parser().parse_args([name, *_MINIMAL_ARGS[name]]).func is handler
+    # an option before the name sends the line through the top-level parser,
+    # which hands --help to the subcommand's parser before it sees --bogus
+    helps = []
+    for argv in (["--bogus", name, "--help"], [name, "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
 
 
 @pytest.mark.parametrize(
@@ -1403,8 +1401,11 @@ def test_failed_stdout_write_is_one_line_in_process(capsys, monkeypatch):
         ("feasible", "--max-m", "200000"),
         ("verify", "--construction", "layered", "--m", "3", "--layers", "300", "--format", "json"),
         ("feasible", "--help"),
+        ("--help",),
+        ("--bogus", "feasible", "--help"),
     ],
-    ids=["feasible-3", "feasible-200000", "verify-json", "feasible-help"],
+    ids=["feasible-3", "feasible-200000", "verify-json", "feasible-help", "help",
+         "top-level-route-feasible-help"],
 )
 def test_failed_stdout_write_exits_2_with_one_line(argv, sink, unbuffered):
     """Output nobody can take ends in one error line and exit 2, not a traceback,
