@@ -13,10 +13,11 @@ W_k = R_k + (0, s^(k-1)).  Every W_k lies on AB and every R_k on AC.
 Both pictures hold a shrunken copy of themselves: layer k is layer 1
 shrunk toward the apex A by lam^(k-1), with lam = 1 - r for layered and
 lam = s for the staircase, so its area is layer 1's times x^(k-1), where
-x = lam^2 is the series ratio.  One loop builds every layer of both
-pictures from layer 1 and lam, and the audit evaluates the area formulas
-at layer 1 only; the apex copy left after L layers has area x^L times
-the figure's.
+x = lam^2 is the series ratio.  _construction defines each picture's
+layer 1 once, from its ratio alone, as an integer frame: layer 1 over one
+denominator and lam = a/b.  One loop builds every layer of both pictures
+from that frame, and the audit evaluates the area formulas at layer 1
+only; the apex copy left after L layers has area x^L times the figure's.
 
 Coordinates are held as plain integers: a polygon keeps integer x and y
 numerators over one positive denominator `den`, which the builders share
@@ -37,7 +38,7 @@ label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
 
-A built scene keeps its layer 1, its layer labels' rule and lam = a/b
+A built scene keeps its frame, layer 1's tiles and its layer labels' rule
 outside its fields, and the scene writer fills it a layer at a time:
 each distinct value of a layer is reduced and printed once, and no value
 of a layer, polygon or label, is reduced by a big gcd.  As gcd(a, b) = 1,
@@ -272,32 +273,41 @@ def _numerators(values, d: int = 1) -> tuple[list[int], int]:
 
 
 def _construction(kind: str, ratio: Rational):
-    """(echo, outline, shrink, layer1, figure): what a picture of this kind
+    """(echo, outline, frame, layer1, figure): what a picture of this kind
     derives from its ratio alone.
 
-    echo is the params a built scene echoes, outline is (C, B, A), shrink is
-    lam, layer1 is layer 1's (polygons, colored, colored area, layer area)
-    from the construction formulas, never from drawn tiles, and figure is
-    the figure's area.  Layered r = 1/m: n, a and min(a, n) colored through
-    derive_config, outline (-1,0), (1,0), (0,1), lam = 1 - r; a layered r
-    that is not 1/m raises ValueError naming params.r.  Staircase s: r = s^2,
-    outline (h-1,0), (h,0), (0,h) with h = 1/(1-s), lam = s.
+    echo is the params a built scene echoes, outline is (C, B, A), layer1
+    is layer 1's (polygons, colored, colored area, layer area) from the
+    construction formulas, never from drawn tiles, and figure is the
+    figure's area.  frame is layer 1 in integers over one denominator d1,
+    in closed form: (d1, xs, apex, top, a, b), xs the numerators of its
+    x-coordinates, apex and top those of A's y and its top line's, and
+    lam = a/b, with gcd(a, d1 b) = 1.  Layered r = 1/m: n, a and min(a, n)
+    colored through derive_config, outline (-1,0), (1,0), (0,1), lam = 1 - r,
+    frame (m, range(-m, m + 1), m, 1, m - 1, m); a layered r that is not 1/m
+    raises ValueError naming params.r.  Staircase s = p/q: r = s^2, outline
+    (h-1,0), (h,0), (0,h) with h = 1/(1-s), lam = s, frame (q(q-p), (p^2, pq,
+    q^2), q^2, q(q-p), p, q): x = h-1-s, h-1 and h, and y = 1 on the top line.
     """
     if kind == "layered":
         if ratio.numerator != 1:
             raise ValueError(f"params.r must be 1/m for a layered scene, got {fmt(ratio)!r:.40}")
-        p = derive_config(ratio.denominator)
+        m = ratio.denominator
+        p = derive_config(m)
         colored = min(p.a, p.n)
-        echo = {"n": str(p.n), "a": str(p.a), "r": fmt(ratio), "m": str(ratio.denominator),
+        echo = {"n": str(p.n), "a": str(p.a), "r": fmt(ratio), "m": str(m),
                 "colored_per_layer": str(colored)}
         outline = (Point(-ONE, ZERO), Point(ONE, ZERO), Point(ZERO, ONE))
         layer1 = (p.n, colored, colored * triangle_area(p, 1), layer_area(p, 1))
-        return echo, outline, ONE - ratio, layer1, ONE
-    q = StaircaseParams(ratio)
-    h = ONE / (ONE - ratio)
+        return echo, outline, (m, range(-m, m + 1), m, 1, m - 1, m), layer1, ONE
+    params = StaircaseParams(ratio)
+    p, q = ratio.numerator, ratio.denominator
+    h = Fraction(q, q - p)
     outline = (Point(h - 1, ZERO), Point(h, ZERO), Point(ZERO, h))
-    layer1 = (2, 1, staircase_piece_area(q, 1), staircase_layer_area(q, 1))
-    return {"s": fmt(ratio), "r": fmt(q.ratio)}, outline, ratio, layer1, staircase_total_area(q)
+    frame = (q * (q - p), (p * p, p * q, q * q), q * q, q * (q - p), p, q)
+    layer1 = (2, 1, staircase_piece_area(params, 1), staircase_layer_area(params, 1))
+    echo = {"s": fmt(ratio), "r": fmt(params.ratio)}
+    return echo, outline, frame, layer1, staircase_total_area(params)
 
 
 def _layer_lines(apex: int, top: int, a: int, b: int, layers: int):
@@ -311,53 +321,66 @@ def _layer_lines(apex: int, top: int, a: int, b: int, layers: int):
         v *= b
 
 
-def _build_scene(kind, ratio, layers, *, vertex_labels, xs, tiles, label_mid, label_dx) -> Scene:
+def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
     """The picture of `layers` layers: layer k is layer 1 shrunk toward A by shrink^(k-1).
 
-    _construction(kind, ratio) gives the echoed params, shrink and the outline
-    (C, B, A), C and B on the base y = 0 and the apex A = (0, apex_y), so AB
-    lies on x + y = apex_y.  Layer 1, from the base to y = apex_y (1 -
-    shrink), is given by its distinct x-coordinates xs and its tiles (role,
-    corners), a corner being an (xs index, 0 bottom or 1 top line) pair; its
-    label sits label_dx, a shift that does not shrink, right of the point
-    of AB with x = label_mid.
+    _construction(kind, ratio) gives the echoed params, the outline (C, B, A)
+    and layer 1's integer frame (d1, xs, apex, top, a, b), shrink = a/b.
+    The depth and the polygon cap are checked first: layers too deep or
+    more than MAX_POLYGONS polygons raise ValueError before any tile is
+    made.  A tile of layer 1 is its (role, corners), a corner being an (xs
+    index, 0 bottom or 1 top line) pair; its layer label sits label_dx, a
+    shift that does not shrink, right of the point of AB with x = label_mid.
 
-    Layer 1 is put over one denominator d1, and with shrink = a/b and
-    shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of layer 1
-    becomes (u X, v apex - u (apex - Y))/(d1 v), apex being A's numerator.
-    Only u and v grow, by one integer product each per layer.  More than
-    MAX_POLYGONS polygons raise ValueError, as layers too deep do.
+    With shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of
+    layer 1 becomes (u X, v apex - u (apex - Y))/(d1 v).  Only u and v
+    grow, by one integer product each per layer.
 
-    The scene keeps, outside its fields, layer 1 and shrink as (d1, xs, apex,
-    top, a, b, tiles) and, last in that tuple, the layer labels' rule as
-    (vertex label count, apex_l, mid, dx, dl), so ==, repr and _replace
-    never see them; scene_json_chunks writes the layers
-    and their labels from them.
+    The scene keeps, outside its fields, the frame and layer 1's tiles as
+    (d1, xs, apex, top, a, b, tiles) and, last in that tuple, the layer
+    labels' rule as (vertex label count, apex_l, mid, dx, dl), so ==, repr
+    and _replace never see them; scene_json_chunks writes the layers and
+    their labels from them.
     """
-    params_echo, outline, shrink, (per_layer, *_), _ = _construction(kind, ratio)
-    check_depth(layers, shrink, "layers")
+    echo, outline, frame, (per_layer, colored, *_), _ = _construction(kind, ratio)
+    d1, xs, apex, top, a, b = frame
+    check_depth(layers, ratio, "layers")  # shrink has the ratio's denominator, b
     if (count := layers * per_layer + 1) > MAX_POLYGONS:
         raise ValueError(f"layers {layers} draws {layers} x {per_layer} + 1 = {count} polygons, "
                          f"over the cap of {MAX_POLYGONS}")
-    apex_y = outline[-1].y
-    top_y = apex_y - shrink * apex_y
-    (apex, top, *xs1), d1 = _numerators((apex_y, top_y, *xs))
-    # the labels have their own denominator, so they do not widen the polygons'
-    (apex_l, mid, dx), dl = _numerators((apex_y, label_mid, label_dx), d1)
-    a, b = shrink.numerator, shrink.denominator
     assert math.gcd(a, d1 * b) == 1  # for both kinds; _layer_items relies on it
+    h, shrink = Fraction(apex, d1), Fraction(a, b)  # A = (0, h)
+    if kind == "layered":
+        # coloring order, b being m: m-1 downward triangles left to right, then m upward
+        corners = [((i + 1, 0), (i + 2, 1), (i, 1)) for i in range(1, 2 * b - 2, 2)]
+        corners += [((i, 0), (i + 2, 0), (i + 1, 1)) for i in range(0, 2 * b - 1, 2)]
+        tiles = [(ROLE_COLORED if idx < colored else ROLE_BLANK, c) for idx, c in enumerate(corners)]
+        e = Fraction(1, 20)
+        vertex_labels = [
+            (Point(ZERO, ONE + e), "A"), (Point(ONE + e, -e), "B"), (Point(-ONE - e, -e), "C"),
+            (Point(shrink + e, ratio), "D"), (Point(-shrink - e, ratio), "E"),
+        ]
+        label_mid, label_dx = (ONE + shrink) / 2, Fraction(1, 4)  # midpoint of B and D
+    else:
+        # layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s
+        tiles = [(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))]
+        vertex_labels = [(Point(ZERO, h + h / 20), "A"), (Point(h + h / 20, -h / 20), "B"),
+                         (Point(h - 1, -h / 20), "C")]
+        label_mid, label_dx = h - Fraction(1, 2), h / 10  # midpoint of B and W_1
+    # the labels have their own denominator, so they do not widen the polygons'
+    (apex_l, mid, dx), dl = _numerators((h, label_mid, label_dx), d1)
     polygons = [Polygon(outline, ROLE_OUTLINE)]
     labels = list(vertex_labels)
     for k, u, v, y in _layer_lines(apex, top, a, b, layers):
-        x = [u * c for c in xs1]
+        x = [u * c for c in xs]
         d = d1 * v
         for role, corners in tiles:
             polygons.append(Polygon.over(
                 tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
             ))
         labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
-    scene = Scene(tuple(polygons), tuple(labels), kind, params_echo, layers)
-    object.__setattr__(scene, "_layer1", (d1, tuple(xs1), apex, top, a, b, tuple(tiles),
+    scene = Scene(tuple(polygons), tuple(labels), kind, echo, layers)
+    object.__setattr__(scene, "_layer1", (d1, xs, apex, top, a, b, tuple(tiles),
                                           (len(vertex_labels), apex_l, mid, dx, dl)))
     return scene
 
@@ -374,57 +397,18 @@ def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
         raise ValueError(
             f"layered tessellation requires a unit fraction r, got r = {fmt(p.r)}"
         )
-    m = p.r.denominator
-    want = derive_config(m)
+    want = derive_config(p.r.denominator)
     if p != want:
         raise ValueError(
-            f"r = 1/{m} forces n = {want.n} triangles per layer and a = {want.a} colored, "
+            f"r = {fmt(p.r)} forces n = {want.n} triangles per layer and a = {want.a} colored, "
             f"got n = {p.n}, a = {p.a}"
         )
-    colored = min(p.a, p.n)
-    shrink = ONE - p.r
-    # coloring order: m-1 downward triangles left to right, then m upward;
-    # corner i of layer 1 lies at x = i r - 1, between y = 0 and y = r
-    tiles = []
-    for idx in range(p.n):
-        if idx < m - 1:
-            i = 2 * idx + 1
-            corners = ((i + 1, 0), (i + 2, 1), (i, 1))
-        else:
-            i = 2 * (idx - m + 1)
-            corners = ((i, 0), (i + 2, 0), (i + 1, 1))
-        tiles.append((ROLE_COLORED if idx < colored else ROLE_BLANK, corners))
-    return _build_scene(
-        "layered", p.r, layers,
-        vertex_labels=[
-            (Point(ZERO, ONE + Fraction(1, 20)), "A"),
-            (Point(ONE + Fraction(1, 20), -Fraction(1, 20)), "B"),
-            (Point(-ONE - Fraction(1, 20), -Fraction(1, 20)), "C"),
-            (Point(shrink + Fraction(1, 20), p.r), "D"),
-            (Point(-shrink - Fraction(1, 20), p.r), "E"),
-        ],
-        xs=[Fraction(i - m, m) for i in range(2 * m + 1)], tiles=tiles,
-        label_mid=(ONE + shrink) / 2, label_dx=Fraction(1, 4),  # midpoint of B and D
-    )
+    return _build_scene("layered", p.r, layers)
 
 
 def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
-    """Repositioned staircase picture with L colored pieces and blank remainders.
-
-    Layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s.
-    """
-    h = ONE / (ONE - q.s)  # B = (h, 0)
-    return _build_scene(
-        "staircase", q.s, layers,
-        vertex_labels=[
-            (Point(ZERO, h + h / 20), "A"),
-            (Point(h + h / 20, -h / 20), "B"),
-            (Point(h - 1, -h / 20), "C"),
-        ],
-        xs=[h - 1 - q.s, h - 1, h],
-        tiles=[(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))],
-        label_mid=h - Fraction(1, 2), label_dx=h / 10,  # midpoint of B and W_1
-    )
+    """Repositioned staircase picture with L colored pieces and blank remainders."""
+    return _build_scene("staircase", q.s, layers)
 
 
 class LayerAudit(Record):
@@ -531,12 +515,12 @@ def audit_scene(scene: Scene) -> AuditReport:
     holding it does.
     """
     kind, echo = scene.construction_kind, scene.params_echo
-    ratio, echoed, (derived, outline, shrink, layer1, figure) = _echoed_ratio(kind, echo)
+    ratio, echoed, (derived, outline, (*_, a, b), layer1, figure) = _echoed_ratio(kind, echo)
     check_depth(scene.layers_rendered, ratio, "layers_rendered")
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     want_count, want_colored_count, want_colored, want_total = layer1
-    x = shrink * shrink
+    x = Fraction(a, b) ** 2
     basis = f"{_RATIO_KEY[kind]} = {fmt(ratio)}"
 
     mismatches = [
@@ -711,7 +695,8 @@ def _over(den: int, g: int, dens: dict) -> str:
 
 def _layer_items(layer1, layers: int):
     """The items of a built scene's layered polygons, filled a layer at a time
-    from the (d1, xs, apex, top, a, b, tiles) that _build_scene keeps.
+    from the frame (d1, xs, apex, top, a, b) of _construction and the tiles
+    that _build_scene keeps with it.
 
     Each distinct value of a layer is reduced and printed once, and none by
     a big gcd.  With shrink^(k-1) = u/v, layer k lies over d1 v, and for both
@@ -758,11 +743,12 @@ def _label_items(labels):
 
 
 def _layer_label_items(layer1, layers: int):
-    """The items of a built scene's layer labels, from the (vertex label count,
-    apex_l, mid, dx, dl) that _build_scene keeps: layer k's label is
-    (u mid + v dx, apex_l v - u mid) / (dl v).  Both numerators are u mid
-    modulo v, and gcd(u, v) = 1, so each has gcd(mid, v) in common with v and
-    is reduced, as in _layer_items, by its gcd with the small s = dl gcd(mid, v).
+    """The items of a built scene's layer labels, from the frame's apex, top,
+    a and b and the (vertex label count, apex_l, mid, dx, dl) kept with it:
+    layer k's label is (u mid + v dx, apex_l v - u mid) / (dl v).  Both
+    numerators are u mid modulo v, and gcd(u, v) = 1, so each has gcd(mid, v)
+    in common with v and is reduced, as in _layer_items, by its gcd with the
+    small s = dl gcd(mid, v).
     """
     _, _, apex, top, a, b, _, (_, apex_l, mid, dx, dl) = layer1
     template = _LABEL_JSON % ("%s", "%s", json.dumps("layer %s"))

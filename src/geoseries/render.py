@@ -219,8 +219,13 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     """Serialize a scene to SVG 1.1 text, byte-deterministic.
 
     Element order is fixed: outline, then polygons by (layer_index,
-    emission order), then text labels.
+    emission order), then text labels.  A colored or blank polygon without
+    a layer_index raises ValueError, as audit_scene does.
     """
+    outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+    filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
+    if any(poly.layer_index is None for poly in filled):
+        raise ValueError("non-outline polygon without a valid layer index")
     opts = opts or RenderOptions()
     lay = layout(scene, opts)
     dp = opts.decimal_places
@@ -235,8 +240,6 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
         f'viewBox="0 0 {lay.width_px} {lay.height_px}" '
         f'width="{lay.width_px}" height="{lay.height_px}">',
     ]
-    outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
-    filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
     filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
     polygons = outlines + filled
     for poly, points in zip(polygons, _points_attrs(polygons, lay, dp)):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,22 @@ class TestLayeredScene:
     def test_builders_refuse_the_layer_counts_the_cli_refuses(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("m", [10**5, 10**6])
+    def test_over_cap_picture_is_refused_before_any_tile_is_made(self, m):
+        p = derive_config(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                build_layered_scene(p, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = 2 * m - 1
+        assert str(info.value) == (
+            f"layers 1 draws 1 x {n} + 1 = {n + 1} polygons, over the cap of {MAX_POLYGONS}"
+        )
+        assert peak < 2**20  # far below one Fraction or tile per triangle
 
     def test_largest_clamped_m5_picture_round_trips(self):
         # within m = 5's depth cap (1365 layers), 1137 layers is the most the polygon cap admits

@@ -10,6 +10,7 @@ library's dict forms, parsed from that text, must equal them.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from geoseries.geometry import (
     ROLE_OUTLINE,
     Point,
     Polygon,
+    _construction,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
@@ -108,6 +110,33 @@ def reference_staircase(s, layers):
         tiles=[(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))],
         label_mid=h - Fraction(1, 2), label_dx=h / 10,
     )
+
+
+def reference_frame(apex_y, xs, shrink):
+    """Layer 1's integer frame by the Fraction route: its x values, A's y and its top
+    line's y over the lcm of their denominators, then shrink's numerator and denominator."""
+    values = [*xs, apex_y, apex_y - shrink * apex_y]
+    d1 = math.lcm(*[v.denominator for v in values])
+    *xs1, apex, top = [v.numerator * (d1 // v.denominator) for v in values]
+    return d1, tuple(xs1), apex, top, shrink.numerator, shrink.denominator
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_layered_frame_is_layer_1_over_its_lcm(m):
+    r = Fraction(1, m)
+    d1, xs, apex, top, a, b = _construction("layered", r)[2]
+    want = reference_frame(ONE, [Fraction(i - m, m) for i in range(2 * m + 1)], ONE - r)
+    assert (d1, tuple(xs), apex, top, a, b) == want
+    assert math.gcd(a, d1 * b) == 1  # the premise of _layer_items' small-gcd reduction
+
+
+@given(st.integers(2, 10**6).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
+def test_staircase_frame_is_layer_1_over_its_lcm(pq):
+    s = Fraction(*pq)
+    h = ONE / (ONE - s)
+    d1, xs, apex, top, a, b = _construction("staircase", s)[2]
+    assert (d1, xs, apex, top, a, b) == reference_frame(h, [h - 1 - s, h - 1, h], s)
+    assert math.gcd(a, d1 * b) == 1  # the premise of _layer_items' small-gcd reduction
 
 
 def reference_area(vertices):

@@ -14,7 +14,10 @@ from geoseries.cli import MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import LayeredParams, StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
+    ROLE_BLANK,
+    ROLE_COLORED,
     Polygon,
+    audit_scene,
     build_layered_scene,
     build_staircase_scene,
     scene_from_json,
@@ -120,6 +123,19 @@ class TestRender:
         assert {t.text for t in root.findall(f"{SVG_NS}text")} == {hostile}
         assert {p.get("stroke") for p in polygons_of(svg)} == {"&<>\""}
         assert hostile in {p.get("fill") for p in polygons_of(svg)}
+
+    @pytest.mark.parametrize("role", [ROLE_COLORED, ROLE_BLANK])
+    def test_polygon_without_a_layer_index_raises_what_the_audit_raises(self, role):
+        scene = build_layered_scene(MABRY, 2)
+        scene = scene._replace(polygons=tuple(
+            Polygon(poly.vertices, poly.role) if poly.role == role else poly
+            for poly in scene.polygons
+        ))
+        message = "^non-outline polygon without a valid layer index$"
+        with pytest.raises(ValueError, match=message):
+            audit_scene(scene)
+        with pytest.raises(ValueError, match=message):
+            render(scene)
 
     def test_byte_deterministic(self):
         scene = build_layered_scene(MABRY, 4)
