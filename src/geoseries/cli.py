@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
+import shutil
 import stat
 import sys
 from itertools import chain
@@ -375,8 +377,14 @@ class _Parser(argparse.ArgumentParser):
     argparse's own print_help drops a write error, and the interpreter's flush
     at exit reports a buffered one as "Exception ignored"; main turns the
     OSError into its one-line error and exit 2.  Every subcommand's parser is
-    one too.
+    one too.  Each reads the terminal's width once and gives it, less 2 as
+    argparse takes it, to the formatter add_argument makes per argument.
     """
+
+    def __init__(self, **kwargs) -> None:
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+                         **kwargs)
 
     def print_help(self, file=None) -> None:
         file = sys.stdout if file is None else file

@@ -717,7 +717,8 @@ def _layer_items(layer1, layers: int):
         holes = ("%s",) * (2 * len(corners))
         fills.append((_polygon_json(len(corners)) % (*holes, role, "%s"), itemgetter(*order)))
     magnitudes = sorted({abs(c) for c in xs})
-    signed = [("-" if c < 0 else "", magnitudes.index(abs(c))) for c in xs]
+    place = {c: i for i, c in enumerate(magnitudes)}
+    signed = [("-" if c < 0 else "", place[abs(c)]) for c in xs]
     offsets = (apex, apex - top)  # w of the bottom and the top line
     for k, u, v, ys in _layer_lines(apex, top, a, b, layers):
         den = d1 * v
@@ -937,12 +938,14 @@ def _check_counts(doc: dict) -> None:
 def scene_from_json(doc) -> Scene:
     """Inverse of scene_to_json; checks the schema version and the document's shape.
 
-    Each "p/q" coordinate is read as two integers, unreduced, and each
-    polygon is put over the lcm of its denominators, so no Fraction is made.
-    The lcm of every coordinate denominator is kept as the strings are
-    read: a file that takes it past MAX_SCENE_DENOMINATOR_BITS is refused
-    before the polygon is made, so every denominator the audit meets
-    divides a number of at most that many bits.
+    Each distinct "p/q" coordinate string is parsed once, to two integers,
+    unreduced, and each polygon is put over the lcm of its denominators (no
+    division for a value over it, or 0), so no Fraction is made.  The lcm
+    of every coordinate denominator is kept as the strings are read: a
+    file that takes it past MAX_SCENE_DENOMINATOR_BITS is refused before
+    the polygon is made, so every denominator the audit meets divides a
+    number of at most that many bits.  Each field is checked inline;
+    _typed, _member and _pair_parts are called only to name a failure.
 
     A file holding more than MAX_POLYGONS polygons or labels, or more
     than 3 x MAX_POLYGONS vertices in all, is refused before anything is read.
@@ -963,9 +966,9 @@ def scene_from_json(doc) -> Scene:
     layers = _member(doc, "layers_rendered", int, "")
     check_depth(layers, ratio, "layers_rendered")
     lcm = 1
+    # a layer's polygons share their coordinate lines: each distinct string is parsed once
+    parts: dict[str, tuple[int, int]] = {}
 
-    # a layer's polygons share their coordinate lines: read each distinct string once
-    @functools.lru_cache(maxsize=None)
     def read(text: str) -> tuple[int, int]:
         nonlocal lcm
         num, den = parse_parts(text)
@@ -976,42 +979,61 @@ def scene_from_json(doc) -> Scene:
                     f"the lcm of the coordinate denominators so far has {lcm.bit_length()} "
                     f"bits, over the cap of {MAX_SCENE_DENOMINATOR_BITS}"
                 )
+        parts[text] = num, den
         return num, den
 
     polygons = []
     for i, entry in enumerate(_member(doc, "polygons", list, "")):
-        path = f"polygons[{i}]"
-        _typed(entry, dict, path)
-        vertices = _member(entry, "vertices", list, path)
+        if type(entry) is not dict:
+            _typed(entry, dict, f"polygons[{i}]")
+        if type(vertices := entry.get("vertices")) is not list:
+            vertices = _member(entry, "vertices", list, f"polygons[{i}]")
         points = []
         for j, pair in enumerate(vertices):
             try:
-                points.append(_pair_parts(pair, read))
+                if type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is str:
+                    x, y = pair
+                    points += parts.get(x) or read(x), parts.get(y) or read(y)
+                else:  # names the failure, or reads a str subclass
+                    xn, xd, yn, yd = _pair_parts(pair, read)
+                    points += (xn, xd), (yn, yd)
             except ValueError as exc:
-                raise ValueError(f"{path}.vertices[{j}]: {exc}") from None
-        role = _member(entry, "role", str, path)
-        layer_index = _member(entry, "layer_index", int, path, optional=True)
-        _member(entry, "label", str, path, optional=True)
+                raise ValueError(f"polygons[{i}].vertices[{j}]: {exc}") from None
+        if type(role := entry.get("role")) is not str:
+            role = _member(entry, "role", str, f"polygons[{i}]")
+        if type(layer_index := entry.get("layer_index")) is not int and layer_index is not None:
+            layer_index = _member(entry, "layer_index", int, f"polygons[{i}]", optional=True)
+        if type(label := entry.get("label")) is not str and label is not None:
+            _member(entry, "label", str, f"polygons[{i}]", optional=True)
+        # x, y, x, ... over the lcm of their denominators: one of them, on a built scene
+        d = _lcm([e for _, e in points])
+        values = [n * (d // e) if n and e != d else n for n, e in points]
         try:
-            # over the lcm of its denominators: one of them, on a built scene
-            polygons.append(Polygon.over(*_over_lcm(points), role, layer_index))
+            polygons.append(Polygon.over(tuple(values[::2]), tuple(values[1::2]), d, role,
+                                         layer_index))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"polygons[{i}]: {exc}") from None
         if role != ROLE_OUTLINE and not (layer_index is not None and 1 <= layer_index <= layers):
             raise ValueError(
-                f"{path}.layer_index must be an integer in [1, {layers}] for a {role} "
+                f"polygons[{i}].layer_index must be an integer in [1, {layers}] for a {role} "
                 f"polygon, got {layer_index!r}"
             )
     labels = []
     for i, entry in enumerate(_member(doc, "labels", list, "", optional=True) or ()):
-        path = f"labels[{i}]"
-        _typed(entry, dict, path)
-        pair = [_member(entry, "x", str, path), _member(entry, "y", str, path)]
+        if type(entry) is not dict:
+            _typed(entry, dict, f"labels[{i}]")
+        if type(x := entry.get("x")) is not str:
+            x = _member(entry, "x", str, f"labels[{i}]")
+        if type(y := entry.get("y")) is not str:
+            y = _member(entry, "y", str, f"labels[{i}]")
         try:
-            (xn,), (yn,), d = _over_lcm([_pair_parts(pair, read)])
+            (xn, xd), (yn, yd) = parts.get(x) or read(x), parts.get(y) or read(y)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        labels.append((lattice_point(xn, yn, d), _member(entry, "text", str, path)))
+            raise ValueError(f"labels[{i}]: {exc}") from None
+        if type(text := entry.get("text")) is not str:
+            text = _member(entry, "text", str, f"labels[{i}]")
+        d = _lcm((xd, yd))
+        labels.append((lattice_point(xn * (d // xd), yn * (d // yd), d), text))
     return Scene(
         polygons=tuple(polygons),
         labels=tuple(labels),

@@ -91,10 +91,10 @@ def fmt_parts(num: int, den: int) -> str:
 # printed is about the square of that denominator, so at the cap it has about
 # 2466 digits, below Python's 4300-digit limit on int-to-str conversion.  At
 # the cap, render --emit-scene and verify of layered m = 3 with 2048 layers
-# take 0.51 s and 0.38 s (peaking at 36 and 40 MiB), and verify --from-scene
-# of that scene file 0.86 s (130 MiB), medians of 5 fresh processes with
-# Python 3.11 on a shared 2-core Xeon host (an older batch there read 0.86 s,
-# 0.62 s and 1.4 s); the benchmark's deep scenes predict 400 and 1500 bits.
+# take 0.51 s and 0.38 s (peaking at 36 and 40 MiB), medians of 5 fresh
+# processes with Python 3.11 on a shared 2-core Xeon host, and verify
+# --from-scene of that scene file 0.66 s (130 MiB, median of 9, a later
+# batch); the benchmark's deep scenes predict 400 and 1500 bits.
 MAX_DENOMINATOR_BITS = 4096
 
 

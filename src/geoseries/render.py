@@ -4,7 +4,8 @@ No binary floating point anywhere.  layout finds the bounding box in exact
 rationals and turns it into one exact affine map per axis, px = ax*x + bx,
 held as integers over one shared denominator.  A vertex x = p/d, p an
 integer numerator of its polygon over the polygon's denominator d, then
-maps to the unreduced fraction (ax*p + bx*d) / (den*d), with no gcd, and
+maps to the unreduced fraction (ax*p + bx*d) / (den*d), with no gcd; a
+label's x and y are mapped so too, each over its own denominator.  Each
 is printed by the one rounding rule format_coordinate also uses: decimal
 digits expanded from integers, half away from zero.  A run of polygons
 over one denominator, as a built layer is, shares its coordinate lines:
@@ -22,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 
-from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, point_numerators
+from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, _point_parts
 from .rational import ONE, Rational
 from .record import Record
 
@@ -187,10 +188,11 @@ def layout(scene: Scene, opts: RenderOptions) -> Layout:
     return Layout(ax, bx, ay, by, den, opts.canvas_width_px, height_px)
 
 
-def _px(lay: Layout, xn: int, yn: int, d: int, dp: int) -> tuple[str, str]:
-    """The point (xn/d, yn/d)'s pixel coordinates as printed, from the unreduced numerators."""
-    den = lay.den * d
-    return _fixed(lay.ax * xn + lay.bx * d, den, dp), _fixed(lay.ay * yn + lay.by * d, den, dp)
+def _px(lay: Layout, xn: int, xd: int, yn: int, yd: int, dp: int) -> tuple[str, str]:
+    """The point (xn/xd, yn/yd)'s pixel coordinates as printed, each mapped over
+    its own denominator, reduced or not."""
+    return (_fixed(lay.ax * xn + lay.bx * xd, lay.den * xd, dp),
+            _fixed(lay.ay * yn + lay.by * yd, lay.den * yd, dp))
 
 
 def _points_attrs(polygons, lay: Layout, dp: int):
@@ -253,7 +255,7 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
             continue
         if not is_annotation and not opts.show_labels:
             continue
-        px, py = _px(lay, *point_numerators(pt), dp)
+        px, py = _px(lay, *_point_parts(pt), dp)
         anchor = "start" if is_annotation else "middle"
         lines.append(
             f'<text x="{px}" y="{py}" '

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -1160,6 +1161,21 @@ def test_a_command_makes_only_its_own_parser(
     capsys.readouterr()
     assert code == want_code
     assert len(made) == parsers, made
+
+
+def test_a_parser_reads_the_terminal_width_once(capsys, monkeypatch):
+    # argparse makes a formatter for each argument it adds; each would read
+    # the width itself if its parser did not give it one
+    calls = []
+    size = shutil.get_terminal_size
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", record)
+    assert run(capsys, "feasible", "--max-m", "3")[0] == 0
+    assert len(calls) == 1
 
 
 # command lines main parses, by its subcommand's parser alone or by the

@@ -641,12 +641,13 @@ def _written_layer_by_layer_as_polygon_by_polygon(scene):
         lambda: build_layered_scene(derive_config(2), 60),
         lambda: build_layered_scene(derive_config(3), 60),
         lambda: build_layered_scene(derive_config(5), 30),  # clamped
+        lambda: build_layered_scene(derive_config(5120), 1),  # clamped, 2m + 1 = 10241 x values
         lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2)), 60),
         lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 60),
         lambda: build_staircase_scene(StaircaseParams(Fraction(7, 9)), 60),
         lambda: build_staircase_scene(StaircaseParams(Fraction(1, 10**100)), 12),  # its depth cap
     ],
-    ids=["m2", "m3", "clamped-m5", "s1_2", "s3_5", "s7_9", "s1_10e100-cap"],
+    ids=["m2", "m3", "clamped-m5", "clamped-m5120-L1", "s1_2", "s3_5", "s7_9", "s1_10e100-cap"],
 )
 def test_built_scene_is_written_as_the_polygon_writer_writes_it(build):
     _written_layer_by_layer_as_polygon_by_polygon(build())

@@ -6,15 +6,20 @@ evaluates the area formulas at every layer, kept here so that the integer
 code must give the same vertices, labels, areas and audit reports.  The
 earlier dict builders of a scene file and an audit report are kept too:
 the streamed writers must give their json.dumps(indent=2) text, and the
-library's dict forms, parsed from that text, must equal them.
+library's dict forms, parsed from that text, must equal them.  So is the
+earlier scene reader, which called a checking helper for every field and
+vertex: the reader must give the same scene, or raise the same error.
 """
 
+import copy
+import functools
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoseries.cli import main
@@ -28,22 +33,32 @@ from geoseries.construction import (
 )
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
+    MAX_SCENE_DENOMINATOR_BITS,
     ROLE_BLANK,
     ROLE_COLORED,
     ROLE_OUTLINE,
     Point,
     Polygon,
+    Scene,
+    _check_counts,
     _construction,
+    _echoed_ratio,
+    _member,
+    _over_lcm,
+    _pair_parts,
+    _RATIO_KEY,
+    _typed,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
+    lattice_point,
     point_numerators,
     report_json_chunks,
     scene_from_json,
     scene_json_chunks,
     scene_to_json,
 )
-from geoseries.rational import fmt, fmt_parts
+from geoseries.rational import check_depth, fmt, fmt_parts, parse_parts
 
 ONE, ZERO = Fraction(1), Fraction(0)
 
@@ -304,6 +319,208 @@ def reference_scene_doc(scene):
         ],
         "labels": [label(pt, text) for pt, text in scene.labels],
     }
+
+
+def reference_scene_from_json(doc):
+    """The earlier scene reader: a checking helper for every field, _pair_parts for
+    every vertex, an lru_cache of parsed strings and _over_lcm for every polygon
+    and label."""
+    _typed(doc, dict, "scene")
+    _check_counts(doc)
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != 1:
+        raise ValueError(f"unsupported scene schema: {schema!r:.40}")
+    kind = _member(doc, "construction_kind", str, "")
+    if kind not in _RATIO_KEY:
+        raise ValueError(f"construction_kind: unknown construction {kind!r:.40}")
+    params = _member(doc, "params", dict, "")
+    ratio, _, _ = _echoed_ratio(kind, params)
+    layers = _member(doc, "layers_rendered", int, "")
+    check_depth(layers, ratio, "layers_rendered")
+    lcm = 1
+
+    @functools.lru_cache(maxsize=None)
+    def read(text):
+        nonlocal lcm
+        num, den = parse_parts(text)
+        if lcm % den:
+            lcm = math.lcm(lcm, den)
+            if lcm.bit_length() > MAX_SCENE_DENOMINATOR_BITS:
+                raise ValueError(
+                    f"the lcm of the coordinate denominators so far has {lcm.bit_length()} "
+                    f"bits, over the cap of {MAX_SCENE_DENOMINATOR_BITS}"
+                )
+        return num, den
+
+    polygons = []
+    for i, entry in enumerate(_member(doc, "polygons", list, "")):
+        path = f"polygons[{i}]"
+        _typed(entry, dict, path)
+        vertices = _member(entry, "vertices", list, path)
+        points = []
+        for j, pair in enumerate(vertices):
+            try:
+                points.append(_pair_parts(pair, read))
+            except ValueError as exc:
+                raise ValueError(f"{path}.vertices[{j}]: {exc}") from None
+        role = _member(entry, "role", str, path)
+        layer_index = _member(entry, "layer_index", int, path, optional=True)
+        _member(entry, "label", str, path, optional=True)
+        try:
+            polygons.append(Polygon.over(*_over_lcm(points), role, layer_index))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if role != ROLE_OUTLINE and not (layer_index is not None and 1 <= layer_index <= layers):
+            raise ValueError(
+                f"{path}.layer_index must be an integer in [1, {layers}] for a {role} "
+                f"polygon, got {layer_index!r}"
+            )
+    labels = []
+    for i, entry in enumerate(_member(doc, "labels", list, "", optional=True) or ()):
+        path = f"labels[{i}]"
+        _typed(entry, dict, path)
+        pair = [_member(entry, "x", str, path), _member(entry, "y", str, path)]
+        try:
+            (xn,), (yn,), d = _over_lcm([_pair_parts(pair, read)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        labels.append((lattice_point(xn, yn, d), _member(entry, "text", str, path)))
+    return Scene(
+        polygons=tuple(polygons),
+        labels=tuple(labels),
+        construction_kind=kind,
+        params_echo={k: v if isinstance(v, str) else json.dumps(v) for k, v in params.items()},
+        layers_rendered=layers,
+    )
+
+
+def read_by_both(doc):
+    """What scene_from_json and the reference make of doc: (reference, reader), each
+    the scene read from its own copy of doc or the text of the ValueError raised."""
+    results = []
+    for reader in (reference_scene_from_json, scene_from_json):
+        try:
+            results.append(reader(copy.deepcopy(doc)))
+        except ValueError as exc:
+            results.append(str(exc))
+    return tuple(results)
+
+
+def assert_read_alike(doc):
+    want, got = read_by_both(doc)
+    assert got == want
+    if isinstance(want, Scene):  # the same integers too, not only the same values
+        assert ([(p.xs, p.ys, p.den) for p in got.polygons]
+                == [(p.xs, p.ys, p.den) for p in want.polygons])
+        assert [pt._num for pt, _ in got.labels] == [pt._num for pt, _ in want.labels]
+        assert "".join(scene_json_chunks(got)) == "".join(scene_json_chunks(want))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_layered_scene(derive_config(3), 200),
+        lambda: build_layered_scene(derive_config(5), 30),  # clamped
+        lambda: build_staircase_scene(StaircaseParams(Fraction(3, 5)), 500),
+        lambda: build_staircase_scene(StaircaseParams(Fraction(1, 2)), 1),
+    ],
+    ids=["m3-L200", "clamped-m5-L30", "s3_5-L500", "s1_2-L1"],
+)
+def test_reader_reads_built_scenes_as_the_reference_does(build):
+    scene = build()
+    doc = scene_to_json(scene)
+    assert_read_alike(doc)
+    assert scene_from_json(doc) == scene
+
+
+# a small built scene of each kind, and the values a corrupted field takes
+CORRUPTIBLE_DOCS = (
+    scene_to_json(build_staircase_scene(StaircaseParams(Fraction(1, 2)), 2)),
+    scene_to_json(build_layered_scene(derive_config(2), 2)),
+)
+WRONG_VALUES = (None, True, 0, 7, 1.5, "", "x", [], ["1/2"], [1, 2], {}, {"x": "0", "y": "0"})
+MALFORMED_TEXTS = ("1/x", "+1/2", "1/0", "1/-2", "--1", "1/2/3", "1_0/3", "\uff11/2", " 1/2\n",
+                   "1 /2", "/2", "1/", "")
+# a triangle whose second and third vertices take the lcm of the denominators
+# past the cap: 2^8000 times an odd 8400-bit number
+PAST_CAP = [["0", "0"], [f"1/{2**8000}", "0"], ["0", f"1/{2**8400 + 1}"]]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def corrupt(draw, doc, polygon, label):
+    """Corrupt one field of a scene document, in the polygon and the label at
+    those paths or at the top: a wrong type, a missing key, a malformed or
+    unreduced "p/q", a bad vertex (one element, three, two one-character
+    coordinates as one string), an out-of-range layer_index, a bad label
+    coordinate, or the polygon's vertices taking the denominators past the
+    lcm cap."""
+    vertex = (*polygon, "vertices", draw(st.integers(0, 2)))
+    coordinate = draw(st.sampled_from([(*vertex, 0), (*vertex, 1), (*label, "x"), (*label, "y")]))
+    members = [(key,) for key in doc] + [("params", key) for key in doc["params"]]
+    members += [(*polygon, key) for key in _at(doc, polygon)] + [(*label, key) for key in _at(doc, label)]
+    kind = draw(st.sampled_from(["type", "missing", "malformed", "unreduced", "vertex",
+                                 "layer_index", "past-cap"]))
+    if kind == "missing":
+        path = draw(st.sampled_from(members))
+        del _at(doc, path[:-1])[path[-1]]
+        return
+    if kind == "type":
+        path = draw(st.sampled_from([draw(st.sampled_from(members)), polygon, vertex, coordinate,
+                                     label]))
+        value = draw(st.sampled_from(WRONG_VALUES))
+    elif kind == "malformed":
+        path, value = coordinate, draw(st.sampled_from(MALFORMED_TEXTS))
+    elif kind == "unreduced":
+        path = coordinate
+        value = _unreduce(_at(doc, path), draw(st.integers(2, 10**6)))
+    elif kind == "vertex":
+        path, pair = vertex, _at(doc, vertex)
+        value = draw(st.sampled_from([pair[:1], [*pair, pair[0]], "01"]))
+    elif kind == "layer_index":
+        path = (*polygon, "layer_index")
+        value = draw(st.none() | st.integers(-1, doc["layers_rendered"] + 2))
+    else:
+        path, value = (*polygon, "vertices"), copy.deepcopy(PAST_CAP)
+    _at(doc, path[:-1])[path[-1]] = value
+
+
+@st.composite
+def corrupted_docs(draw):
+    """A copy of a CORRUPTIBLE_DOCS document with one field corrupted, or two of
+    one polygon, label or the top, so that the order of the checks shows."""
+    doc = copy.deepcopy(draw(st.sampled_from(CORRUPTIBLE_DOCS)))
+    polygon = ("polygons", draw(st.integers(0, len(doc["polygons"]) - 1)))
+    label = ("labels", draw(st.integers(0, len(doc["labels"]) - 1)))
+    for _ in range(draw(st.integers(1, 2))):
+        try:
+            corrupt(draw, doc, polygon, label)
+        except (KeyError, IndexError, TypeError):  # the first took what the second corrupts
+            pass
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(corrupted_docs())
+def test_reader_fails_as_the_reference_does(doc):
+    assert_read_alike(doc)
+
+
+@pytest.mark.parametrize("doc", CORRUPTIBLE_DOCS, ids=["staircase", "layered"])
+def test_reader_checks_an_items_fields_in_the_reference_order(doc):
+    # every set of a polygon's or a label's fields given a value of the wrong type
+    for item, wrong in ((("polygons", 1), {("vertices", 0): 7, ("role",): 7,
+                                           ("layer_index",): "2", ("label",): 5}),
+                        (("labels", 0), {("x",): 7, ("y",): None, ("text",): 1.5})):
+        for chosen in itertools.product((False, True), repeat=len(wrong)):
+            broken = copy.deepcopy(doc)
+            for (*path, key), value in itertools.compress(wrong.items(), chosen):
+                _at(broken, (*item, *path))[key] = value
+            assert_read_alike(broken)
 
 
 def reference_report_doc(report):
