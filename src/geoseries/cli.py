@@ -241,9 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             str(layer.layer_index),
             str(layer.polygon_count),
             str(layer.colored_count),
-            fmt(layer.colored_area),
-            fmt(layer.total_area),
-            fmt(layer.colored_fraction),
+            *layer.area_texts()[:3],
             "ok",
         )
         for layer in report.layers

@@ -17,16 +17,17 @@ x = lam^2 is the series ratio.  _construction defines each picture's
 layer 1 once, from its ratio alone, as an integer frame: layer 1 over one
 denominator and lam = a/b.  One loop builds every layer of both pictures
 from that frame, and the audit evaluates the area formulas at layer 1
-only; the apex copy left after L layers has area x^L times the figure's.
+only, stepping them by x as integer running products; the apex copy left
+after L layers has area x^L times the figure's.
 
 Coordinates are held as plain integers: a polygon keeps integer x and y
 numerators over one positive denominator `den`, which the builders share
 across a layer (m^k for layered r = 1/m, (q-p) q^k for the staircase
 s = p/q), so building, reading, auditing and rendering a scene take no
-gcd per coordinate.  Fractions appear only at the edge: Point and
-Polygon are made from Fractions and give them back (.x, .y, .vertices,
-.area, made on first use), == compares rational values, and a scene
-file holds each coordinate reduced to its canonical "p/q".
+gcd per coordinate.  Fractions appear only at the edge: Point and Polygon
+are made from Fractions and give them back (.x, .y, .vertices, .area and a
+LayerAudit's areas, made on first use), == compares rational values, and
+a scene file holds each coordinate reduced to its canonical "p/q".
 
 Scene files and audit reports have one writer each, scene_json_chunks
 and report_json_chunks: they fill %-templates item by item and yield
@@ -79,10 +80,12 @@ from .rational import (
     check_depth,
     fmt,
     fmt_parts,
+    fmt_reduced,
     parse,
     parse_parts,
 )
 from .record import Record
+from .series import partial_sum_closed
 
 ROLE_COLORED = "colored"
 ROLE_BLANK = "blank"
@@ -414,7 +417,9 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
 class LayerAudit(Record):
     """One layer's exact tallies: its polygon counts, its colored and total
     areas and their ratio, against the areas the formulas expect of it; ok is
-    False where a count or an area differs."""
+    False where a count or an area differs.  A layer audit_scene makes keeps its
+    five areas as reduced (num, den) pairs outside its fields, and makes each
+    Fraction on first use."""
 
     layer_index: int
     polygon_count: int
@@ -436,6 +441,25 @@ class LayerAudit(Record):
             expected_colored_area=expected_colored_area, expected_total_area=expected_total_area,
             ok=ok,
         )
+
+    def __getattr__(self, name: str):
+        # reached only while an area of a layer the audit made is not made yet
+        parts = self.__dict__.get("_parts")
+        if parts is None or name not in self._fields:
+            raise AttributeError(name)
+        value = Fraction(*parts[self._fields.index(name) - 3])  # the five areas follow 3 counts
+        object.__setattr__(self, name, value)
+        return value
+
+    def area_texts(self) -> tuple[str, str, str, str, str]:
+        """The five areas as fmt writes them, in field order, from reduced pairs; an
+        area equal to its expectation takes that expectation's text."""
+        colored, total, fraction, want_colored, want_total = self.__dict__.get("_parts") or [
+            (q.numerator, q.denominator) for q in self._astuple()[3:8]]  # made by LayerAudit(...)
+        colored_text, total_text = fmt_reduced(*want_colored), fmt_reduced(*want_total)
+        return (colored_text if colored == want_colored else fmt_reduced(*colored),
+                total_text if total == want_total else fmt_reduced(*total),
+                fmt_reduced(*fraction), colored_text, total_text)
 
 
 class AuditReport(Record):
@@ -469,13 +493,13 @@ def _area_sums(polygons) -> tuple[int, int, int, int]:
     are colored/den and total/den, not reduced.
 
     The shoelace sums are added in plain ints over the lcm d of the
-    polygons' denominators; in a built scene a layer has one, so every
-    scale factor is 1.
+    polygons' denominators; in a built scene a layer has one, so no sum is
+    rescaled.
     """
     d = _lcm([poly.den for poly in polygons])
     count = colored = total = 0
     for poly in polygons:
-        cross = poly.cross * (d // poly.den) ** 2
+        cross = poly.cross if poly.den == d else poly.cross * (d // poly.den) ** 2
         total += cross
         if poly.role == ROLE_COLORED:
             count += 1
@@ -483,10 +507,30 @@ def _area_sums(polygons) -> tuple[int, int, int, int]:
     return count, colored, total, 2 * d * d
 
 
-def _equals(num: int, den: int, q: Rational) -> bool:
-    """num/den == q, den > 0: q is reduced, so den must be a multiple of its denominator."""
-    k, rest = divmod(den, q.denominator)
-    return rest == 0 and num == q.numerator * k
+def _equals(num: int, den: int, qn: int, qd: int) -> bool:
+    """num/den == qn/qd, den > 0: qn/qd is reduced, so den must be a multiple of qd."""
+    k, rest = divmod(den, qd)
+    return rest == 0 and num == qn * k
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, in lowest terms."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _powers(num: int, den: int, a: int, b: int):
+    """num/den times (a/b)^j, j = 0, 1, ..., in lowest terms, as num/den and a/b are: a step
+    takes gcds against the small a and b, as Fraction's product does, until both are 1;
+    as gcd(a, b) = 1, they stay 1, and every later step is two plain products."""
+    g = h = 0
+    while g != 1 or h != 1:
+        yield num, den
+        g, h = math.gcd(num, b), math.gcd(a, den)
+        num, den = num // g * (a // h), den // h * (b // g)
+    while True:
+        yield num, den
+        num, den = num * a, den * b
 
 
 def _points_text(points) -> str:
@@ -505,9 +549,11 @@ def audit_scene(scene: Scene) -> AuditReport:
     triangle (C, B, A) in that cyclic order; its layer_index is not read.
     Layer k is layer 1 shrunk by x^(k-1) in area, x = shrink^2 the series
     ratio, so the formulas are evaluated at layer 1 only and the apex
-    remainder is x^L times the figure.  A layer's area sums are integers over one
-    denominator, checked exactly (see _equals); an area equal to its
-    expectation is reported as that Fraction, so no passing sum is reduced.
+    remainder is x^L times the figure.  Layer k's expectations, layer 1's times
+    x^(k-1), are reduced integer pairs (see _powers), and its area sums integers
+    over one denominator, checked against them exactly (see _equals); a passing
+    sum is reported as its expectation, never reduced.  tiled_area is the
+    expectations' closed-form sum plus each failing layer's area less its own.
     Never raises on mismatch: failures come back as a report with ok=False
     and one message per broken equality.  A missing ratio, a malformed
     echoed param (see _echoed_ratio), or a layers_rendered below 1 or too
@@ -520,7 +566,7 @@ def audit_scene(scene: Scene) -> AuditReport:
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     want_count, want_colored_count, want_colored, want_total = layer1
-    x = Fraction(a, b) ** 2
+    x = Fraction(aa := a * a, bb := b * b)
     basis = f"{_RATIO_KEY[kind]} = {fmt(ratio)}"
 
     mismatches = [
@@ -543,16 +589,16 @@ def audit_scene(scene: Scene) -> AuditReport:
             raise ValueError("non-outline polygon without a valid layer index")
         by_layer[poly.layer_index].append(poly)
     layers = []
-    tiled_num, tiled_den = 0, 1
-    fraction_1 = want_colored / want_total
-    for k, polys in by_layer.items():  # want_colored and want_total are layer 1's times x^(k-1)
+    tiled = want_total * partial_sum_closed(x, scene.layers_rendered - 1)
+    fraction_1 = ((f := want_colored / want_total).numerator, f.denominator)
+    wants = zip(_powers(want_colored.numerator, want_colored.denominator, aa, bb),
+                _powers(want_total.numerator, want_total.denominator, aa, bb))
+    for (k, polys), (want_c, want_t) in zip(by_layer.items(), wants):
         colored_count, colored_num, total_num, den = _area_sums(polys)
-        tiled_den, old_den = _lcm((tiled_den, den)), tiled_den
-        tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
-        colored_ok = _equals(colored_num, den, want_colored)
-        total_ok = _equals(total_num, den, want_total)
-        colored_area = want_colored if colored_ok else Fraction(colored_num, den)
-        total_area = want_total if total_ok else Fraction(total_num, den)
+        colored_ok = _equals(colored_num, den, *want_c)
+        total_ok = _equals(total_num, den, *want_t)
+        colored = want_c if colored_ok else _reduced(colored_num, den)
+        total = want_t if total_ok else _reduced(total_num, den)
         before = len(mismatches)
         if len(polys) != want_count or colored_count != want_colored_count:
             mismatches.append(
@@ -561,34 +607,22 @@ def audit_scene(scene: Scene) -> AuditReport:
             )
         if not colored_ok:
             mismatches.append(
-                f"layer {k}: colored area {fmt(colored_area)} != "
-                f"expected {fmt(want_colored)} (per-layer colored formula)"
+                f"layer {k}: colored area {fmt_reduced(*colored)} != "
+                f"expected {fmt_reduced(*want_c)} (per-layer colored formula)"
             )
         if not total_ok:
             mismatches.append(
-                f"layer {k}: layer area {fmt(total_area)} != "
-                f"expected {fmt(want_total)} (layer area formula)"
+                f"layer {k}: layer area {fmt_reduced(*total)} != "
+                f"expected {fmt_reduced(*want_t)} (layer area formula)"
             )
-        if colored_ok and total_ok:
-            fraction = fraction_1
-        else:
-            fraction = colored_area / total_area if polys else ZERO
-        layers.append(
-            LayerAudit(
-                layer_index=k,
-                polygon_count=len(polys),
-                colored_count=colored_count,
-                colored_area=colored_area,
-                total_area=total_area,
-                colored_fraction=fraction,
-                expected_colored_area=want_colored,
-                expected_total_area=want_total,
-                ok=len(mismatches) == before,
-            )
-        )
-        want_colored *= x
-        want_total *= x
-    tiled = Fraction(tiled_num, tiled_den)
+            tiled += Fraction(*total) - Fraction(*want_t)
+        fraction = (fraction_1 if colored_ok and total_ok else (0, 1) if not polys
+                    else _reduced(colored[0] * total[1], colored[1] * total[0]))
+        layer = object.__new__(LayerAudit)
+        layer.__dict__.update(layer_index=k, polygon_count=len(polys), colored_count=colored_count,
+                              ok=len(mismatches) == before,
+                              _parts=(colored, total, fraction, want_c, want_t))
+        layers.append(layer)
     remainder = x ** scene.layers_rendered * figure
     if tiled + remainder != figure:
         mismatches.append(
@@ -808,22 +842,16 @@ def report_json_chunks(report: AuditReport):
     """The `verify --format json` document of report, laid out as
     json.dumps(doc, indent=2) + "\n", in pieces of _JSON_CHUNK layers.
 
-    Each layer's two expectations are formatted once, and an area equal (==)
-    to its expectation is written with that text, not formatted again.
+    Each layer's areas are printed by LayerAudit.area_texts, as the verify
+    table's are.
     """
     yield _REPORT_HEAD % (json.dumps(report.construction_kind), _dumps(report.params, 1))
 
     def layers():
         for layer in report.layers:
-            want_colored, want_total = fmt(layer.expected_colored_area), fmt(layer.expected_total_area)
             yield _LAYER_JSON % (
                 layer.layer_index, layer.polygon_count, layer.colored_count,
-                want_colored if layer.colored_area == layer.expected_colored_area
-                else fmt(layer.colored_area),
-                want_total if layer.total_area == layer.expected_total_area
-                else fmt(layer.total_area),
-                fmt(layer.colored_fraction), want_colored, want_total,
-                "true" if layer.ok else "false",
+                *layer.area_texts(), "true" if layer.ok else "false",
             )
 
     yield from json_array(layers())

@@ -5,8 +5,8 @@ gcd-reduced at construction, denominator always positive, immutable.
 Arithmetic is Fraction's own operators; this module adds only the
 shared constants, strict parsing/formatting of the canonical "p/q"
 string form, and the cap on how deep a picture or table may go.
-Scene geometry holds its coordinates as plain integers instead, so
-parse_parts and fmt_parts read and write "p/q" without a Fraction.
+Scene geometry holds its coordinates as plain integers instead; parse_parts,
+fmt_parts and fmt_reduced read and write "p/q" without a Fraction.
 """
 
 from __future__ import annotations
@@ -69,9 +69,14 @@ def _int_text(n: int) -> str:
 
 def fmt(q: Rational) -> str:
     """Canonical text form: "p/q", or a bare integer when q == 1."""
-    if q.denominator == 1:
-        return _int_text(q.numerator)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+    return fmt_reduced(q.numerator, q.denominator)
+
+
+def fmt_reduced(num: int, den: int) -> str:
+    """fmt of num/den, den > 0 and the two already in lowest terms: no gcd is taken."""
+    if den == 1:
+        return _int_text(num)
+    return f"{_int_text(num)}/{_int_text(den)}"
 
 
 def fmt_parts(num: int, den: int) -> str:
@@ -80,9 +85,7 @@ def fmt_parts(num: int, den: int) -> str:
     if g != 1:
         num //= g
         den //= g
-    if den == 1:
-        return _int_text(num)
-    return f"{_int_text(num)}/{_int_text(den)}"
+    return fmt_reduced(num, den)
 
 
 # Largest predicted denominator, in bits, of a picture or a table: its layer

@@ -8,7 +8,10 @@ earlier dict builders of a scene file and an audit report are kept too:
 the streamed writers must give their json.dumps(indent=2) text, and the
 library's dict forms, parsed from that text, must equal them.  So is the
 earlier scene reader, which called a checking helper for every field and
-vertex: the reader must give the same scene, or raise the same error.
+vertex: the reader must give the same scene, or raise the same error.  So
+is the earlier audit, which stepped its expectations as Fraction products
+and made five Fractions per layer: the audit must give an equal report,
+written to the same bytes, on built, read-back and tampered scenes.
 """
 
 import copy
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoseries import cli
 from geoseries.cli import main
 from geoseries.construction import (
     StaircaseParams,
@@ -37,15 +41,19 @@ from geoseries.geometry import (
     ROLE_BLANK,
     ROLE_COLORED,
     ROLE_OUTLINE,
+    AuditReport,
+    LayerAudit,
     Point,
     Polygon,
     Scene,
     _check_counts,
     _construction,
     _echoed_ratio,
+    _lcm,
     _member,
     _over_lcm,
     _pair_parts,
+    _points_text,
     _RATIO_KEY,
     _typed,
     audit_scene,
@@ -58,7 +66,7 @@ from geoseries.geometry import (
     scene_json_chunks,
     scene_to_json,
 )
-from geoseries.rational import check_depth, fmt, fmt_parts, parse_parts
+from geoseries.rational import check_depth, fmt, fmt_parts, parse, parse_parts
 
 ONE, ZERO = Fraction(1), Fraction(0)
 
@@ -499,7 +507,8 @@ def corrupted_docs(draw):
     for _ in range(draw(st.integers(1, 2))):
         try:
             corrupt(draw, doc, polygon, label)
-        except (KeyError, IndexError, TypeError):  # the first took what the second corrupts
+        # the first took what the second corrupts, or left a coordinate _unreduce cannot read
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError):
             pass
     return doc
 
@@ -708,3 +717,264 @@ def test_layer_with_different_denominators_is_audited_exactly():
     tiled = audit_scene(scene).tiled_area
     assert tampered.tiled_area == tiled + want_total - second.expected_total_area
     assert [m.split(":")[0] for m in tampered.mismatches] == ["layer 2", "tiling"]
+
+
+def reference_area_sums(polygons):
+    """The earlier _area_sums: every shoelace sum rescaled to the lcm, even by 1."""
+    d = _lcm([poly.den for poly in polygons])
+    count = colored = total = 0
+    for poly in polygons:
+        cross = poly.cross * (d // poly.den) ** 2
+        total += cross
+        if poly.role == ROLE_COLORED:
+            count += 1
+            colored += cross
+    return count, colored, total, 2 * d * d
+
+
+def reference_equals(num, den, q):
+    k, rest = divmod(den, q.denominator)
+    return rest == 0 and num == q.numerator * k
+
+
+def reference_audit_scene(scene):
+    """The earlier audit_scene: Fraction expectations stepped by x at each layer, five
+    Fraction fields per LayerAudit, and the tiling summed over a running lcm."""
+    kind, echo = scene.construction_kind, scene.params_echo
+    ratio, echoed, (derived, outline, (*_, a, b), layer1, figure) = _echoed_ratio(kind, echo)
+    check_depth(scene.layers_rendered, ratio, "layers_rendered")
+    want_count, want_colored_count, want_colored, want_total = layer1
+    x = Fraction(a, b) ** 2
+    basis = f"{_RATIO_KEY[kind]} = {fmt(ratio)}"
+    mismatches = [
+        f"params.{key}: echoed {echo[key]} != {want} derived from {basis}"
+        for key, want in derived.items()
+        if key in echoed and echoed[key] != parse(want)
+    ]
+    outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+    if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
+        got = _points_text(outlines[0]) if len(outlines) == 1 else f"{len(outlines)} polygons"
+        mismatches.append(
+            f"outline: {got} != one polygon with the master triangle's vertices "
+            f"(C, B, A) = {_points_text(outline)}, in this cyclic order"
+        )
+    by_layer = {k: [] for k in range(1, scene.layers_rendered + 1)}
+    for poly in scene.polygons:
+        if poly.role == ROLE_OUTLINE:
+            continue
+        if poly.layer_index is None or not 1 <= poly.layer_index <= scene.layers_rendered:
+            raise ValueError("non-outline polygon without a valid layer index")
+        by_layer[poly.layer_index].append(poly)
+    layers = []
+    tiled_num, tiled_den = 0, 1
+    fraction_1 = want_colored / want_total
+    for k, polys in by_layer.items():
+        colored_count, colored_num, total_num, den = reference_area_sums(polys)
+        tiled_den, old_den = _lcm((tiled_den, den)), tiled_den
+        tiled_num = tiled_num * (tiled_den // old_den) + total_num * (tiled_den // den)
+        colored_ok = reference_equals(colored_num, den, want_colored)
+        total_ok = reference_equals(total_num, den, want_total)
+        colored_area = want_colored if colored_ok else Fraction(colored_num, den)
+        total_area = want_total if total_ok else Fraction(total_num, den)
+        before = len(mismatches)
+        if len(polys) != want_count or colored_count != want_colored_count:
+            mismatches.append(
+                f"layer {k}: polygon counts ({len(polys)}, {colored_count} colored) "
+                f"!= expected ({want_count}, {want_colored_count} colored)"
+            )
+        if not colored_ok:
+            mismatches.append(
+                f"layer {k}: colored area {fmt(colored_area)} != "
+                f"expected {fmt(want_colored)} (per-layer colored formula)"
+            )
+        if not total_ok:
+            mismatches.append(
+                f"layer {k}: layer area {fmt(total_area)} != "
+                f"expected {fmt(want_total)} (layer area formula)"
+            )
+        if colored_ok and total_ok:
+            fraction = fraction_1
+        else:
+            fraction = colored_area / total_area if polys else ZERO
+        layers.append(LayerAudit(
+            layer_index=k, polygon_count=len(polys), colored_count=colored_count,
+            colored_area=colored_area, total_area=total_area, colored_fraction=fraction,
+            expected_colored_area=want_colored, expected_total_area=want_total,
+            ok=len(mismatches) == before,
+        ))
+        want_colored *= x
+        want_total *= x
+    tiled = Fraction(tiled_num, tiled_den)
+    remainder = x ** scene.layers_rendered * figure
+    if tiled + remainder != figure:
+        mismatches.append(
+            f"tiling: layers {fmt(tiled)} + apex remainder {fmt(remainder)} "
+            f"!= figure area {fmt(figure)}"
+        )
+    return AuditReport(
+        construction_kind=kind, params=dict(echo), layers=tuple(layers), tiled_area=tiled,
+        apex_remainder=remainder, figure_area=figure, ok=not mismatches,
+        mismatches=tuple(mismatches),
+    )
+
+
+def assert_audited_alike(scene):
+    """audit_scene and the reference give equal reports, written to the same bytes."""
+    report, want = audit_scene(scene), reference_audit_scene(scene)
+    text = "".join(report_json_chunks(report))
+    assert text == encoded(reference_report_doc(want)) == "".join(report_json_chunks(want))
+    assert report == want and repr(report) == repr(want)
+    return report
+
+
+def verify_alike(monkeypatch, capsys, argv):
+    """main(argv) with audit_scene, then with the reference audit: the same exit and text."""
+    runs = []
+    for audit in (audit_scene, reference_audit_scene):
+        monkeypatch.setattr(cli, "audit_scene", audit)
+        runs.append((main(argv), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def edited(scene, edit, i):
+    """scene with one edit applied to its non-outline polygon number i (counted
+    modulo their number): a scaled triangle, swapped roles, a dropped polygon,
+    its whole layer dropped, a layer over two denominators or a changed echoed
+    param."""
+    polygons = list(scene.polygons)
+    i = 1 + i % (len(polygons) - 1)
+    poly = polygons[i]
+    xs, ys, den = poly.xs, poly.ys, poly.den
+    if edit == "scaled":  # 3 times as large about its first vertex
+        polygons[i] = Polygon.over(tuple(3 * x - 2 * xs[0] for x in xs),
+                                   tuple(3 * y - 2 * ys[0] for y in ys), den, poly.role,
+                                   poly.layer_index)
+    elif edit == "swapped":
+        other = ROLE_BLANK if poly.role == ROLE_COLORED else ROLE_COLORED
+        polygons[i] = Polygon.over(xs, ys, den, other, poly.layer_index)
+    elif edit == "dropped":
+        del polygons[i]
+    elif edit == "emptied":  # every polygon of its layer dropped
+        polygons = [p for p in polygons if p.layer_index != poly.layer_index]
+    elif edit == "two denominators":  # over 7 den, its last vertex moved out by 1/(7 den)
+        xs, ys = [7 * x for x in xs], [7 * y for y in ys]
+        px, py = xs[1] - xs[0], ys[1] - ys[0]
+        if px:
+            ys[-1] += 1 if px > 0 else -1
+        else:
+            xs[-1] += -1 if py > 0 else 1
+        polygons[i] = Polygon.over(tuple(xs), tuple(ys), 7 * den, poly.role, poly.layer_index)
+    elif edit == "param":
+        key = sorted(set(scene.params_echo) - {_RATIO_KEY[scene.construction_kind]})[
+            i % (len(scene.params_echo) - 1)]
+        value = scene.params_echo[key]
+        value = fmt(parse(value) / 2) if "/" in value else str(int(value) + 1)
+        return scene._replace(params_echo={**scene.params_echo, key: value})
+    return scene._replace(polygons=tuple(polygons))
+
+
+EDITS = ("scaled", "swapped", "dropped", "emptied", "two denominators", "param")
+AUDITED = [
+    pytest.param(kind, param, layers, id=f"{kind}-{param}-L{layers}")
+    for kind, params in (("layered", (2, 3, 5)), ("staircase", (Fraction(1, 2), Fraction(3, 5))))
+    for param in params
+    for layers in (1, 6, 200, 500)
+]
+
+
+def built(kind, param, layers):
+    if kind == "layered":
+        return build_layered_scene(derive_config(param), layers)
+    return build_staircase_scene(StaircaseParams(param), layers)
+
+
+def scene_args(kind, param, layers):
+    flag = ("--m", str(param), "--allow-infeasible") if kind == "layered" else ("--s", fmt(param))
+    return ("--construction", kind, *flag, "--layers", str(layers))
+
+
+@pytest.mark.parametrize("kind, param, layers", AUDITED)
+def test_audit_matches_the_reference_audit(tmp_path, monkeypatch, capsys, kind, param, layers):
+    scene = built(kind, param, layers)
+    assert assert_audited_alike(scene).ok
+    back = scene_from_json(scene_to_json(scene))
+    assert_audited_alike(back)
+    code, table = verify_alike(monkeypatch, capsys, ["verify", *scene_args(kind, param, layers)])
+    assert code == 0 and table.endswith("check: pass\n")
+    if layers <= 200:  # the same table from the scene file
+        path = tmp_path / "scene.json"
+        path.write_text("".join(scene_json_chunks(scene)), encoding="utf-8")
+        assert verify_alike(monkeypatch, capsys, ["verify", "--from-scene", str(path)]) == (
+            0, table)
+    for n, edit in enumerate(EDITS):
+        assert not assert_audited_alike(edited(scene, edit, n * layers + 1)).ok
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("kind, param", [("layered", 3), ("layered", 5),
+                                         ("staircase", Fraction(3, 5))])
+def test_a_tampered_file_fails_as_in_the_reference_audit(tmp_path, monkeypatch, capsys, kind,
+                                                          param, edit):
+    scene = edited(built(kind, param, 6), edit, 7)
+    path = tmp_path / "tampered.json"
+    path.write_text("".join(scene_json_chunks(scene)), encoding="utf-8")
+    assert_audited_alike(scene_from_json(json.loads(path.read_text(encoding="utf-8"))))
+    code, text = verify_alike(monkeypatch, capsys, ["verify", "--from-scene", str(path)])
+    assert code == 1 and json.loads(text)["check"] == "fail"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("layered"), st.integers(2, 7)),
+        st.builds(lambda q, p: ("staircase", Fraction(p % q or 1, q)),
+                  st.integers(2, 40), st.integers(1, 39)),
+    ),
+    st.integers(1, 12),
+    st.sampled_from((None, *EDITS)),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_audit_matches_the_reference_on_random_edits(picture, layers, edit, i, read_back):
+    scene = built(*picture, layers)
+    if edit is not None:
+        scene = edited(scene, edit, i)
+    if read_back:
+        scene = scene_from_json(scene_to_json(scene))
+    assert assert_audited_alike(scene).ok == (edit is None)
+
+
+def count_fractions(fn):
+    """The number of Fractions made while fn() runs, counted at Fraction.__new__."""
+    new = vars(Fraction)["__new__"]
+    count = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        fn()
+    finally:
+        Fraction.__new__ = new
+    return count
+
+
+def test_auditing_and_writing_make_as_many_fractions_at_any_depth(capsys):
+    """The audit and both its printers make no Fraction per layer: staircase 3/5 makes
+    as many at 50 layers as at 500."""
+    counts = []
+    for layers in (50, 500):
+        scene = build_staircase_scene(StaircaseParams(Fraction(3, 5)), layers)
+        back = scene_from_json(scene_to_json(scene))
+        counts.append([
+            count_fractions(lambda: "".join(report_json_chunks(audit_scene(scene)))),
+            count_fractions(lambda: "".join(report_json_chunks(audit_scene(back)))),
+            count_fractions(lambda: main(["verify", *scene_args("staircase", Fraction(3, 5),
+                                                                 layers)])),
+        ])
+        capsys.readouterr()
+    assert counts[0] == counts[1]

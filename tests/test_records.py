@@ -23,6 +23,7 @@ from geoseries.geometry import (
     build_layered_scene,
     build_staircase_scene,
     lattice_point,
+    report_json_chunks,
 )
 from geoseries.record import Record
 from geoseries.render import Layout, RenderOptions, layout
@@ -286,3 +287,56 @@ def test_match_by_position():
 def test_every_record_class_has_a_docstring_of_its_own(cls):
     # the dataclass decorator gave a class without one its signature as one
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+
+
+def _audited_layers():
+    """Fresh layers from the audit, none of whose areas is made yet: layered m = 3
+    and staircase 3/5, each passing, and a staircase layer whose area fails."""
+    staircase = build_staircase_scene(StaircaseParams(F(3, 5)), 3)
+    polygons = list(staircase.polygons)
+    r, w, top = polygons[3].vertices  # layer 2's colored piece, twice as tall
+    polygons[3] = Polygon((r, w, Point(top.x, 2 * top.y - r.y)), "colored", 2)
+    tampered = audit_scene(staircase._replace(polygons=tuple(polygons)))
+    assert not tampered.layers[1].ok
+    return [*audit_scene(build_layered_scene(derive_config(3), 3)).layers,
+            *audit_scene(staircase).layers, *tampered.layers]
+
+
+AREA_FIELDS = ("colored_area", "total_area", "colored_fraction", "expected_colored_area",
+               "expected_total_area")
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_an_audited_layer_is_the_layer_made_from_its_fractions(index):
+    layer = _audited_layers()[index]
+    assert not set(AREA_FIELDS) & set(layer.__dict__)  # made on first use
+    twins = [pickle.loads(pickle.dumps(layer)), copy.copy(layer), copy.deepcopy(layer)]
+    hand = LayerAudit(
+        layer.layer_index, layer.polygon_count, layer.colored_count,
+        *[F(*pair) for pair in layer.__dict__["_parts"]], layer.ok,
+    )
+    assert hash(layer) == hash(hand)
+    assert layer == hand and hand == layer
+    assert repr(layer) == repr(hand)
+    assert [type(getattr(layer, name)) for name in AREA_FIELDS] == [F] * 5
+    assert all(getattr(layer, name) is layer.__dict__[name] for name in AREA_FIELDS)  # kept
+    for twin in [*twins, layer._replace(), hand._replace()]:
+        assert twin == hand and hash(twin) == hash(hand) and repr(twin) == repr(hand)
+        assert twin.area_texts() == hand.area_texts() == layer.area_texts()
+    changed = layer._replace(ok=not layer.ok)
+    assert changed != hand and changed._replace(ok=layer.ok) == hand
+    for name in ("nope", "area", "_num"):
+        with pytest.raises(AttributeError):
+            getattr(_audited_layers()[index], name)
+    with pytest.raises(AttributeError):
+        layer.colored_area = F(1)
+
+
+def test_a_report_of_replaced_layers_writes_the_audits_bytes():
+    for layers in (3, 200):
+        report = audit_scene(build_staircase_scene(StaircaseParams(F(3, 5)), layers))
+        text = "".join(report_json_chunks(report))
+        replaced = report._replace(layers=tuple(layer._replace() for layer in report.layers))
+        assert all("_parts" not in layer.__dict__ for layer in replaced.layers)
+        assert "".join(report_json_chunks(replaced)) == text
+        assert replaced == report

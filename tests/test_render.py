@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import re
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from geoseries.geometry import (
     scene_to_json,
     shoelace_area,
 )
+from geoseries.rational import fmt
 from geoseries.render import _NOT_XML, RenderOptions, format_coordinate, layout, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -311,6 +313,53 @@ def test_deep_scene_json_and_audit_bytes_match_their_pins(
         assert main(["verify", *scene_args, "--format", "json"]) == 0
         data = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+DEEP_SCENES = {
+    "layered-m3-L200": ("--construction", "layered", "--m", "3", "--layers", "200"),
+    "staircase-3_5-L500": ("--construction", "staircase", "--s", "3/5", "--layers", "500"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, from_scene, digest",
+    [
+        ("layered-m3-L200", False, "3cc2a3a2987317312a73e4a622b39d7185f0ec91f83faed1535943c5c8539a63"),
+        ("layered-m3-L200", True, "3cc2a3a2987317312a73e4a622b39d7185f0ec91f83faed1535943c5c8539a63"),
+        ("staircase-3_5-L500", False, "76cae6977099006ddd3735aa77a6145cbed7c7396c3f1c47ba8c3447e92a4b02"),
+        ("staircase-3_5-L500", True, "76cae6977099006ddd3735aa77a6145cbed7c7396c3f1c47ba8c3447e92a4b02"),
+    ],
+)
+def test_deep_verify_tables_match_their_pins(tmp_path, capsys, name, from_scene, digest):
+    """verify's table of a built scene, and of its scene file read back."""
+    args = DEEP_SCENES[name]
+    if from_scene:
+        out = tmp_path / "deep.svg"
+        assert main(["render", *args, "--out", str(out), "--emit-scene"]) == 0
+        capsys.readouterr()
+        args = ("--from-scene", str(out.with_suffix(".json")))
+    assert main(["verify", *args]) == 0
+    data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_verify_json_of_a_file_with_failing_layer_areas_matches_its_pin(tmp_path, capsys):
+    """Staircase 3/5 at 500 layers with the colored pieces of layers 1 and 250 three
+    times as tall: both layers' areas fail, and so does the tiling."""
+    doc = scene_to_json(build_staircase_scene(StaircaseParams(Fraction(3, 5)), 500))
+    for k in (1, 250):
+        vertices = doc["polygons"][2 * k - 1]["vertices"]  # (R_k, W_(k-1), W_k)
+        bottom, top = Fraction(vertices[0][1]), Fraction(vertices[2][1])
+        vertices[2][1] = fmt(bottom + 3 * (top - bottom))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--from-scene", str(path)]) == 1
+    data = capsys.readouterr().out.encode("utf-8")
+    report = json.loads(data)
+    assert [m.split(":")[0] for m in report["mismatches"]] == [
+        "layer 1", "layer 1", "layer 250", "layer 250", "tiling",
+    ]
+    assert hashlib.sha256(data).hexdigest() == "ffbce0b2ac8d4813f5d7e4018b278a71ac024247d0d2b95869399556c9e5a819"
 
 
 def test_depth_cap_scene_file_matches_its_pin_and_sets_the_byte_cap(tmp_path, capsys):
