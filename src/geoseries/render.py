@@ -10,11 +10,19 @@ is printed by the one rounding rule format_coordinate also uses: decimal
 digits expanded from integers, half away from zero.  A run of polygons
 over one denominator, as a built layer is, shares its coordinate lines:
 each distinct x and y numerator of a run is mapped and printed once, by
-one memo per axis, cleared where the denominator changes.  The memo
-reads nothing but the polygons, so a scene read from a file takes the
-same path.  The equilateral look for layered scenes is a cosmetic
-y-stretch by a fixed rational stand-in for sqrt(3); the audit never sees
-these coordinates.
+one memo per axis, cleared where the denominator changes.  A built
+scene, one that keeps its layer 1 frame, takes its box from its outline,
+which holds every tile.  Its layer k is layer 1 shrunk toward the apex A
+by lam^(k-1): once both ends of layer k's bottom line print as A's cell,
+every vertex of every later layer, in the box of those three points,
+prints so too, as the map is affine per axis and the rounding monotone;
+and once layer k's label prints as its limit point's cell, every later
+label does.  From the first layer at which both hold, found by
+bisection, layers are written from one line per tile and labels from
+that cell.  Any other scene, as one read from a file, maps every vertex,
+and the tests hold that path as the reference.  The equilateral look
+for layered scenes is a cosmetic y-stretch by a fixed rational
+stand-in for sqrt(3); the audit never sees these coordinates.
 """
 
 from __future__ import annotations
@@ -45,6 +53,9 @@ def _escape_attr(text: str) -> str:
     """text escaped for a "-quoted attribute value."""
     return _escape(text).replace('"', "&quot;")
 
+
+_POLYGON = '<polygon points="%s" fill="%s" stroke="%s" stroke-width="1"/>'
+_TEXT = '<text x="%s" y="%s" font-family="sans-serif" font-size="%d" text-anchor="%s">%s</text>'
 
 # widest canvas, in px: at the cap a built picture's SVG costs about what it
 # costs at the default width (see README); far wider, its numbers only grow
@@ -167,11 +178,12 @@ def _least(pairs) -> Fraction:
 
 
 def layout(scene: Scene, opts: RenderOptions) -> Layout:
-    """Bounding box over polygon vertices plus a 10% margin, scaled to the canvas."""
+    """Bounding box over polygon vertices plus a 10% margin, scaled to the canvas;
+    a built scene's is its outline's, the first polygon, as every tile lies in it."""
     stretch = (
         SQRT3 if scene.construction_kind == "layered" and opts.equilateral_look else ONE
     )
-    polygons = scene.polygons
+    polygons = scene.polygons[:1] if "_layer1" in scene.__dict__ else scene.polygons
     x_min = _least([(min(poly.xs), poly.den) for poly in polygons])
     x_max = -_least([(-max(poly.xs), poly.den) for poly in polygons])
     y_min = _least([(min(poly.ys), poly.den) for poly in polygons]) * stretch  # stretch > 0
@@ -217,17 +229,37 @@ def _points_attrs(polygons, lay: Layout, dp: int):
         yield " ".join(cells)
 
 
+def _collapse(lay: Layout, dp: int, a: int, b: int, last: int, points) -> int:
+    """The first layer k up to last, or last + 1, from which every point prints as its
+    limit: layer k of a built scene puts a point (x0, x1, y0, y1, d) at (x0 v + x1 u,
+    y0 v + y1 u) / (d v), u/v = (a/b)^(k-1), so it moves monotonically on each axis
+    toward (x0, y0) / d, and once it prints as that cell, so does every later layer's.
+    Layer last is tried first, then layers 1, 2, 4, ... and a bisection, so once it
+    holds, the calls depend on k alone."""
+    def holds(k: int) -> bool:
+        u, v = a ** (k - 1), b ** (k - 1)
+        return all(_px(lay, x0 * v + x1 * u, d * v, y0 * v + y1 * u, d * v, dp)
+                   == _px(lay, x0, d, y0, d, dp) for x0, x1, y0, y1, d in points)
+
+    if not holds(last):
+        return last + 1
+    lo, hi = 0, 1
+    while hi < last and not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # holds(hi), as hi < last ended the loop or hi >= last
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
 def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     """Serialize a scene to SVG 1.1 text, byte-deterministic.
 
     Element order is fixed: outline, then polygons by (layer_index,
     emission order), then text labels.  A colored or blank polygon without
-    a layer_index raises ValueError, as audit_scene does.
+    a layer_index raises ValueError, as audit_scene does; so does a drawn
+    label whose text holds a character XML 1.0 does not allow.
     """
-    outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
-    filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
-    if any(poly.layer_index is None for poly in filled):
-        raise ValueError("non-outline polygon without a valid layer index")
     opts = opts or RenderOptions()
     lay = layout(scene, opts)
     dp = opts.decimal_places
@@ -235,6 +267,31 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     fills = {ROLE_OUTLINE: "none", ROLE_COLORED: _escape_attr(opts.color_fill),
              ROLE_BLANK: "#ffffff"}
     stroke_attr = _escape_attr(opts.stroke_color)
+    labels, deep_polygons, deep_labels = scene.labels, [], []  # deep: drawn as one cell
+    layer1 = scene.__dict__.get("_layer1")
+    if layer1 is None:
+        outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+        filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
+        if any(poly.layer_index is None for poly in filled):
+            raise ValueError("non-outline polygon without a valid layer index")
+        filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
+        polygons = outlines + filled
+    else:  # built: the outline, then layer by layer
+        d1, xs, apex, _, a, b, tiles, (vertex_labels, apex_l, mid, dx, dl) = layer1
+        last = scene.layers_rendered
+        # both ends of layer k's bottom line, whose limit is A, and layer k's label
+        ends = [(0, c, apex, -apex, d1) for c in (min(xs), max(xs))]
+        k = _collapse(lay, dp, a, b, last, [*ends, (dx, mid, apex_l, -mid, dl)])
+        polygons = scene.polygons[:1 + (k - 1) * len(tiles)]
+        labels = labels[:vertex_labels + k - 1]
+        if k <= last:
+            cell = ",".join(_px(lay, 0, 1, apex, d1, dp))
+            deep_polygons = [_POLYGON % (" ".join([cell] * len(corners)), fills[role],
+                                         stroke_attr) for role, corners in tiles] * (last - k + 1)
+            if opts.show_layer_annotations:
+                limit = _px(lay, dx, dl, apex_l, dl, dp)
+                deep_labels = [_TEXT % (*limit, font_px, "start", f"layer {j}")
+                               for j in range(k, last + 1)]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -242,25 +299,18 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
         f'viewBox="0 0 {lay.width_px} {lay.height_px}" '
         f'width="{lay.width_px}" height="{lay.height_px}">',
     ]
-    filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
-    polygons = outlines + filled
     for poly, points in zip(polygons, _points_attrs(polygons, lay, dp)):
-        lines.append(
-            f'<polygon points="{points}" fill="{fills[poly.role]}" '
-            f'stroke="{stroke_attr}" stroke-width="1"/>'
-        )
-    for pt, text in scene.labels:
+        lines.append(_POLYGON % (points, fills[poly.role], stroke_attr))
+    lines += deep_polygons
+    for i, (pt, text) in enumerate(labels):
         is_annotation = text.startswith("layer ")
-        if is_annotation and not opts.show_layer_annotations:
+        if not (opts.show_layer_annotations if is_annotation else opts.show_labels):
             continue
-        if not is_annotation and not opts.show_labels:
-            continue
-        px, py = _px(lay, *_point_parts(pt), dp)
+        if bad := _NOT_XML.search(text):
+            raise ValueError(f"label {i} text must not contain U+{ord(bad.group()):04X}, "
+                             "a character XML 1.0 does not allow")
         anchor = "start" if is_annotation else "middle"
-        lines.append(
-            f'<text x="{px}" y="{py}" '
-            f'font-family="sans-serif" font-size="{font_px}" '
-            f'text-anchor="{anchor}">{_escape(text)}</text>'
-        )
+        lines.append(_TEXT % (*_px(lay, *_point_parts(pt), dp), font_px, anchor, _escape(text)))
+    lines += deep_labels
     lines.append("</svg>\n")
     return "\n".join(lines)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import importlib.util
 import json
 import re
@@ -10,6 +11,8 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoseries.cli import MAX_SCENE_FILE_BYTES, main
 from geoseries.construction import LayeredParams, StaircaseParams
@@ -25,7 +28,7 @@ from geoseries.geometry import (
     scene_to_json,
     shoelace_area,
 )
-from geoseries.rational import fmt
+from geoseries.rational import MAX_DENOMINATOR_BITS, fmt
 from geoseries.render import _NOT_XML, RenderOptions, format_coordinate, layout, render
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -138,6 +141,21 @@ class TestRender:
             audit_scene(scene)
         with pytest.raises(ValueError, match=message):
             render(scene)
+
+    @pytest.mark.parametrize(
+        "bad", [chr(c) for c in BAD_CODEPOINTS], ids=[f"U+{c:04X}" for c in BAD_CODEPOINTS]
+    )
+    def test_a_drawn_label_text_xml_forbids_is_refused(self, bad):
+        scene = build_layered_scene(derive_config(2), 2)
+        texts = ["A" + bad, *[text for _, text in scene.labels[1:-1]], "layer 2" + bad]
+        scene = scene._replace(labels=tuple(zip([pt for pt, _ in scene.labels], texts)))
+        code = f"U\\+{ord(bad):04X}"
+        with pytest.raises(ValueError, match=f"^label 0 text must not contain {code}, "):
+            render(scene)
+        with pytest.raises(ValueError, match=f"^label 6 text must not contain {code}, "):
+            render(scene, RenderOptions(show_labels=False))
+        hidden = render(scene, RenderOptions(show_labels=False, show_layer_annotations=False))
+        assert ET.fromstring(hidden).findall(f"{SVG_NS}text") == []
 
     def test_byte_deterministic(self):
         scene = build_layered_scene(MABRY, 4)
@@ -406,6 +424,88 @@ def test_render_of_a_read_back_scene_is_the_same(build, opts):
         assert [poly.layer_index for poly in back.polygons[1:3]] == [1, 1]
         assert back.polygons[1].den != back.polygons[2].den
     assert render(back, opts) == render(scene, opts)
+
+
+@st.composite
+def built_scenes(draw):
+    """A built layered scene, m = 2..12 (m >= 4 clamped), or staircase p/q, q <= 40,
+    of 1 to 80 layers or to the depth cap, whichever is less."""
+    if draw(st.booleans()):
+        ratio = Fraction(1, draw(st.one_of(st.integers(2, 12), st.sampled_from([4, 5, 7]))))
+        build = lambda layers: build_layered_scene(derive_config(ratio.denominator), layers)
+    else:
+        q = draw(st.integers(2, 40))
+        ratio = Fraction(draw(st.integers(1, q - 1)), q)
+        build = lambda layers: build_staircase_scene(StaircaseParams(ratio), layers)
+    cap = MAX_DENOMINATOR_BITS // ratio.denominator.bit_length()
+    return build(draw(st.integers(1, min(cap, 80))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scene=built_scenes(),
+    width=st.sampled_from([1, 2, 3, 7, 50, 600, 10**6]),
+    places=st.integers(1, 12),
+    switches=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_a_built_scene_renders_as_its_copy_without_its_frame(scene, width, places, switches):
+    """A built scene prints its deep layers and labels as one cell each and takes its
+    box from its outline; its _replace copy keeps no frame and maps every vertex."""
+    labels, annotations, equilateral = switches
+    opts = RenderOptions(canvas_width_px=width, decimal_places=places, show_labels=labels,
+                         show_layer_annotations=annotations, equilateral_look=equilateral)
+    copy = scene._replace()
+    assert "_layer1" in scene.__dict__ and "_layer1" not in copy.__dict__
+    assert render(scene, opts) == render(copy, opts)
+
+
+def _fixed_calls(monkeypatch, scene) -> int:
+    """How many coordinates render(scene) rounds and prints."""
+    module = importlib.import_module("geoseries.render")  # the package's render is the function
+    calls = []
+    fixed = module._fixed
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_fixed", lambda *args: calls.append(args) or fixed(*args))
+        render(scene)
+    return len(calls)
+
+
+def test_deep_layers_are_printed_once(monkeypatch):
+    """Past the first layer that prints as the apex's cell, render rounds nothing more
+    per layer.  Mapping every vertex rounds 2215 coordinates at layered m=3 L=200,
+    22543 at the cap, 3511 at staircase 3/5 L=500 and 291 at L=40."""
+    layered = [_fixed_calls(monkeypatch, build_layered_scene(derive_config(3), layers))
+               for layers in (200, 2048)]
+    assert layered[0] == layered[1]
+    stairs = StaircaseParams(Fraction(3, 5))
+    assert _fixed_calls(monkeypatch, build_staircase_scene(stairs, 500)) < 600
+    # L=40 never collapses: it may pay for a search's worth, 6 tries of 4 calls
+    assert _fixed_calls(monkeypatch, build_staircase_scene(stairs, 40)) <= 291 + 4 * 6
+
+
+@pytest.mark.parametrize(
+    "scene_args, digest",
+    [
+        (
+            ("--construction", "layered", "--m", "3", "--layers", "200",
+             "--width", "1000000", "--decimal-places", "12"),
+            "8c3629d938f36304a9468cc1efae242aa6fad8a0e1db2a02d1aa8c9cda4ebb46",
+        ),
+        (
+            ("--construction", "staircase", "--s", "3/5", "--layers", "500",
+             "--width", "1", "--decimal-places", "1", "--no-labels"),
+            "71fa739fe5b7657ca4fb060bd3739c903fd28a88ca3ac0a1289c727d0444af4b",
+        ),
+    ],
+    ids=["layered-m3-L200-1e6px-12dp", "staircase-3_5-L500-1px-1dp"],
+)
+def test_deep_svg_bytes_at_other_options_match_their_pins(tmp_path, capsys, scene_args, digest):
+    """The deep layers collapse to the apex's cell from layer 107 and layer 6 here,
+    against 52 and 42 at the default options."""
+    out = tmp_path / "deep.svg"
+    assert main(["render", *scene_args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_scene_file_is_written_without_holding_its_text(tmp_path, capsys):
