@@ -39,8 +39,10 @@ label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
 
-A built scene keeps its frame, layer 1's tiles and its layer labels' rule
-outside its fields, and the scene writer fills it a layer at a time:
+A built scene keeps its outline and vertex labels, its frame, layer 1's
+tiles and its layer labels' rule outside its fields, and makes its
+polygons and labels only when they are read, which neither the scene
+writer nor render does; the writer fills the file a layer at a time:
 each distinct value of a layer is reduced and printed once, and no value
 of a layer, polygon or label, is reduced by a big gcd.  As gcd(a, b) = 1,
 each value's gcd with its denominator is its gcd with a small number
@@ -211,28 +213,25 @@ class Polygon(Record):
 
     def __init__(self, vertices: tuple[Point, ...], role: str,
                  layer_index: int | None = None) -> None:
-        self.__dict__.update(vertices=vertices, role=role, layer_index=layer_index)
-        self._settle(*_over_lcm([_point_parts(pt) for pt in vertices]))
+        made = self.over(*_over_lcm([_point_parts(pt) for pt in vertices]), role, layer_index)
+        self.__dict__.update(vertices=vertices, **made.__dict__)
 
     @classmethod
     def over(cls, xs: tuple[int, ...], ys: tuple[int, ...], den: int, role: str,
              layer_index: int | None = None) -> Polygon:
-        """The polygon with vertices (xs[i]/den, ys[i]/den), den > 0."""
-        poly = object.__new__(cls)
-        poly.__dict__.update(role=role, layer_index=layer_index)
-        poly._settle(xs, ys, den)
-        return poly
-
-    def _settle(self, xs, ys, den) -> None:
-        """Check the polygon and keep it as numerators xs, ys over den."""
+        """The polygon with vertices (xs[i]/den, ys[i]/den), den > 0, checked, then
+        kept as numerators xs, ys over den in one step."""
         if len(xs) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(xs)}")
-        if self.role not in (ROLE_COLORED, ROLE_BLANK, ROLE_OUTLINE):
-            raise ValueError(f"unknown polygon role {self.role!r}")
+        if role not in (ROLE_COLORED, ROLE_BLANK, ROLE_OUTLINE):
+            raise ValueError(f"unknown polygon role {role!r}")
         cross = _cross(xs, ys)
         if cross <= 0:
             raise ValueError("polygon must be counterclockwise with nonzero area")
-        self.__dict__.update(xs=xs, ys=ys, den=den, cross=cross)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "__dict__", {"role": role, "layer_index": layer_index, "xs": xs,
+                                              "ys": ys, "den": den, "cross": cross})
+        return poly
 
     def __getattr__(self, name: str):
         # reached only while the vertices of a polygon made by over() are not made yet
@@ -250,7 +249,13 @@ class Polygon(Record):
 
 
 class Scene(Record):
-    """A fully built picture: polygons, text labels, and parameter echo."""
+    """A fully built picture: polygons, text labels, and parameter echo.
+
+    A scene from the builders holds, outside its fields, its head (the
+    outline and the vertex labels) and layer 1's frame, and makes its
+    polygons and its labels, each on first read, from them (see _layers);
+    the writers and render read the head and the frame and make neither.
+    """
 
     polygons: tuple[Polygon, ...]
     labels: tuple[tuple[Point, str], ...]
@@ -262,6 +267,16 @@ class Scene(Record):
                  construction_kind: str, params_echo: dict[str, str], layers_rendered: int) -> None:
         self.__dict__.update(polygons=polygons, labels=labels, construction_kind=construction_kind,
                              params_echo=params_echo, layers_rendered=layers_rendered)
+
+    def __getattr__(self, name: str):
+        # reached only while the polygons or the labels of a built scene are not made yet
+        head = self.__dict__.get("_head")
+        if head is None or name not in ("polygons", "labels"):
+            raise AttributeError(name)
+        labels = name == "labels"
+        made = head[labels] + _layers(self._layer1, self.layers_rendered, labels)
+        object.__setattr__(self, name, made)
+        return made
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
@@ -335,15 +350,12 @@ def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
     index, 0 bottom or 1 top line) pair; its layer label sits label_dx, a
     shift that does not shrink, right of the point of AB with x = label_mid.
 
-    With shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of
-    layer 1 becomes (u X, v apex - u (apex - Y))/(d1 v).  Only u and v
-    grow, by one integer product each per layer.
-
-    The scene keeps, outside its fields, the frame and layer 1's tiles as
-    (d1, xs, apex, top, a, b, tiles) and, last in that tuple, the layer
-    labels' rule as (vertex label count, apex_l, mid, dx, dl), so ==, repr
-    and _replace never see them; scene_json_chunks writes the layers and
-    their labels from them.
+    The scene holds its fields' head, ((outline,), vertex labels), as _head,
+    and the frame, layer 1's tiles and the layer labels' rule (apex_l, mid,
+    dx, dl) as _layer1, (d1, xs, apex, top, a, b, tiles, rule), outside its
+    fields, so ==, repr and _replace never see them.  Its polygons and labels
+    are made from them on first read; scene_json_chunks and render read them
+    and make neither.
     """
     echo, outline, frame, (per_layer, colored, *_), _ = _construction(kind, ratio)
     d1, xs, apex, top, a, b = frame
@@ -359,33 +371,49 @@ def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
         corners += [((i, 0), (i + 2, 0), (i + 1, 1)) for i in range(0, 2 * b - 1, 2)]
         tiles = [(ROLE_COLORED if idx < colored else ROLE_BLANK, c) for idx, c in enumerate(corners)]
         e = Fraction(1, 20)
-        vertex_labels = [
+        vertex_labels = (
             (Point(ZERO, ONE + e), "A"), (Point(ONE + e, -e), "B"), (Point(-ONE - e, -e), "C"),
             (Point(shrink + e, ratio), "D"), (Point(-shrink - e, ratio), "E"),
-        ]
+        )
         label_mid, label_dx = (ONE + shrink) / 2, Fraction(1, 4)  # midpoint of B and D
     else:
         # layer 1 is (C, B, W_1) and (C, W_1, R_2); as h - 1 = s h, W_1 is B shrunk by s
         tiles = [(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))]
-        vertex_labels = [(Point(ZERO, h + h / 20), "A"), (Point(h + h / 20, -h / 20), "B"),
-                         (Point(h - 1, -h / 20), "C")]
+        vertex_labels = ((Point(ZERO, h + h / 20), "A"), (Point(h + h / 20, -h / 20), "B"),
+                         (Point(h - 1, -h / 20), "C"))
         label_mid, label_dx = h - Fraction(1, 2), h / 10  # midpoint of B and W_1
     # the labels have their own denominator, so they do not widen the polygons'
-    (apex_l, mid, dx), dl = _numerators((h, label_mid, label_dx), d1)
-    polygons = [Polygon(outline, ROLE_OUTLINE)]
-    labels = list(vertex_labels)
-    for k, u, v, y in _layer_lines(apex, top, a, b, layers):
+    rule, dl = _numerators((h, label_mid, label_dx), d1)
+    scene = object.__new__(Scene)
+    scene.__dict__.update(construction_kind=kind, params_echo=echo, layers_rendered=layers,
+                          _head=((Polygon(outline, ROLE_OUTLINE),), vertex_labels),
+                          _layer1=(d1, xs, apex, top, a, b, tuple(tiles), (*rule, dl)))
+    return scene
+
+
+def _layers(layer1, layers: int, labels: bool = False) -> tuple:
+    """Layers 1..layers of a built scene, made from its _layer1 (see _build_scene):
+    their tiles, as Polygons, or with labels, their layer labels.
+
+    With shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of
+    layer 1 becomes (u X, v apex - u (apex - Y))/(d1 v), and layer k's label
+    is (u mid + v dx, apex_l v - u mid)/(dl v).  Only u and v grow, by one
+    integer product each per layer.
+    """
+    d1, xs, apex, top, a, b, tiles, (apex_l, mid, dx, dl) = layer1
+    lines = _layer_lines(apex, top, a, b, layers)
+    if labels:
+        return tuple([(lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}")
+                      for k, u, v, _ in lines])
+    polygons = []
+    for k, u, v, y in lines:
         x = [u * c for c in xs]
         d = d1 * v
         for role, corners in tiles:
             polygons.append(Polygon.over(
                 tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
             ))
-        labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
-    scene = Scene(tuple(polygons), tuple(labels), kind, echo, layers)
-    object.__setattr__(scene, "_layer1", (d1, xs, apex, top, a, b, tuple(tiles),
-                                          (len(vertex_labels), apex_l, mid, dx, dl)))
-    return scene
+    return tuple(polygons)
 
 
 def build_layered_scene(p: LayeredParams, layers: int) -> Scene:
@@ -779,13 +807,13 @@ def _label_items(labels):
 
 def _layer_label_items(layer1, layers: int):
     """The items of a built scene's layer labels, from the frame's apex, top,
-    a and b and the (vertex label count, apex_l, mid, dx, dl) kept with it:
+    a and b and the labels' rule (apex_l, mid, dx, dl) kept with it:
     layer k's label is (u mid + v dx, apex_l v - u mid) / (dl v).  Both
     numerators are u mid modulo v, and gcd(u, v) = 1, so each has gcd(mid, v)
     in common with v and is reduced, as in _layer_items, by its gcd with the
     small s = dl gcd(mid, v).
     """
-    _, _, apex, top, a, b, _, (_, apex_l, mid, dx, dl) = layer1
+    _, _, apex, top, a, b, _, (apex_l, mid, dx, dl) = layer1
     template = _LABEL_JSON % ("%s", "%s", json.dumps("layer %s"))
     for k, u, v, _ in _layer_lines(apex, top, a, b, layers):
         den = dl * v
@@ -803,8 +831,9 @@ def scene_json_chunks(scene: Scene):
     pieces of _JSON_CHUNK polygons; neither the document nor its whole text
     is built.
 
-    A scene from the builders is written a layer at a time from the layer 1
-    it keeps (see _layer_items and _layer_label_items); any other scene, as
+    A scene from the builders is written from its head and a layer at a time
+    from the layer 1 it keeps (see _layer_items and _layer_label_items), and
+    makes neither its polygons nor its labels; any other scene, as
     one read from a file or made by Scene._replace, polygon by polygon
     and label by label (see _polygon_items and _label_items).  Both give the
     same text for the same scene.
@@ -817,11 +846,10 @@ def scene_json_chunks(scene: Scene):
     if layer1 is None:
         polygons = _polygon_items(scene.polygons)
         labels = _label_items(scene.labels)
-    else:  # the builders put the outline first, and the vertex labels before the layers'
-        layers = scene.layers_rendered
-        polygons = chain(_polygon_items(scene.polygons[:1]), _layer_items(layer1, layers))
-        labels = chain(_label_items(scene.labels[:layer1[-1][0]]),
-                       _layer_label_items(layer1, layers))
+    else:
+        layers, (outline, vertex_labels) = scene.layers_rendered, scene._head
+        polygons = chain(_polygon_items(outline), _layer_items(layer1, layers))
+        labels = chain(_label_items(vertex_labels), _layer_label_items(layer1, layers))
     yield from json_array(polygons)
     yield _SCENE_LABELS
     yield from json_array(labels)

@@ -94,7 +94,7 @@ def fmt_parts(num: int, den: int) -> str:
 # printed is about the square of that denominator, so at the cap it has about
 # 2466 digits, below Python's 4300-digit limit on int-to-str conversion.  At
 # the cap, render --emit-scene and verify of layered m = 3 with 2048 layers
-# take 0.51 s and 0.38 s (peaking at 36 and 40 MiB), medians of 5 fresh
+# take 0.34 s and 0.35 s (peaking at 20 and 37 MiB), medians of 9 fresh
 # processes with Python 3.11 on a shared 2-core Xeon host, and verify
 # --from-scene of that scene file 0.66 s (130 MiB, median of 9, a later
 # batch); the benchmark's deep scenes predict 400 and 1500 bits.

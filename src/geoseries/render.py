@@ -19,10 +19,12 @@ prints so too, as the map is affine per axis and the rounding monotone;
 and once layer k's label prints as its limit point's cell, every later
 label does.  From the first layer at which both hold, found by
 bisection, layers are written from one line per tile and labels from
-that cell.  Any other scene, as one read from a file, maps every vertex,
-and the tests hold that path as the reference.  The equilateral look
-for layered scenes is a cosmetic y-stretch by a fixed rational
-stand-in for sqrt(3); the audit never sees these coordinates.
+that cell; the layers before it are made from the frame, so the scene's
+own polygons and labels are never made.  Any other scene, as one read
+from a file, maps every vertex, and the tests hold that path as the
+reference.  The equilateral look for layered scenes is a cosmetic
+y-stretch by a fixed rational stand-in for sqrt(3); the audit never
+sees these coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import re
 from fractions import Fraction
 
-from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, _point_parts
+from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, _layers, _point_parts
 from .rational import ONE, Rational
 from .record import Record
 
@@ -179,11 +181,12 @@ def _least(pairs) -> Fraction:
 
 def layout(scene: Scene, opts: RenderOptions) -> Layout:
     """Bounding box over polygon vertices plus a 10% margin, scaled to the canvas;
-    a built scene's is its outline's, the first polygon, as every tile lies in it."""
+    a built scene's is its outline's, kept in its head, as every tile lies in it."""
     stretch = (
         SQRT3 if scene.construction_kind == "layered" and opts.equilateral_look else ONE
     )
-    polygons = scene.polygons[:1] if "_layer1" in scene.__dict__ else scene.polygons
+    head = scene.__dict__.get("_head")
+    polygons = scene.polygons if head is None else head[0]
     x_min = _least([(min(poly.xs), poly.den) for poly in polygons])
     x_max = -_least([(-max(poly.xs), poly.den) for poly in polygons])
     y_min = _least([(min(poly.ys), poly.den) for poly in polygons]) * stretch  # stretch > 0
@@ -267,9 +270,10 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
     fills = {ROLE_OUTLINE: "none", ROLE_COLORED: _escape_attr(opts.color_fill),
              ROLE_BLANK: "#ffffff"}
     stroke_attr = _escape_attr(opts.stroke_color)
-    labels, deep_polygons, deep_labels = scene.labels, [], []  # deep: drawn as one cell
+    deep_polygons, deep_labels = [], []  # deep: drawn as one cell
     layer1 = scene.__dict__.get("_layer1")
     if layer1 is None:
+        labels = scene.labels
         outlines = [poly for poly in scene.polygons if poly.role == ROLE_OUTLINE]
         filled = [poly for poly in scene.polygons if poly.role != ROLE_OUTLINE]
         if any(poly.layer_index is None for poly in filled):
@@ -277,13 +281,14 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
         filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
         polygons = outlines + filled
     else:  # built: the outline, then layer by layer
-        d1, xs, apex, _, a, b, tiles, (vertex_labels, apex_l, mid, dx, dl) = layer1
+        d1, xs, apex, _, a, b, tiles, (apex_l, mid, dx, dl) = layer1
         last = scene.layers_rendered
         # both ends of layer k's bottom line, whose limit is A, and layer k's label
         ends = [(0, c, apex, -apex, d1) for c in (min(xs), max(xs))]
         k = _collapse(lay, dp, a, b, last, [*ends, (dx, mid, apex_l, -mid, dl)])
-        polygons = scene.polygons[:1 + (k - 1) * len(tiles)]
-        labels = labels[:vertex_labels + k - 1]
+        outline, vertex_labels = scene._head
+        polygons = outline + _layers(layer1, k - 1)
+        labels = vertex_labels + _layers(layer1, k - 1, labels=True)
         if k <= last:
             cell = ",".join(_px(lay, 0, 1, apex, d1, dp))
             deep_polygons = [_POLYGON % (" ".join([cell] * len(corners)), fills[role],

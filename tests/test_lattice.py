@@ -11,7 +11,10 @@ earlier scene reader, which called a checking helper for every field and
 vertex: the reader must give the same scene, or raise the same error.  So
 is the earlier audit, which stepped its expectations as Fraction products
 and made five Fractions per layer: the audit must give an equal report,
-written to the same bytes, on built, read-back and tampered scenes.
+written to the same bytes, on built, read-back and tampered scenes.  So
+is the earlier integer builder, which made every tile and label up front:
+a built scene, which makes them only when they are read, must give the
+same fields, SVG, scene file and audit, whatever is read first.
 """
 
 import copy
@@ -19,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -37,6 +41,7 @@ from geoseries.construction import (
 )
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
+    MAX_POLYGONS,
     MAX_SCENE_DENOMINATOR_BITS,
     ROLE_BLANK,
     ROLE_COLORED,
@@ -49,10 +54,13 @@ from geoseries.geometry import (
     _check_counts,
     _construction,
     _echoed_ratio,
+    _layer_lines,
     _lcm,
     _member,
+    _numerators,
     _over_lcm,
     _pair_parts,
+    _point_parts,
     _points_text,
     _RATIO_KEY,
     _typed,
@@ -66,7 +74,8 @@ from geoseries.geometry import (
     scene_json_chunks,
     scene_to_json,
 )
-from geoseries.rational import check_depth, fmt, fmt_parts, parse, parse_parts
+from geoseries.rational import MAX_DENOMINATOR_BITS, check_depth, fmt, fmt_parts, parse, parse_parts
+from geoseries.render import RenderOptions, render
 
 ONE, ZERO = Fraction(1), Fraction(0)
 
@@ -978,3 +987,121 @@ def test_auditing_and_writing_make_as_many_fractions_at_any_depth(capsys):
         ])
         capsys.readouterr()
     assert counts[0] == counts[1]
+
+
+def reference_build_scene(kind, ratio, layers):
+    """The earlier integer builder: every tile and label made up front, and no frame
+    kept, so render and scene_json_chunks take a scene's general path."""
+    echo, outline, frame, (per_layer, colored, *_), _ = _construction(kind, ratio)
+    d1, xs, apex, top, a, b = frame
+    check_depth(layers, ratio, "layers")
+    if (count := layers * per_layer + 1) > MAX_POLYGONS:
+        raise ValueError(f"layers {layers} draws {layers} x {per_layer} + 1 = {count} polygons, "
+                         f"over the cap of {MAX_POLYGONS}")
+    h, shrink = Fraction(apex, d1), Fraction(a, b)
+    if kind == "layered":
+        corners = [((i + 1, 0), (i + 2, 1), (i, 1)) for i in range(1, 2 * b - 2, 2)]
+        corners += [((i, 0), (i + 2, 0), (i + 1, 1)) for i in range(0, 2 * b - 1, 2)]
+        tiles = [(ROLE_COLORED if idx < colored else ROLE_BLANK, c) for idx, c in enumerate(corners)]
+        e = Fraction(1, 20)
+        vertex_labels = [
+            (Point(ZERO, ONE + e), "A"), (Point(ONE + e, -e), "B"), (Point(-ONE - e, -e), "C"),
+            (Point(shrink + e, ratio), "D"), (Point(-shrink - e, ratio), "E"),
+        ]
+        label_mid, label_dx = (ONE + shrink) / 2, Fraction(1, 4)
+    else:
+        tiles = [(ROLE_COLORED, ((1, 0), (2, 0), (1, 1))), (ROLE_BLANK, ((1, 0), (1, 1), (0, 1)))]
+        vertex_labels = [(Point(ZERO, h + h / 20), "A"), (Point(h + h / 20, -h / 20), "B"),
+                         (Point(h - 1, -h / 20), "C")]
+        label_mid, label_dx = h - Fraction(1, 2), h / 10
+    (apex_l, mid, dx), dl = _numerators((h, label_mid, label_dx), d1)
+    polygons = [Polygon(outline, ROLE_OUTLINE)]
+    labels = list(vertex_labels)
+    for k, u, v, y in _layer_lines(apex, top, a, b, layers):
+        x = [u * c for c in xs]
+        d = d1 * v
+        for role, corners in tiles:
+            polygons.append(Polygon.over(
+                tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
+            ))
+        labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
+    return Scene(tuple(polygons), tuple(labels), kind, echo, layers)
+
+
+@st.composite
+def pictures(draw):
+    """(kind, ratio, layers): layered m = 2..12 (m >= 4 clamped), or staircase p/q,
+    q <= 40, of 1 to 80 layers or to the depth cap, whichever is less."""
+    if draw(st.booleans()):
+        kind, ratio = "layered", Fraction(1, draw(st.one_of(st.integers(2, 12),
+                                                            st.sampled_from([4, 5, 7]))))
+    else:
+        q = draw(st.integers(2, 40))
+        kind, ratio = "staircase", Fraction(draw(st.integers(1, q - 1)), q)
+    cap = MAX_DENOMINATOR_BITS // ratio.denominator.bit_length()
+    return kind, ratio, draw(st.integers(1, min(cap, 80)))
+
+
+def _build(kind, ratio, layers):
+    if kind == "layered":
+        return build_layered_scene(derive_config(ratio.denominator), layers)
+    return build_staircase_scene(StaircaseParams(ratio), layers)
+
+
+def _exact(scene):
+    """Every polygon's and label's integers and text, as the scene holds them."""
+    return ([(p.role, p.layer_index, p.xs, p.ys, p.den, p.cross) for p in scene.polygons],
+            [(_point_parts(pt), text) for pt, text in scene.labels])
+
+
+READS = {
+    "polygons": lambda scene, ref, opts: (scene.polygons == ref.polygons
+                                          and _exact(scene)[0] == _exact(ref)[0]),
+    "labels": lambda scene, ref, opts: (scene.labels == ref.labels
+                                        and _exact(scene)[1] == _exact(ref)[1]),
+    "render": lambda scene, ref, opts: render(scene, opts) == render(ref, opts),
+    "scene file": lambda scene, ref, opts: ("".join(scene_json_chunks(scene))
+                                            == "".join(scene_json_chunks(ref))),
+    "audit": lambda scene, ref, opts: ("".join(report_json_chunks(audit_scene(scene)))
+                                       == "".join(report_json_chunks(audit_scene(ref)))),
+    "==": lambda scene, ref, opts: scene == ref and ref == scene,
+    "repr": lambda scene, ref, opts: repr(scene) == repr(ref),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    picture=pictures(),
+    reads=st.permutations([*READS, "pickle"]),
+    width=st.sampled_from([1, 7, 600, 10**6]),
+    places=st.integers(1, 12),
+    switches=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_a_built_scene_reads_as_the_eager_reference_in_any_order(picture, reads, width, places,
+                                                                 switches):
+    scene = _build(*picture)
+    ref = reference_build_scene(*picture)
+    labels, annotations, equilateral = switches
+    opts = RenderOptions(canvas_width_px=width, decimal_places=places, show_labels=labels,
+                         show_layer_annotations=annotations, equilateral_look=equilateral)
+    for read in reads:
+        if read == "pickle":  # the rest is read from the copy, which made no more than scene
+            made = {"polygons", "labels"} & set(scene.__dict__)
+            scene = pickle.loads(pickle.dumps(scene))
+            assert "_layer1" in scene.__dict__
+            assert {"polygons", "labels"} & set(scene.__dict__) == made
+        else:
+            assert READS[read](scene, ref, opts), read
+    assert _exact(scene) == _exact(ref)
+
+
+@pytest.mark.parametrize("kind, ratio, layers", [
+    ("layered", Fraction(1, 3), 200), ("staircase", Fraction(3, 5), 500),
+    ("layered", Fraction(1, 5), 20),
+])
+def test_a_deep_built_scene_reads_as_the_eager_reference(kind, ratio, layers):
+    scene, ref = _build(kind, ratio, layers), reference_build_scene(kind, ratio, layers)
+    assert render(scene) == render(ref)
+    assert "".join(scene_json_chunks(scene)) == "".join(scene_json_chunks(ref))
+    assert not {"polygons", "labels"} & set(scene.__dict__)  # neither reads them
+    assert _exact(scene) == _exact(ref)

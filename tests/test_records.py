@@ -340,3 +340,56 @@ def test_a_report_of_replaced_layers_writes_the_audits_bytes():
         assert all("_parts" not in layer.__dict__ for layer in replaced.layers)
         assert "".join(report_json_chunks(replaced)) == text
         assert replaced == report
+
+
+def _built_scenes():
+    """Fresh built scenes, neither of whose fields is made yet: layered m = 3,
+    clamped m = 5 and staircase 3/5."""
+    return [build_layered_scene(derive_config(3), 3), build_layered_scene(derive_config(5), 2),
+            build_staircase_scene(StaircaseParams(F(3, 5)), 3)]
+
+
+SCENE_FIELDS = ("polygons", "labels")
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_a_built_scene_is_the_scene_made_from_its_fields(index):
+    made = _built_scenes()[index]
+    hand = Scene(made.polygons, made.labels, made.construction_kind, made.params_echo,
+                 made.layers_rendered)
+    fresh = lambda: _built_scenes()[index]  # noqa: E731
+    scene = fresh()
+    assert not set(SCENE_FIELDS) & set(scene.__dict__)  # made on first read
+    assert scene == hand and fresh() == hand and hand == fresh()
+    assert repr(fresh()) == repr(hand)
+    for obj in (fresh(), hand):  # a dict field: the dataclass's hash raised TypeError too
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(obj)
+    for make in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
+        scene = fresh()
+        twin = make(scene)
+        assert not set(SCENE_FIELDS) & (set(scene.__dict__) | set(twin.__dict__))
+        assert type(twin) is Scene and "_layer1" in twin.__dict__
+        assert twin == hand and repr(twin) == repr(hand)
+    scene = fresh()
+    replaced = scene._replace()
+    assert "_layer1" not in replaced.__dict__ and replaced == hand and repr(replaced) == repr(hand)
+    for name in SCENE_FIELDS:  # each made alone, then kept
+        scene = fresh()
+        value = getattr(scene, name)
+        assert set(SCENE_FIELDS) & set(scene.__dict__) == {name}
+        assert getattr(scene, name) is value is scene.__dict__[name]
+        assert value == getattr(hand, name)
+    for name in ("nope", "vertices", "_num", "_head"):
+        with pytest.raises(AttributeError):
+            getattr(object.__new__(Scene), name)
+        if name != "_head":
+            with pytest.raises(AttributeError):
+                getattr(fresh(), name)
+    for name in SCENE_FIELDS:
+        with pytest.raises(AttributeError):
+            getattr(object.__new__(Scene), name)
+        scene = fresh()
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(scene, name, ())
+        assert name not in scene.__dict__

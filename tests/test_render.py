@@ -483,6 +483,39 @@ def test_deep_layers_are_printed_once(monkeypatch):
     assert _fixed_calls(monkeypatch, build_staircase_scene(stairs, 40)) <= 291 + 4 * 6
 
 
+def _made_by(monkeypatch, capsys, argv) -> tuple[int, int]:
+    """(shoelace sums, lattice points) that the command argv makes."""
+    geometry = importlib.import_module("geoseries.geometry")
+    counts = {"_cross": 0, "lattice_point": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+            def counting(*args, name=name, made=getattr(geometry, name)):
+                counts[name] += 1
+                return made(*args)
+            patch.setattr(geometry, name, counting)
+        assert main(argv) == 0
+    capsys.readouterr()
+    return counts["_cross"], counts["lattice_point"]
+
+
+@pytest.mark.parametrize("scene_args, rendered, verified", [
+    (("--construction", "layered", "--m", "3", "--layers", "200"), (256, 51), (1001, 0)),
+    (("--construction", "layered", "--m", "3", "--layers", "2048"), (256, 51), (10241, 0)),
+    (("--construction", "staircase", "--s", "3/5", "--layers", "500"), (83, 41), (1001, 0)),
+], ids=["layered-m3-L200", "layered-m3-cap", "staircase-3_5-L500"])
+def test_a_built_scene_makes_only_the_tiles_and_labels_read(
+    tmp_path, monkeypatch, capsys, scene_args, rendered, verified
+):
+    """render --emit-scene makes the outline and the tiles and labels of the layers
+    before the apex's cell (K = 52 and 42) and verify makes every tile and no layer
+    label.  Making every tile and label up front, both made 1001 or 10241 shoelace
+    sums and 200 or 500 label points."""
+    out = str(tmp_path / "deep.svg")
+    assert _made_by(monkeypatch, capsys, ["render", *scene_args, "--out", out,
+                                          "--emit-scene"]) == rendered
+    assert _made_by(monkeypatch, capsys, ["verify", *scene_args]) == verified
+
+
 @pytest.mark.parametrize(
     "scene_args, digest",
     [
