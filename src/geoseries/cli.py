@@ -270,8 +270,10 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise CliError(
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
         )
-    _check_writable(out)
+    out_mode = _check_writable(out)
     if args.emit_scene:
+        if out_mode and not stat.S_ISREG(out_mode):
+            raise CliError(f"--emit-scene needs --out to name a regular file, and {out} is not one")
         _check_writable(scene_path := out.with_suffix(".json"))
     scene = _build_scene(args)
     _write_output(out, [render(scene, opts)])
@@ -293,16 +295,20 @@ def _path(text: str, flag: str):
     return Path(text)
 
 
-def _check_writable(path) -> None:
-    """Refuse before the build what open() would refuse after the render."""
-    if path.is_dir():
-        raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    try:  # a missing parent, or a file on the way to it
-        parent_mode = os.stat(path.parent).st_mode
-    except OSError as exc:
+def _check_writable(path) -> int:
+    """Refuse before the build what open() would refuse after the render.  Return
+    the st_mode of the file at path, or 0 where open() is to make it."""
+    try:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:  # open() makes the file, if its parent is there
+            os.stat(path.parent)
+            return 0
+    except OSError as exc:  # no parent, a file on the way to it, a symlink loop
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
-    if not stat.S_ISDIR(parent_mode):
-        raise CliError(f"cannot write {path}: {os.strerror(errno.ENOTDIR)}")
+    if stat.S_ISDIR(mode):
+        raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    return mode
 
 
 # bytes _read_capped asks for at a time once a file holds more than stat said
@@ -328,12 +334,26 @@ def _read_capped(file, size: int):
     return data
 
 
+def _open_in_place(path, flags):  # open()'s mode "w" without O_TRUNC
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_output(path, chunks) -> None:
     """Write the text chunks to path as UTF-8, each as it comes; a file that cannot
-    be written is a usage error."""
+    be written is a usage error.
+
+    A file already there is written over in place, then cut where the new bytes
+    end, also when a write or the chunks fail midway.  No O_TRUNC: ext4 starts
+    writing back the old data of a file cut to zero as it is closed, about 0.1
+    ms a rewrite.  Only a regular file is cut; a pipe or a device refuses it."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as file:
-            file.writelines(chunks)
+        with open(path, "w", encoding="utf-8", newline="", opener=_open_in_place) as file:
+            try:
+                file.writelines(chunks)
+                file.flush()  # so the cut below is not to zero, which ext4 writes back
+            finally:
+                if stat.S_ISREG(os.fstat(fd := file.fileno()).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 

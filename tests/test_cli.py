@@ -6,6 +6,7 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -935,6 +936,120 @@ class TestRender:
         assert out == f"wrote {tmp_path / 'pic.svg'}\n"
         assert err == f"error: cannot write {tmp_path / 'pic.json'}: No space left on device\n"
 
+    @pytest.mark.parametrize("first, then", [(6, 2), (2, 6)], ids=["shorter", "longer"])
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, capsys, tmp_path, first, then):
+        def render_into(folder, layers):
+            argv = ("--construction", "layered", "--m", "3", "--layers", str(layers))
+            out = folder / "pic.svg"
+            assert run(capsys, "render", *argv, "--out", str(out), "--emit-scene")[0] == 0
+            return out.read_bytes(), out.with_suffix(".json").read_bytes()
+
+        (tmp_path / "fresh").mkdir()
+        want = render_into(tmp_path / "fresh", then)
+        old = render_into(tmp_path, first)
+        assert all(len(a) != len(b) for a, b in zip(old, want))
+        paths = tmp_path / "pic.svg", tmp_path / "pic.json"
+        for path in paths:
+            path.chmod(0o640)
+            os.link(path, path.with_name("link" + path.suffix))
+        inodes = [path.stat().st_ino for path in paths]
+        assert render_into(tmp_path, then) == want
+        assert [path.stat().st_ino for path in paths] == inodes
+        assert [stat.S_IMODE(path.stat().st_mode) for path in paths] == [0o640, 0o640]
+        assert (
+            (tmp_path / "link.svg").read_bytes(), (tmp_path / "link.json").read_bytes()
+        ) == want
+
+    def test_a_symlinked_out_rewrites_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "target.svg", tmp_path / "pic.svg"
+        target.write_text("x" * 100_000)
+        link.symlink_to(target.name)
+        assert run(capsys, "render", *RENDER_SCENE, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == render(
+            build_layered_scene(derive_config(3), 3), RenderOptions()
+        ).encode("utf-8")
+
+    def test_no_output_file_is_opened_with_o_trunc(self, capsys, monkeypatch, tmp_path):
+        # on ext4, a file holding data that is cut to zero, by O_TRUNC or by an
+        # ftruncate before the buffer is flushed, starts its old data's writeback
+        # as it is closed, which made each rewrite about 7x slower
+        opened, cuts = [], []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def spy_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        out, scene_path = tmp_path / "pic.svg", tmp_path / "pic.json"
+        for _ in range(2):  # the second run writes over both files
+            assert run(capsys, "render", *RENDER_SCENE, "--out", str(out), "--emit-scene")[0] == 0
+        assert [path for path, _ in opened] == [str(out), str(scene_path)] * 2
+        assert not [flags for _, flags in opened if flags & os.O_TRUNC]
+        assert cuts == [out.stat().st_size, scene_path.stat().st_size] * 2
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("first_chunk", ["{\n", "x" * 100_000], ids=["buffered", "written"])
+    @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                         KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
+    def test_a_write_that_fails_midway_leaves_no_old_byte(
+        self, capsys, monkeypatch, tmp_path, first_chunk, failure
+    ):
+        def chunks(scene):
+            yield first_chunk
+            raise failure
+
+        scene_path = tmp_path / "pic.json"
+        scene_path.write_text("o" * 300_000)
+        monkeypatch.setattr(cli, "scene_json_chunks", chunks)
+        argv = ("render", *RENDER_SCENE, "--out", str(tmp_path / "pic.svg"), "--emit-scene")
+        if isinstance(failure, OSError):
+            assert run(capsys, *argv) == (
+                2,
+                f"wrote {tmp_path / 'pic.svg'}\n",
+                f"error: cannot write {scene_path}: No space left on device\n",
+            )
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(list(argv))
+        assert scene_path.read_text() == first_chunk
+
+    def test_out_to_dev_null_exits_0(self, capsys):
+        assert run(capsys, "render", *RENDER_SCENE, "--out", os.devnull) == (
+            0, f"wrote {os.devnull}\n", ""
+        )
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+    def test_out_to_a_piped_stdout_prints_the_svg(self):
+        src = str(Path(geoseries.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "geoseries.cli", "render", *RENDER_SCENE, "--out", "/dev/stdout"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        svg = render(build_layered_scene(derive_config(3), 3), RenderOptions())
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == svg.encode("utf-8") + b"wrote /dev/stdout\n"
+
+    def test_scene_beside_an_out_that_is_not_a_regular_file_is_refused(
+        self, capsys, monkeypatch
+    ):
+        # unchecked, the SVG goes to the device and the scene to a new file beside it
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
+        assert run(capsys, "render", *RENDER_SCENE, "--out", os.devnull, "--emit-scene") == (
+            2,
+            "",
+            f"error: --emit-scene needs --out to name a regular file, and {os.devnull} is not one\n",
+        )
+        assert not Path(os.devnull).with_suffix(".json").exists()
+
     def test_render_requires_construction(self, capsys, tmp_path):
         out_path = tmp_path / "x.svg"
         with pytest.raises(SystemExit) as exc:
@@ -987,6 +1102,25 @@ class TestRender:
         assert f"error: {late.value}\n" == line
         monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
         assert run(capsys, "render", *RENDER_SCENE, "--out", str(out_path)) == (2, "", line)
+
+    def test_out_that_cannot_be_looked_up_is_usage_error_before_the_build(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # as for a user who may not search the folder; unchecked, it reads as an
+        # error on standard output
+        out_path = tmp_path / "locked" / "x.svg"
+        real_stat = os.stat
+
+        def stat_as_a_stranger(path, *args, **kwargs):
+            if os.fspath(path) == str(out_path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat_as_a_stranger)
+        monkeypatch.setattr(cli, "build_layered_scene", lambda *args: pytest.fail("a scene was built"))
+        assert run(capsys, "render", *RENDER_SCENE, "--out", str(out_path)) == (
+            2, "", f"error: cannot write {out_path}: {os.strerror(errno.EACCES)}\n"
+        )
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
