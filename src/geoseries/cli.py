@@ -270,11 +270,11 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise CliError(
             f"--emit-scene writes the scene to {out}, the --out file; give --out another suffix"
         )
-    out_mode = _check_writable(out)
+    out_stat = _check_writable(out, "--out names")
     if args.emit_scene:
-        if out_mode and not stat.S_ISREG(out_mode):
+        if out_stat and not stat.S_ISREG(out_stat.st_mode):
             raise CliError(f"--emit-scene needs --out to name a regular file, and {out} is not one")
-        _check_writable(scene_path := out.with_suffix(".json"))
+        _check_writable(scene_path := out.with_suffix(".json"), "--emit-scene writes")
     scene = _build_scene(args)
     _write_output(out, [render(scene, opts)])
     print(f"wrote {out}")
@@ -295,20 +295,28 @@ def _path(text: str, flag: str):
     return Path(text)
 
 
-def _check_writable(path) -> int:
-    """Refuse before the build what open() would refuse after the render.  Return
-    the st_mode of the file at path, or 0 where open() is to make it."""
+def _check_writable(path, flag_does: str):
+    """Refuse before the build what open() would refuse after the render, and the
+    regular file standard output is written to, which the "wrote" lines would
+    also write over.  Return the stat of the file at path, or None where open()
+    is to make it."""
     try:
         try:
-            mode = os.stat(path).st_mode
+            st = os.stat(path)
         except FileNotFoundError:  # open() makes the file, if its parent is there
             os.stat(path.parent)
-            return 0
+            return None
     except OSError as exc:  # no parent, a file on the way to it, a symlink loop
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
-    if stat.S_ISDIR(mode):
+    if stat.S_ISDIR(st.st_mode):
         raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    return mode
+    try:
+        stdout = stat.S_ISREG(st.st_mode) and os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # no file descriptor, as a StringIO has
+        stdout = None
+    if stdout and os.path.samestat(st, stdout):
+        raise CliError(f"{flag_does} {path}, the file standard output is written to")
+    return st
 
 
 # bytes _read_capped asks for at a time once a file holds more than stat said

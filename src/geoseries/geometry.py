@@ -14,11 +14,14 @@ Both pictures hold a shrunken copy of themselves: layer k is layer 1
 shrunk toward the apex A by lam^(k-1), with lam = 1 - r for layered and
 lam = s for the staircase, so its area is layer 1's times x^(k-1), where
 x = lam^2 is the series ratio.  _construction defines each picture's
-layer 1 once, from its ratio alone, as an integer frame: layer 1 over one
-denominator and lam = a/b.  One loop builds every layer of both pictures
-from that frame, and the audit evaluates the area formulas at layer 1
-only, stepping them by x as integer running products; the apex copy left
-after L layers has area x^L times the figure's.
+layer 1 once, from its ratio alone, in integers, with lam = a/b; the
+audit evaluates the area formulas at layer 1 only, stepping them by x as
+integer running products, and the apex copy left after L layers has area
+x^L times the figure's.  A built picture holds each layer-1 coordinate
+once, as a term (c0, c1) over a denominator d, and one rule gives layer
+k: with lam^(k-1) = u/v, the term's value is (c0 v + c1 u) / (d v), and
+its limit c0 / d.  The builder, the scene writer and render all read
+layer k through that rule (see _Layer1, _scales and _values).
 
 Coordinates are held as plain integers: a polygon keeps integer x and y
 numerators over one positive denominator `den`, which the builders share
@@ -39,19 +42,15 @@ label texts, mismatches) is encoded by json.dumps as it is written.
 The library's dict forms, scene_to_json and AuditReport.as_dict, parse
 that text.
 
-A built scene keeps its outline and vertex labels, its frame, layer 1's
-tiles and its layer labels' rule outside its fields, and makes its
-polygons and labels only when they are read, which neither the scene
-writer nor render does; the writer fills the file a layer at a time:
-each distinct value of a layer is reduced and printed once, and no value
-of a layer, polygon or label, is reduced by a big gcd.  As gcd(a, b) = 1,
-each value's gcd with its denominator is its gcd with a small number
-known from layer 1 (see _layer_items), and each reduced denominator is
-printed once; each tile's template, its role baked in, is filled from
-those texts.  A scene without them, read from a file or made by
-Scene._replace, is written polygon by polygon, each distinct
-coordinate of a run over one denominator reduced by one gcd.  Both give
-the same text; the tests hold the second as the first's reference.
+A built scene keeps its outline, vertex labels and layer 1 outside its
+fields, and makes its polygons and labels only when they are read, which
+neither the scene writer nor render does.  The writer prints a layer's
+terms at once (see _texts): each distinct value is reduced and printed
+once, by a gcd with a small number, as gcd(a, b) = 1.  A scene without
+them, read from a file or made by Scene._replace, is written polygon by
+polygon, each distinct coordinate of a run over one denominator reduced
+by one gcd.  Both give the same text; the tests hold the second as the
+first's reference.
 """
 
 from __future__ import annotations
@@ -112,18 +111,11 @@ class Point(Record):
     x: Rational
     y: Rational
 
-    def __init__(self, x: Rational, y: Rational) -> None:
-        self.__dict__.update(x=x, y=y)
-
-    def __getattr__(self, name: str):
-        # reached only while x and y of a lattice point are not made yet
-        num = self.__dict__.get("_num")
+    def _make(self, name: str):
+        num = self.__dict__.get("_num")  # a lattice point's (xn, yn, d)
         if num is None or name not in ("x", "y"):
             raise AttributeError(name)
-        xn, yn, d = num
-        object.__setattr__(self, "x", Fraction(xn, d))
-        object.__setattr__(self, "y", Fraction(yn, d))
-        return self.__dict__[name]
+        return Fraction(num[name == "y"], num[2])
 
 
 def lattice_point(xn: int, yn: int, d: int) -> Point:
@@ -233,14 +225,11 @@ class Polygon(Record):
                                               "ys": ys, "den": den, "cross": cross})
         return poly
 
-    def __getattr__(self, name: str):
-        # reached only while the vertices of a polygon made by over() are not made yet
-        if name != "vertices" or "xs" not in self.__dict__:
+    def _make(self, name: str):
+        if name != "vertices" or "xs" not in self.__dict__:  # made by over()
             raise AttributeError(name)
         den = self.den
-        vertices = tuple([lattice_point(x, y, den) for x, y in zip(self.xs, self.ys)])
-        object.__setattr__(self, "vertices", vertices)
-        return vertices
+        return tuple([lattice_point(x, y, den) for x, y in zip(self.xs, self.ys)])
 
     @property
     def area(self) -> Rational:
@@ -251,10 +240,10 @@ class Polygon(Record):
 class Scene(Record):
     """A fully built picture: polygons, text labels, and parameter echo.
 
-    A scene from the builders holds, outside its fields, its head (the
-    outline and the vertex labels) and layer 1's frame, and makes its
-    polygons and its labels, each on first read, from them (see _layers);
-    the writers and render read the head and the frame and make neither.
+    A scene from the builders holds, outside its fields, its layer 1 (see
+    _Layer1), and makes its polygons and its labels, each on first read,
+    from it (see _layers); the writers and render read layer 1 and make
+    neither.
     """
 
     polygons: tuple[Polygon, ...]
@@ -263,31 +252,58 @@ class Scene(Record):
     params_echo: dict[str, str]
     layers_rendered: int
 
-    def __init__(self, polygons: tuple[Polygon, ...], labels: tuple[tuple[Point, str], ...],
-                 construction_kind: str, params_echo: dict[str, str], layers_rendered: int) -> None:
-        self.__dict__.update(polygons=polygons, labels=labels, construction_kind=construction_kind,
-                             params_echo=params_echo, layers_rendered=layers_rendered)
-
-    def __getattr__(self, name: str):
-        # reached only while the polygons or the labels of a built scene are not made yet
-        head = self.__dict__.get("_head")
-        if head is None or name not in ("polygons", "labels"):
+    def _make(self, name: str):
+        layer1 = self.__dict__.get("_layer1")  # a built scene's
+        if layer1 is None or name not in ("polygons", "labels"):
             raise AttributeError(name)
-        labels = name == "labels"
-        made = head[labels] + _layers(self._layer1, self.layers_rendered, labels)
-        object.__setattr__(self, name, made)
-        return made
+        return _layers(layer1, self.layers_rendered, name == "labels")
+
+
+class _Layer1(Record):
+    """A built picture's outline, vertex labels and layer 1, from which every
+    layer is made: layer k is layer 1 shrunk toward the apex by (a/b)^(k-1).
+
+    Each layer-1 coordinate is a term (c0, c1) over a denominator (see
+    _values).  xs holds the tiles' x values, (0, c) with c ascending, and ys
+    their bottom and top lines' y values, (apex, -apex) and (apex, top -
+    apex), over d; a tile is its role and its corners, each an index into
+    xs and one into ys.  label is layer 1's label's x and y terms, over dl.
+    """
+
+    outline: Polygon
+    vertex_labels: tuple[tuple[Point, str], ...]
+    a: int
+    b: int
+    d: int
+    xs: tuple[tuple[int, int], ...]
+    ys: tuple[tuple[int, int], ...]
+    tiles: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
+    dl: int
+    label: tuple[tuple[int, int], tuple[int, int]]
+
+
+def _scales(layer1: _Layer1, ks):
+    """(k, u, v) for each layer k of the ascending ks: u/v = (a/b)^(k-1), stepped
+    by one product per integer from the layer before."""
+    a, b = layer1.a, layer1.b
+    last = u = v = 1
+    for k in ks:
+        if k != last:
+            u, v = (u * a, v * b) if k == last + 1 else (a ** (k - 1), b ** (k - 1))
+            last = k
+        yield k, u, v
+
+
+def _values(terms, u: int, v: int) -> list[int]:
+    """The one rule of a built picture's layers: a layer-1 term (c0, c1) over d is
+    (c0 v + c1 u) / (d v) at the layer whose shrink is u/v, and c0 / d, its limit,
+    at 0/1.  Each term's numerator."""
+    return [c0 * v + c1 * u for c0, c1 in terms]
 
 
 def shoelace_area(polygon: Polygon) -> Rational:
     """Exact positive area of a polygon, from the shoelace sum kept at its construction."""
     return polygon.area
-
-
-def _numerators(values, d: int = 1) -> tuple[list[int], int]:
-    """(numerators, lcm): rational values over lcm, the lcm of d and their denominators."""
-    d = math.lcm(d, *[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _construction(kind: str, ratio: Rational):
@@ -300,7 +316,7 @@ def _construction(kind: str, ratio: Rational):
     figure's area.  frame is layer 1 in integers over one denominator d1,
     in closed form: (d1, xs, apex, top, a, b), xs the numerators of its
     x-coordinates, apex and top those of A's y and its top line's, and
-    lam = a/b, with gcd(a, d1 b) = 1.  Layered r = 1/m: n, a and min(a, n)
+    lam = a/b, with gcd(a, b) = 1.  Layered r = 1/m: n, a and min(a, n)
     colored through derive_config, outline (-1,0), (1,0), (0,1), lam = 1 - r,
     frame (m, range(-m, m + 1), m, 1, m - 1, m); a layered r that is not 1/m
     raises ValueError naming params.r.  Staircase s = p/q: r = s^2, outline
@@ -328,34 +344,20 @@ def _construction(kind: str, ratio: Rational):
     return echo, outline, frame, layer1, staircase_total_area(params)
 
 
-def _layer_lines(apex: int, top: int, a: int, b: int, layers: int):
-    """(k, u, v, (bottom, top)) of layers k = 1..layers of a picture with shrink
-    = a/b: shrink^(k-1) = u/v, and the y numerators over d1 v of layer k's
-    bottom and top lines, apex and top being A's and layer 1's top's over d1."""
-    u = v = 1
-    for k in range(1, layers + 1):
-        yield k, u, v, (apex * (v - u), apex * v - u * (apex - top))
-        u *= a
-        v *= b
-
-
 def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
     """The picture of `layers` layers: layer k is layer 1 shrunk toward A by shrink^(k-1).
 
     _construction(kind, ratio) gives the echoed params, the outline (C, B, A)
     and layer 1's integer frame (d1, xs, apex, top, a, b), shrink = a/b.
     The depth and the polygon cap are checked first: layers too deep or
-    more than MAX_POLYGONS polygons raise ValueError before any tile is
-    made.  A tile of layer 1 is its (role, corners), a corner being an (xs
-    index, 0 bottom or 1 top line) pair; its layer label sits label_dx, a
-    shift that does not shrink, right of the point of AB with x = label_mid.
-
-    The scene holds its fields' head, ((outline,), vertex labels), as _head,
-    and the frame, layer 1's tiles and the layer labels' rule (apex_l, mid,
-    dx, dl) as _layer1, (d1, xs, apex, top, a, b, tiles, rule), outside its
-    fields, so ==, repr and _replace never see them.  Its polygons and labels
-    are made from them on first read; scene_json_chunks and render read them
-    and make neither.
+    more than MAX_POLYGONS polygons raise ValueError before any term or
+    tile is made.  Layer 1's terms over d1 are then (0, c) for each x
+    numerator c, and (apex, -apex) for the bottom line's y and
+    (apex, top - apex) for the top one's; a tile's corner is an (xs index,
+    0 bottom or 1 top line) pair.  Its layer label sits label_dx, a shift
+    that does not shrink, right of the point of AB with x = label_mid.  The
+    scene keeps them as _layer1, outside its fields, so ==, repr and
+    _replace never see it.
     """
     echo, outline, frame, (per_layer, colored, *_), _ = _construction(kind, ratio)
     d1, xs, apex, top, a, b = frame
@@ -363,8 +365,9 @@ def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
     if (count := layers * per_layer + 1) > MAX_POLYGONS:
         raise ValueError(f"layers {layers} draws {layers} x {per_layer} + 1 = {count} polygons, "
                          f"over the cap of {MAX_POLYGONS}")
-    assert math.gcd(a, d1 * b) == 1  # for both kinds; _layer_items relies on it
+    assert math.gcd(a, b) == 1  # for both kinds; _texts relies on it
     h, shrink = Fraction(apex, d1), Fraction(a, b)  # A = (0, h)
+    lines = ((apex, -apex), (apex, top - apex))  # the bottom and the top line's y
     if kind == "layered":
         # coloring order, b being m: m-1 downward triangles left to right, then m upward
         corners = [((i + 1, 0), (i + 2, 1), (i, 1)) for i in range(1, 2 * b - 2, 2)]
@@ -383,36 +386,33 @@ def _build_scene(kind: str, ratio: Rational, layers: int) -> Scene:
                          (Point(h - 1, -h / 20), "C"))
         label_mid, label_dx = h - Fraction(1, 2), h / 10  # midpoint of B and W_1
     # the labels have their own denominator, so they do not widen the polygons'
-    rule, dl = _numerators((h, label_mid, label_dx), d1)
+    dl = math.lcm(d1, h.denominator, label_mid.denominator, label_dx.denominator)
+    apex_l, mid, dx = [q.numerator * (dl // q.denominator) for q in (h, label_mid, label_dx)]
     scene = object.__new__(Scene)
     scene.__dict__.update(construction_kind=kind, params_echo=echo, layers_rendered=layers,
-                          _head=((Polygon(outline, ROLE_OUTLINE),), vertex_labels),
-                          _layer1=(d1, xs, apex, top, a, b, tuple(tiles), (*rule, dl)))
+                          _layer1=_Layer1(Polygon(outline, ROLE_OUTLINE), vertex_labels, a, b, d1,
+                                          tuple([(0, c) for c in xs]), lines, tuple(tiles), dl,
+                                          ((dx, mid), (apex_l, -mid))))
     return scene
 
 
-def _layers(layer1, layers: int, labels: bool = False) -> tuple:
-    """Layers 1..layers of a built scene, made from its _layer1 (see _build_scene):
-    their tiles, as Polygons, or with labels, their layer labels.
-
-    With shrink^(k-1) = u/v, layer k lies over d1 v: a point (X, Y)/d1 of
-    layer 1 becomes (u X, v apex - u (apex - Y))/(d1 v), and layer k's label
-    is (u mid + v dx, apex_l v - u mid)/(dl v).  Only u and v grow, by one
-    integer product each per layer.
-    """
-    d1, xs, apex, top, a, b, tiles, (apex_l, mid, dx, dl) = layer1
-    lines = _layer_lines(apex, top, a, b, layers)
+def _layers(layer1: _Layer1, layers: int, labels: bool = False) -> tuple:
+    """A built scene's outline and the tiles of its layers 1..layers, as Polygons,
+    or with labels, its vertex labels and those layers' labels, made from its
+    _layer1: layer k's terms are valued over d v by _values, and only u and v
+    grow, by one product each per layer."""
+    steps = _scales(layer1, range(1, layers + 1))
     if labels:
-        return tuple([(lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}")
-                      for k, u, v, _ in lines])
-    polygons = []
-    for k, u, v, y in lines:
-        x = [u * c for c in xs]
-        d = d1 * v
-        for role, corners in tiles:
-            polygons.append(Polygon.over(
-                tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
-            ))
+        dl, label = layer1.dl, layer1.label
+        return layer1.vertex_labels + tuple([
+            (lattice_point(*_values(label, u, v), dl * v), f"layer {k}") for k, u, v in steps])
+    polygons = [layer1.outline]
+    for k, u, v in steps:
+        x, y = _values(layer1.xs, u, v), _values(layer1.ys, u, v)
+        d = layer1.d * v
+        for role, corners in layer1.tiles:
+            polygons.append(Polygon.over(tuple([x[i] for i, _ in corners]),
+                                         tuple([y[j] for _, j in corners]), d, role, k))
     return tuple(polygons)
 
 
@@ -459,25 +459,11 @@ class LayerAudit(Record):
     expected_total_area: Rational
     ok: bool
 
-    def __init__(self, layer_index: int, polygon_count: int, colored_count: int,
-                 colored_area: Rational, total_area: Rational, colored_fraction: Rational,
-                 expected_colored_area: Rational, expected_total_area: Rational,
-                 ok: bool) -> None:
-        self.__dict__.update(
-            layer_index=layer_index, polygon_count=polygon_count, colored_count=colored_count,
-            colored_area=colored_area, total_area=total_area, colored_fraction=colored_fraction,
-            expected_colored_area=expected_colored_area, expected_total_area=expected_total_area,
-            ok=ok,
-        )
-
-    def __getattr__(self, name: str):
-        # reached only while an area of a layer the audit made is not made yet
-        parts = self.__dict__.get("_parts")
+    def _make(self, name: str):
+        parts = self.__dict__.get("_parts")  # a layer the audit made
         if parts is None or name not in self._fields:
             raise AttributeError(name)
-        value = Fraction(*parts[self._fields.index(name) - 3])  # the five areas follow 3 counts
-        object.__setattr__(self, name, value)
-        return value
+        return Fraction(*parts[self._fields.index(name) - 3])  # the five areas follow 3 counts
 
     def area_texts(self) -> tuple[str, str, str, str, str]:
         """The five areas as fmt writes them, in field order, from reduced pairs; an
@@ -501,15 +487,6 @@ class AuditReport(Record):
     figure_area: Rational
     ok: bool
     mismatches: tuple[str, ...] = ()
-
-    def __init__(self, construction_kind: str, params: dict[str, str],
-                 layers: tuple[LayerAudit, ...], tiled_area: Rational, apex_remainder: Rational,
-                 figure_area: Rational, ok: bool, mismatches: tuple[str, ...] = ()) -> None:
-        self.__dict__.update(
-            construction_kind=construction_kind, params=params, layers=layers,
-            tiled_area=tiled_area, apex_remainder=apex_remainder, figure_area=figure_area,
-            ok=ok, mismatches=mismatches,
-        )
 
     def as_dict(self) -> dict:
         """The `verify --format json` document, parsed from report_json_chunks."""
@@ -657,16 +634,8 @@ def audit_scene(scene: Scene) -> AuditReport:
             f"tiling: layers {fmt(tiled)} + apex remainder {fmt(remainder)} "
             f"!= figure area {fmt(figure)}"
         )
-    return AuditReport(
-        construction_kind=kind,
-        params=dict(echo),
-        layers=tuple(layers),
-        tiled_area=tiled,
-        apex_remainder=remainder,
-        figure_area=figure,
-        ok=not mismatches,
-        mismatches=tuple(mismatches),
-    )
+    return AuditReport(kind, dict(echo), tuple(layers), tiled, remainder, figure, not mismatches,
+                       tuple(mismatches))
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -746,53 +715,51 @@ def _polygon_items(polygons):
         yield _polygon_json(len(poly.xs)) % (*cells, poly.role, layer_index)
 
 
-def _over(den: int, g: int, dens: dict) -> str:
-    """The denominator text of a value over den reduced by g: "/" and den // g,
-    or "" where g = den; dens memoizes it by g."""
-    over = dens.get(g)
-    if over is None:
-        over = dens[g] = "" if g == den else "/" + _int_text(den // g)
-    return over
+def _texts(terms, d: int, steps):
+    """(k, texts) for each (k, u, v) of steps: texts[i] is terms[i]'s value at
+    layer k, (c0 v + c1 u) / (d v), as fmt writes it.
 
-
-def _layer_items(layer1, layers: int):
-    """The items of a built scene's layered polygons, filled a layer at a time
-    from the frame (d1, xs, apex, top, a, b) of _construction and the tiles
-    that _build_scene keeps with it.
-
-    Each distinct value of a layer is reduced and printed once, and none by
-    a big gcd.  With shrink^(k-1) = u/v, layer k lies over d1 v, and for both
-    kinds gcd(a, d1 b) = 1, so gcd(u, d1 v) = 1: an x value u c / (d1 v)
-    reduces by the small gcd(c, d1 v), and c and -c share one printed
-    magnitude.  A y value Y = apex v - u w, w being apex on the bottom line
-    and apex - top on the top one, has gcd(Y, v) = gcd(w, v), as gcd(u, v) =
-    1; so gcd(Y, d1 v) divides the small s = d1 gcd(w, v), and is gcd(Y, s).
-    Each reduced denominator is printed once per layer.  Each tile's item is
-    a template, its role baked in, filled from the layer's texts.
+    Each value of a layer is reduced and printed once, a term and its
+    negation sharing one print.  As gcd(a, b) = 1, no prime of v divides u,
+    so a value's gcd with d v is its gcd with d gcd(c1, v): a small number
+    for a term that moves (c1 != 0), as every term of a built picture but
+    (0, 0) does.  Each reduced denominator is printed once per layer.
     """
-    d1, xs, apex, top, a, b, tiles, _ = layer1
-    n = len(xs)
-    fills = []  # (template, cells): cells picks a tile's texts from the layer's
-    for role, corners in tiles:
-        # the layer's texts: its x values, its bottom and top y values, its index
-        order = [t for i, j in corners for t in (i, n + j)] + [n + 2]
-        holes = ("%s",) * (2 * len(corners))
-        fills.append((_polygon_json(len(corners)) % (*holes, role, "%s"), itemgetter(*order)))
-    magnitudes = sorted({abs(c) for c in xs})
-    place = {c: i for i, c in enumerate(magnitudes)}
-    signed = [("-" if c < 0 else "", place[abs(c)]) for c in xs]
-    offsets = (apex, apex - top)  # w of the bottom and the top line
-    for k, u, v, ys in _layer_lines(apex, top, a, b, layers):
-        den = d1 * v
-        dens: dict[int, str] = {}
-        printed = []
-        for c in magnitudes:
-            g = math.gcd(c, den)
-            printed.append(_int_text(u * (c // g)) + _over(den, g, dens))
-        texts = [sign + printed[i] for sign, i in signed]
-        for y, w in zip(ys, offsets):
-            g = math.gcd(y, d1 * math.gcd(w, v))
-            texts.append(_int_text(y // g) + _over(den, g, dens))
+    keys: dict[tuple[int, int], int] = {}  # each term, or its negation, once
+    flips = [(c0, c1) < (0, 0) for c0, c1 in terms]
+    order = [keys.setdefault((-c0, -c1) if flip else (c0, c1), len(keys))
+             for (c0, c1), flip in zip(terms, flips)]
+    order = [key + len(keys) * flip for key, flip in zip(order, flips)]  # negations follow
+    c1s, negate = [c1 for _, c1 in keys], any(flips)
+    for k, u, v in steps:
+        den = d * v
+        overs: dict[int, str] = {}
+        printed = []  # each key's text, then, where a term negates a key, each negation's
+        for num, c1 in zip(_values(keys, u, v), c1s):
+            g = math.gcd(num, d * math.gcd(c1, v))
+            over = overs.get(g)
+            if over is None:
+                over = overs[g] = "" if g == den else "/" + _int_text(den // g)
+            printed.append(_int_text(num // g) + over)
+        if negate:
+            printed += [t[1:] if t[0] == "-" else "-" + t if t != "0" else t for t in printed]
+        yield k, list(map(printed.__getitem__, order))
+
+
+def _layer_items(layer1: _Layer1, layers: int, labels: bool = False):
+    """The items of a built scene's layered polygons, or with labels, of its
+    layer labels, filled a layer at a time from the texts of their terms
+    (see _texts): each tile's item is a template, its role baked in."""
+    if labels:
+        terms, d = layer1.label, layer1.dl
+        fills = [(_LABEL_JSON % ("%s", "%s", json.dumps("layer %s")), itemgetter(0, 1, -1))]
+    else:  # the layer's texts: its x values, its y values, its index
+        terms, d, n = layer1.xs + layer1.ys, layer1.d, len(layer1.xs)
+        fills = [  # (template, cells): cells picks a tile's texts, then its layer, from the layer's
+            (_polygon_json(len(corners)) % (*("%s",) * (2 * len(corners)), role, "%s"),
+             itemgetter(*[t for i, j in corners for t in (i, n + j)], -1))
+            for role, corners in layer1.tiles]
+    for k, texts in _texts(terms, d, _scales(layer1, range(1, layers + 1))):
         texts.append(k)
         for template, cells in fills:
             yield template % cells(texts)
@@ -805,34 +772,13 @@ def _label_items(labels):
         yield _LABEL_JSON % (fmt_parts(xn, d), fmt_parts(yn, d), json.dumps(text))
 
 
-def _layer_label_items(layer1, layers: int):
-    """The items of a built scene's layer labels, from the frame's apex, top,
-    a and b and the labels' rule (apex_l, mid, dx, dl) kept with it:
-    layer k's label is (u mid + v dx, apex_l v - u mid) / (dl v).  Both
-    numerators are u mid modulo v, and gcd(u, v) = 1, so each has gcd(mid, v)
-    in common with v and is reduced, as in _layer_items, by its gcd with the
-    small s = dl gcd(mid, v).
-    """
-    _, _, apex, top, a, b, _, (apex_l, mid, dx, dl) = layer1
-    template = _LABEL_JSON % ("%s", "%s", json.dumps("layer %s"))
-    for k, u, v, _ in _layer_lines(apex, top, a, b, layers):
-        den = dl * v
-        s = dl * math.gcd(mid, v)
-        dens: dict[int, str] = {}
-        texts = []
-        for num in (u * mid + v * dx, apex_l * v - u * mid):
-            g = math.gcd(num, s)
-            texts.append(_int_text(num // g) + _over(den, g, dens))
-        yield template % (*texts, k)
-
-
 def scene_json_chunks(scene: Scene):
     """The scene file of scene, laid out as json.dumps(doc, indent=2) + "\n", in
     pieces of _JSON_CHUNK polygons; neither the document nor its whole text
     is built.
 
-    A scene from the builders is written from its head and a layer at a time
-    from the layer 1 it keeps (see _layer_items and _layer_label_items), and
+    A scene from the builders is written from its outline and vertex labels
+    and a layer at a time from the layer 1 it keeps (see _layer_items), and
     makes neither its polygons nor its labels; any other scene, as
     one read from a file or made by Scene._replace, polygon by polygon
     and label by label (see _polygon_items and _label_items).  Both give the
@@ -847,9 +793,9 @@ def scene_json_chunks(scene: Scene):
         polygons = _polygon_items(scene.polygons)
         labels = _label_items(scene.labels)
     else:
-        layers, (outline, vertex_labels) = scene.layers_rendered, scene._head
-        polygons = chain(_polygon_items(outline), _layer_items(layer1, layers))
-        labels = chain(_label_items(vertex_labels), _layer_label_items(layer1, layers))
+        layers = scene.layers_rendered
+        polygons = chain(_polygon_items((layer1.outline,)), _layer_items(layer1, layers))
+        labels = chain(_label_items(layer1.vertex_labels), _layer_items(layer1, layers, True))
     yield from json_array(polygons)
     yield _SCENE_LABELS
     yield from json_array(labels)
@@ -1090,11 +1036,6 @@ def scene_from_json(doc) -> Scene:
             text = _member(entry, "text", str, f"labels[{i}]")
         d = _lcm((xd, yd))
         labels.append((lattice_point(xn * (d // xd), yn * (d // yd), d), text))
-    return Scene(
-        polygons=tuple(polygons),
-        labels=tuple(labels),
-        construction_kind=kind,
-        # a string as it is, any other value as its JSON text: 5 as "5", false as "false"
-        params_echo={k: v if isinstance(v, str) else json.dumps(v) for k, v in params.items()},
-        layers_rendered=layers,
-    )
+    # a param's string as it is, any other value as its JSON text: 5 as "5", false as "false"
+    echo = {k: v if isinstance(v, str) else json.dumps(v) for k, v in params.items()}
+    return Scene(tuple(polygons), tuple(labels), kind, echo, layers)

@@ -1,14 +1,16 @@
 """Record: the base of the package's frozen value classes.
 
-A record's fields are its class's own annotations, in order, and its
-class writes out its own __init__, which stores them in the instance's
-__dict__ and checks them.  Record gives the rest, as
-dataclass(frozen=True) generated it: == and hash by the tuple of field
-values, a repr Name(field=value, ...), __match_args__, and an
-AttributeError for any assignment or deletion.  _replace(**changes), and
-copy.replace on Python 3.13 and later, is a copy through __init__ with
-the given fields changed, as NamedTuple's is; it copies fields only, so
-nothing kept outside them carries over.
+A record's fields are its class's own annotations, in order; a field
+given a value in the class body defaults to it.  Record gives what
+dataclass(frozen=True) generated: an __init__ that stores the fields in
+the instance's __dict__ (a class that checks them writes its own), == and
+hash by the tuple of field values, a repr Name(field=value, ...),
+__match_args__, and an AttributeError for any assignment or deletion.  A
+name the instance's __dict__ lacks is made by the class's _make(name),
+from what the instance keeps outside its fields, and kept.
+_replace(**changes), and copy.replace on Python 3.13 and later, is a
+copy through __init__ with the given fields changed, as NamedTuple's is;
+it copies fields only, so nothing kept outside them carries over.
 
 Written out rather than generated, so importing the package loads
 neither dataclasses nor inspect, and each class compiles no methods at
@@ -24,6 +26,36 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # bound as Python binds a call's arguments
+            cls, rest = self.__class__, fields[len(args):]
+            call = f"{cls.__qualname__}.__init__()"
+            if len(args) > len(fields):
+                raise TypeError(f"{call} takes {len(fields) + 1} positional arguments but "
+                                f"{len(args) + 1} were given")
+            for name in kwargs.keys() - set(rest):
+                why = "multiple values for" if name in fields else "an unexpected keyword"
+                raise TypeError(f"{call} got {why} argument {name!r}")
+            missing = [repr(name) for name in rest if name not in kwargs and not hasattr(cls, name)]
+            if missing:  # 'x', 'x' and 'y', or 'x', 'y', and 'z', as Python lists them
+                names = (", ".join(missing[:-1]) + "," * (len(missing) > 2)
+                         + " and " * (len(missing) > 1) + missing[-1])
+                raise TypeError(f"{call} missing {len(missing)} required positional "
+                                f"argument{'s' * (len(missing) > 1)}: {names}")
+            args += tuple([kwargs[name] if name in kwargs else getattr(cls, name) for name in rest])
+        self.__dict__.update(zip(fields, args))
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance's __dict__ does not hold
+        value = self._make(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _make(self, name: str):
+        """The value of a field not stored yet; AttributeError where there is none."""
+        raise AttributeError(name)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -11,29 +11,30 @@ digits expanded from integers, half away from zero.  A run of polygons
 over one denominator, as a built layer is, shares its coordinate lines:
 each distinct x and y numerator of a run is mapped and printed once, by
 one memo per axis, cleared where the denominator changes.  A built
-scene, one that keeps its layer 1 frame, takes its box from its outline,
-which holds every tile.  Its layer k is layer 1 shrunk toward the apex A
-by lam^(k-1): once both ends of layer k's bottom line print as A's cell,
-every vertex of every later layer, in the box of those three points,
-prints so too, as the map is affine per axis and the rounding monotone;
-and once layer k's label prints as its limit point's cell, every later
-label does.  From the first layer at which both hold, found by
-bisection, layers are written from one line per tile and labels from
-that cell; the layers before it are made from the frame, so the scene's
-own polygons and labels are never made.  Any other scene, as one read
-from a file, maps every vertex, and the tests hold that path as the
-reference.  The equilateral look for layered scenes is a cosmetic
-y-stretch by a fixed rational stand-in for sqrt(3); the audit never
-sees these coordinates.
+scene takes its box from its outline, which holds every tile.  Its
+layer k holds each layer-1 term (c0, c1) over d at (c0 v + c1 u) / (d v),
+lam^(k-1) = u/v (see geometry._values), which moves monotonically toward
+its limit c0 / d, the term at 0/1; the map being affine per axis and the
+rounding monotone, once the extreme x terms, the two lines and the label
+print as their limit's cell, every corner and label does at every later
+layer.  From the first layer at which they do, found by bisection,
+layers are written from one line per tile and labels from that cell;
+the layers before it are made from layer 1, so the scene's own polygons
+and labels are never made.  Any other scene, as one read from a file,
+maps every vertex, and the tests hold that path as the reference.  The
+equilateral look for layered scenes is a cosmetic y-stretch by a fixed
+rational stand-in for sqrt(3); the audit never sees these coordinates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
-from .geometry import ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, _layers, _point_parts
+from .geometry import (ROLE_BLANK, ROLE_COLORED, ROLE_OUTLINE, Scene, _layers, _point_parts,
+                       _scales, _values)
 from .rational import ONE, Rational
 from .record import Record
 
@@ -81,38 +82,19 @@ class RenderOptions(Record):
     show_layer_annotations: bool = True
     equilateral_look: bool = True
 
-    def __init__(  # each default is the class attribute above
-        self,
-        canvas_width_px: int = canvas_width_px,
-        color_fill: str = color_fill,
-        stroke_color: str = stroke_color,
-        decimal_places: int = decimal_places,
-        show_labels: bool = show_labels,
-        show_layer_annotations: bool = show_layer_annotations,
-        equilateral_look: bool = equilateral_look,
-    ) -> None:
-        if canvas_width_px < 1:
-            raise ValueError(f"canvas width must be positive, got {canvas_width_px}")
-        if canvas_width_px > MAX_CANVAS_WIDTH_PX:
-            raise ValueError(
-                f"canvas width must be at most {MAX_CANVAS_WIDTH_PX}, got {canvas_width_px}"
-            )
-        if not 1 <= decimal_places <= 12:
-            raise ValueError(
-                f"decimal_places must lie in [1, 12], got {decimal_places}"
-            )
-        for name, color in (("fill", color_fill), ("stroke", stroke_color)):
-            bad = _NOT_XML.search(color)
-            if bad:
-                raise ValueError(
-                    f"{name} color must not contain U+{ord(bad.group()):04X}, "
-                    "a character XML 1.0 does not allow"
-                )
-        self.__dict__.update(
-            canvas_width_px=canvas_width_px, color_fill=color_fill, stroke_color=stroke_color,
-            decimal_places=decimal_places, show_labels=show_labels,
-            show_layer_annotations=show_layer_annotations, equilateral_look=equilateral_look,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # stored, then checked
+        width, places = self.canvas_width_px, self.decimal_places
+        if width < 1:
+            raise ValueError(f"canvas width must be positive, got {width}")
+        if width > MAX_CANVAS_WIDTH_PX:
+            raise ValueError(f"canvas width must be at most {MAX_CANVAS_WIDTH_PX}, got {width}")
+        if not 1 <= places <= 12:
+            raise ValueError(f"decimal_places must lie in [1, 12], got {places}")
+        for name, color in (("fill", self.color_fill), ("stroke", self.stroke_color)):
+            if bad := _NOT_XML.search(color):
+                raise ValueError(f"{name} color must not contain U+{ord(bad.group()):04X}, "
+                                 "a character XML 1.0 does not allow")
 
 
 def _fixed(num: int, den: int, decimal_places: int) -> str:
@@ -154,11 +136,6 @@ class Layout(Record):
     width_px: int
     height_px: int
 
-    def __init__(self, ax: int, bx: int, ay: int, by: int, den: int, width_px: int,
-                 height_px: int) -> None:
-        self.__dict__.update(ax=ax, bx=bx, ay=ay, by=by, den=den, width_px=width_px,
-                             height_px=height_px)
-
     @property
     def area_scale(self) -> Fraction:
         return Fraction(-self.ax * self.ay, self.den * self.den)
@@ -181,12 +158,12 @@ def _least(pairs) -> Fraction:
 
 def layout(scene: Scene, opts: RenderOptions) -> Layout:
     """Bounding box over polygon vertices plus a 10% margin, scaled to the canvas;
-    a built scene's is its outline's, kept in its head, as every tile lies in it."""
+    a built scene's is its outline's, as every tile lies in it."""
     stretch = (
         SQRT3 if scene.construction_kind == "layered" and opts.equilateral_look else ONE
     )
-    head = scene.__dict__.get("_head")
-    polygons = scene.polygons if head is None else head[0]
+    layer1 = scene.__dict__.get("_layer1")
+    polygons = scene.polygons if layer1 is None else (layer1.outline,)
     x_min = _least([(min(poly.xs), poly.den) for poly in polygons])
     x_max = -_least([(-max(poly.xs), poly.den) for poly in polygons])
     y_min = _least([(min(poly.ys), poly.den) for poly in polygons]) * stretch  # stretch > 0
@@ -232,27 +209,31 @@ def _points_attrs(polygons, lay: Layout, dp: int):
         yield " ".join(cells)
 
 
-def _collapse(lay: Layout, dp: int, a: int, b: int, last: int, points) -> int:
-    """The first layer k up to last, or last + 1, from which every point prints as its
-    limit: layer k of a built scene puts a point (x0, x1, y0, y1, d) at (x0 v + x1 u,
-    y0 v + y1 u) / (d v), u/v = (a/b)^(k-1), so it moves monotonically on each axis
-    toward (x0, y0) / d, and once it prints as that cell, so does every later layer's.
-    Layer last is tried first, then layers 1, 2, 4, ... and a bisection, so once it
-    holds, the calls depend on k alone."""
+def _collapse(lay: Layout, dp: int, layer1, last: int, points) -> tuple[int, list | None]:
+    """(k, limits): the first layer k up to last, or last + 1, from which every point
+    (x term, y term, d) of layer 1 prints as its limit's cell, and, for k <= last,
+    those cells.  A point moves monotonically on each axis toward its limit, the term
+    at 0/1 (see _values), as k grows, so once it prints as that cell, so does every
+    later layer's.  Layer last is tried first, then layers 1, 2, 4, ... and a
+    bisection, so once it holds, the calls depend on k alone."""
+    def cells(u: int = 0, v: int = 1):
+        for x, y, d in points:
+            xn, yn = _values((x, y), u, v)
+            yield _px(lay, xn, d * v, yn, d * v, dp)
+
     def holds(k: int) -> bool:
-        u, v = a ** (k - 1), b ** (k - 1)
-        return all(_px(lay, x0 * v + x1 * u, d * v, y0 * v + y1 * u, d * v, dp)
-                   == _px(lay, x0, d, y0, d, dp) for x0, x1, y0, y1, d in points)
+        (_, u, v), = _scales(layer1, (k,))
+        return all(map(operator.eq, cells(u, v), cells()))
 
     if not holds(last):
-        return last + 1
+        return last + 1, None
     lo, hi = 0, 1
     while hi < last and not holds(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:  # holds(hi), as hi < last ended the loop or hi >= last
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
+    return hi, list(cells())
 
 
 def render(scene: Scene, opts: RenderOptions | None = None) -> str:
@@ -281,21 +262,18 @@ def render(scene: Scene, opts: RenderOptions | None = None) -> str:
         filled.sort(key=lambda poly: poly.layer_index)  # stable: emission order kept
         polygons = outlines + filled
     else:  # built: the outline, then layer by layer
-        d1, xs, apex, _, a, b, tiles, (apex_l, mid, dx, dl) = layer1
-        last = scene.layers_rendered
-        # both ends of layer k's bottom line, whose limit is A, and layer k's label
-        ends = [(0, c, apex, -apex, d1) for c in (min(xs), max(xs))]
-        k = _collapse(lay, dp, a, b, last, [*ends, (dx, mid, apex_l, -mid, dl)])
-        outline, vertex_labels = scene._head
-        polygons = outline + _layers(layer1, k - 1)
-        labels = vertex_labels + _layers(layer1, k - 1, labels=True)
+        xs, ys, d, last = layer1.xs, layer1.ys, layer1.d, scene.layers_rendered
+        # the x terms share c0 and ascend in c1, so each x lies between the first and the
+        # last, and each y is one of the two lines': all tend to one limit, A
+        ends = [(x, y, d) for x, y in zip((xs[0], xs[-1]), ys)]
+        k, limits = _collapse(lay, dp, layer1, last, [*ends, (*layer1.label, layer1.dl)])
+        polygons, labels = _layers(layer1, k - 1), _layers(layer1, k - 1, labels=True)
         if k <= last:
-            cell = ",".join(_px(lay, 0, 1, apex, d1, dp))
-            deep_polygons = [_POLYGON % (" ".join([cell] * len(corners)), fills[role],
-                                         stroke_attr) for role, corners in tiles] * (last - k + 1)
+            cell = ",".join(limits[0])
+            deep_polygons = [_POLYGON % (" ".join([cell] * len(corners)), fills[role], stroke_attr)
+                             for role, corners in layer1.tiles] * (last - k + 1)
             if opts.show_layer_annotations:
-                limit = _px(lay, dx, dl, apex_l, dl, dp)
-                deep_labels = [_TEXT % (*limit, font_px, "start", f"layer {j}")
+                deep_labels = [_TEXT % (*limits[-1], font_px, "start", f"layer {j}")
                                for j in range(k, last + 1)]
 
     lines = [

@@ -1038,6 +1038,29 @@ class TestRender:
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == svg.encode("utf-8") + b"wrote /dev/stdout\n"
 
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("case", ["out-truncated", "out-appended", "scene"])
+    def test_an_output_that_is_stdouts_own_file_is_refused(self, tmp_path, case):
+        # unrefused, "wrote /dev/stdout" was written over the SVG's first bytes, the SVG
+        # over an appended-to file's lines, and "wrote ..." into the scene file
+        src = str(Path(geoseries.__file__).resolve().parent.parent)
+        target = tmp_path / ("pic.json" if case == "scene" else "log.txt")
+        target.write_text("kept\n")
+        out = [str(tmp_path / "pic.svg"), "--emit-scene"] if case == "scene" else ["/dev/stdout"]
+        with open(target, "a" if case == "out-appended" else "w") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "geoseries.cli", "render", *RENDER_SCENE, "--out", *out],
+                stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        flag_does = "--emit-scene writes" if case == "scene" else "--out names"
+        named = target if case == "scene" else "/dev/stdout"
+        assert (done.returncode, done.stderr.decode()) == (
+            2, f"error: {flag_does} {named}, the file standard output is written to\n"
+        )
+        assert target.read_text() == ("kept\n" if case == "out-appended" else "")
+        assert not (tmp_path / "pic.svg").exists()
+
     def test_scene_beside_an_out_that_is_not_a_regular_file_is_refused(
         self, capsys, monkeypatch
     ):

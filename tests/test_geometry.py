@@ -201,6 +201,19 @@ class TestLayeredScene:
         )
         assert peak < 2**20  # far below one Fraction or tile per triangle
 
+    def test_a_file_claiming_a_huge_m_is_read_and_audited_in_constant_memory(self):
+        # the reader and the audit derive layer 1 from r alone: 2m + 1 x values, in O(1)
+        doc = scene_to_json(build_layered_scene(derive_config(3), 1))
+        doc["params"] = {"r": "1/1000000"}
+        tracemalloc.start()
+        try:
+            report = audit_scene(scene_from_json(doc))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.ok and report.layers[0].polygon_count == 5
+        assert peak < 2**20  # far below one integer per x value of layer 1
+
     def test_largest_clamped_m5_picture_round_trips(self):
         # within m = 5's depth cap (1365 layers), 1137 layers is the most the polygon cap admits
         scene = build_layered_scene(derive_config(5), 1137)

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import pickle
+import types
 from fractions import Fraction
 
 import pytest
@@ -54,16 +55,17 @@ from geoseries.geometry import (
     _check_counts,
     _construction,
     _echoed_ratio,
-    _layer_lines,
     _lcm,
     _member,
-    _numerators,
     _over_lcm,
     _pair_parts,
     _point_parts,
     _points_text,
     _RATIO_KEY,
+    _scales,
+    _texts,
     _typed,
+    _values,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
@@ -144,31 +146,72 @@ def reference_staircase(s, layers):
     )
 
 
-def reference_frame(apex_y, xs, shrink):
-    """Layer 1's integer frame by the Fraction route: its x values, A's y and its top
-    line's y over the lcm of their denominators, then shrink's numerator and denominator."""
-    values = [*xs, apex_y, apex_y - shrink * apex_y]
-    d1 = math.lcm(*[v.denominator for v in values])
-    *xs1, apex, top = [v.numerator * (d1 // v.denominator) for v in values]
-    return d1, tuple(xs1), apex, top, shrink.numerator, shrink.denominator
+def reference_lines(apex_y, xs, shrink, ks):
+    """Layer k's x values, then its bottom and top lines' y values, in Fractions, for
+    each k of ks: layer 1's x values shrunk by shrink^(k-1), and the lines at A's
+    height less shrink^(k-1) and shrink^k of it."""
+    return [[shrink ** (k - 1) * x for x in xs]
+            + [apex_y - shrink ** (k - 1) * apex_y, apex_y - shrink ** k * apex_y] for k in ks]
+
+
+def frame_lines(scene, ks):
+    """Layer k's x values, then its bottom and top lines' y values, for each k of ks,
+    as the built scene's layer 1 terms give them."""
+    layer1 = scene.__dict__["_layer1"]
+    return [[Fraction(n, layer1.d * v) for n in _values(layer1.xs + layer1.ys, u, v)]
+            for _, u, v in _scales(layer1, ks)]
+
+
+def lcm_of(values):
+    return math.lcm(*[v.denominator for v in values])
 
 
 @pytest.mark.parametrize("m", range(2, 65))
 def test_layered_frame_is_layer_1_over_its_lcm(m):
     r = Fraction(1, m)
-    d1, xs, apex, top, a, b = _construction("layered", r)[2]
-    want = reference_frame(ONE, [Fraction(i - m, m) for i in range(2 * m + 1)], ONE - r)
-    assert (d1, tuple(xs), apex, top, a, b) == want
-    assert math.gcd(a, d1 * b) == 1  # the premise of _layer_items' small-gcd reduction
+    scene = build_layered_scene(derive_config(m), 9)
+    layer1 = scene.__dict__["_layer1"]
+    xs = [Fraction(i - m, m) for i in range(2 * m + 1)]
+    want = reference_lines(ONE, xs, ONE - r, (1, 2, 9))
+    assert frame_lines(scene, (1, 2, 9)) == want
+    assert layer1.d == lcm_of(want[0]) and (layer1.a, layer1.b) == (m - 1, m)
+    assert math.gcd(layer1.a, layer1.b) == 1  # the premise of _texts' small-gcd reduction
 
 
 @given(st.integers(2, 10**6).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))))
 def test_staircase_frame_is_layer_1_over_its_lcm(pq):
     s = Fraction(*pq)
     h = ONE / (ONE - s)
-    d1, xs, apex, top, a, b = _construction("staircase", s)[2]
-    assert (d1, xs, apex, top, a, b) == reference_frame(h, [h - 1 - s, h - 1, h], s)
-    assert math.gcd(a, d1 * b) == 1  # the premise of _layer_items' small-gcd reduction
+    scene = build_staircase_scene(StaircaseParams(s), 9)
+    layer1 = scene.__dict__["_layer1"]
+    want = reference_lines(h, [h - 1 - s, h - 1, h], s, (1, 2, 9))
+    assert frame_lines(scene, (1, 2, 9)) == want
+    assert layer1.d == lcm_of(want[0]) and (layer1.a, layer1.b) == (s.numerator, s.denominator)
+    assert math.gcd(layer1.a, layer1.b) == 1  # the premise of _texts' small-gcd reduction
+
+
+@st.composite
+def term_layers(draw):
+    """(a, b, d, terms, ks): a shrink a/b in lowest terms, a denominator d and terms
+    (c0, c1) that share primes with b or not, zero and negative ones among them, and
+    ascending layers ks."""
+    b = draw(st.integers(2, 60))
+    a = draw(st.integers(1, b - 1).filter(lambda a: math.gcd(a, b) == 1))
+    d = draw(st.integers(1, 10**4)) * b ** draw(st.integers(0, 3))
+    number = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                       st.builds(lambda c, j: c * b**j, st.integers(-99, 99), st.integers(1, 4)))
+    terms = draw(st.lists(st.tuples(number, number), min_size=1, max_size=6))
+    ks = sorted(draw(st.sets(st.integers(1, 80), min_size=1, max_size=4)))
+    return a, b, d, terms, ks
+
+
+@given(term_layers())
+def test_a_term_prints_as_its_value_reduced_by_one_gcd(case):
+    a, b, d, terms, ks = case
+    steps = _scales(types.SimpleNamespace(a=a, b=b), ks)
+    for k, texts in _texts(terms, d, steps):
+        u, v = a ** (k - 1), b ** (k - 1)
+        assert texts == [fmt_parts(c0 * v + c1 * u, d * v) for c0, c1 in terms]
 
 
 def reference_area(vertices):
@@ -990,8 +1033,9 @@ def test_auditing_and_writing_make_as_many_fractions_at_any_depth(capsys):
 
 
 def reference_build_scene(kind, ratio, layers):
-    """The earlier integer builder: every tile and label made up front, and no frame
-    kept, so render and scene_json_chunks take a scene's general path."""
+    """The earlier integer builder: every tile and label made up front, each layer's
+    lines stepped by its own loop, and no layer 1 kept, so render and
+    scene_json_chunks take a scene's general path."""
     echo, outline, frame, (per_layer, colored, *_), _ = _construction(kind, ratio)
     d1, xs, apex, top, a, b = frame
     check_depth(layers, ratio, "layers")
@@ -1014,17 +1058,23 @@ def reference_build_scene(kind, ratio, layers):
         vertex_labels = [(Point(ZERO, h + h / 20), "A"), (Point(h + h / 20, -h / 20), "B"),
                          (Point(h - 1, -h / 20), "C")]
         label_mid, label_dx = h - Fraction(1, 2), h / 10
-    (apex_l, mid, dx), dl = _numerators((h, label_mid, label_dx), d1)
+    rule = (h, label_mid, label_dx)
+    dl = math.lcm(d1, *[q.denominator for q in rule])
+    apex_l, mid, dx = [q.numerator * (dl // q.denominator) for q in rule]
     polygons = [Polygon(outline, ROLE_OUTLINE)]
     labels = list(vertex_labels)
-    for k, u, v, y in _layer_lines(apex, top, a, b, layers):
+    u = v = 1  # shrink^(k-1) = u/v
+    for k in range(1, layers + 1):
         x = [u * c for c in xs]
+        y = (apex * (v - u), apex * v - u * (apex - top))  # the bottom and the top line
         d = d1 * v
         for role, corners in tiles:
             polygons.append(Polygon.over(
                 tuple([x[i] for i, _ in corners]), tuple([y[j] for _, j in corners]), d, role, k
             ))
         labels.append((lattice_point(u * mid + v * dx, apex_l * v - u * mid, dl * v), f"layer {k}"))
+        u *= a
+        v *= b
     return Scene(tuple(polygons), tuple(labels), kind, echo, layers)
 
 

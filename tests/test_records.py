@@ -380,12 +380,10 @@ def test_a_built_scene_is_the_scene_made_from_its_fields(index):
         assert set(SCENE_FIELDS) & set(scene.__dict__) == {name}
         assert getattr(scene, name) is value is scene.__dict__[name]
         assert value == getattr(hand, name)
-    for name in ("nope", "vertices", "_num", "_head"):
-        with pytest.raises(AttributeError):
-            getattr(object.__new__(Scene), name)
-        if name != "_head":
+    for name in ("nope", "vertices", "_num", "_head"):  # _head: now kept in _layer1
+        for scene in (object.__new__(Scene), fresh()):
             with pytest.raises(AttributeError):
-                getattr(fresh(), name)
+                getattr(scene, name)
     for name in SCENE_FIELDS:
         with pytest.raises(AttributeError):
             getattr(object.__new__(Scene), name)
