@@ -15,7 +15,6 @@ import os
 import shutil
 import stat
 import sys
-from itertools import chain
 
 from .construction import StaircaseParams
 from .feasibility import FeasibilityReport, derive_config, enumerate_feasible
@@ -26,7 +25,6 @@ from .geometry import (
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
-    json_array,
     json_template,
     report_json_chunks,
     scene_from_json,
@@ -54,10 +52,11 @@ def _rational(text: str) -> Rational:
 # cap (2048 layers); checked before the file is read
 MAX_SCENE_FILE_BYTES = 2 * 56_510_244
 
-# largest --max-m: the acceptance gate's scan (1.1 s as a table and 1.0 s as
-# JSON in a fresh process, median of 5, in constant memory, 18 and 17 MiB peak
-# RSS, with Python 3.11 on a shared 2-core Xeon host; an older batch there read
-# 1.8 s and 1.2-1.8 s); a larger scan costs more and finds nothing new
+# largest --max-m: the acceptance gate's scan (0.55 s as a table and 0.54 s as
+# JSON in a fresh process, median of 7, in constant memory, 17 MiB peak RSS,
+# with Python 3.11 on a shared 2-core Xeon host, where writers that formatted
+# every hole of every row took 0.91 s and 0.84 s in the same batch); a larger
+# scan costs more and finds nothing new
 MAX_M_LIMIT = 10**6
 
 _CONSTRUCTIONS = ("layered", "staircase")
@@ -89,15 +88,73 @@ def _write_table(headers, widths, rows) -> None:
     sys.stdout.writelines((line % row).rstrip() + "\n" for row in rows)
 
 
+# rows _fill fills at a time: a piece of `feasible` output stays under 128 KiB at
+# m = 10^6, where a JSON report takes about 290 bytes.  Whole blocks of
+# _CHUNK_ROWS rows, about 1.2 MB of JSON, ran as fast, but raised the peak RSS
+# of a process holding both outputs of --max-m 200000 in a StringIO from 146.4
+# to 148.9 MiB
+_PIECE_ROWS = 256
+# fewest rows _fill copies into place: below it, one strided slice per digit of
+# a row costs more than formatting each row (about 20 us against 2 us for one
+# row of the table, and even at 48 to 64 rows of 6-digit numbers)
+_FILL_MIN_ROWS = 64
+
+
+def _slices(block):
+    """block's m, n and a columns, _PIECE_ROWS rows at a time."""
+    for i in range(0, len(block.m), _PIECE_ROWS):
+        j = i + _PIECE_ROWS
+        yield block.m[i:j], block.n[i:j], block.a[i:j]
+
+
+def _fill(template: str, columns) -> str:
+    """"".join(template % row for row in zip(*columns)), for an ASCII template
+    whose holes are "%s" and columns of ints, at least one row, each column's
+    numbers sharing one digit count, as a RowBlock's do.
+
+    Every row then has one length.  Each distinct column is printed once, by
+    one %-format of all its rows, about 50 ns a number against 90 ns for a
+    hole of template; the row, its holes zero-filled, is repeated rows times
+    and digit j of each hole copied into every row by one strided slice.
+    ValueError if a column's first and last numbers differ in digit count, or
+    its text is not rows x that count long: the columns increase, so this
+    covers every row.  Fewer than _FILL_MIN_ROWS rows are formatted row by row.
+    """
+    rows = len(columns[0])
+    if rows < _FILL_MIN_ROWS:
+        return "".join(map(template.__mod__, zip(*columns)))
+    printed: dict[int, tuple[bytes, int]] = {}  # id of a column -> its text and width
+    cells = []
+    for column in columns:
+        cell = printed.get(id(column))
+        if cell is None:
+            width = len(str(column[0]))
+            digits = (b"%d" * rows) % tuple(column)
+            if len(str(column[-1])) != width or len(digits) != rows * width:
+                raise ValueError(f"the numbers of a column differ in digit count: "
+                                 f"{column[0]} .. {column[-1]}")
+            cell = printed[id(column)] = digits, width
+        cells.append(cell)
+    parts = template.encode("ascii").split(b"%s")
+    row, starts = bytearray(parts[0]), []
+    for (_, width), part in zip(cells, parts[1:], strict=True):
+        starts.append(len(row))
+        row += b"0" * width + part
+    text, step = row * rows, len(row)
+    for start, (digits, width) in zip(starts, cells):
+        for j in range(width):
+            text[start + j::step] = digits[j::width]
+    return text.decode("ascii")
+
+
 def _feasible_lines(blocks, widths):
-    """The table's lines under its header, one piece per RowBlock of the scan,
+    """The table's lines under its header, _PIECE_ROWS rows a piece (see _fill),
     then the closing `feasible m: {...}` line of every feasible m.
 
     Each block's template is built from its first row, since every row of a
-    block has the same digit counts and yes/no cells: %d fields padded to
-    their widths with literal spaces, r = 1/m as "1/" before m, sum = a/n
-    as "%d/%d", and the yes/no cells baked in, the last one not padded.
-    The block is filled by one C-level map of the template over its columns.
+    block has the same digit counts and yes/no cells: holes padded to their
+    widths with literal spaces, r = 1/m as "1/" before m, sum = a/n as
+    "%s/%s", and the yes/no cells baked in, the last one not padded.
     """
     w_m, w_r, w_n, w_a, w_sum, *w_flags = widths
     feasible_ms = []
@@ -106,16 +163,16 @@ def _feasible_lines(blocks, widths):
         # r = 1/m and sum = a/n are already in lowest terms: n = 2m-1 =
         # 2(m-1)+1 shares no factor with a = (m-1)^2, and n >= 3; the
         # integrality and square conditions hold for every row (see _report)
-        cells = (("%d", w_m - d_m), ("1/%d", w_r - 2 - d_m), ("%d", w_n - d_n),
-                 ("%d", w_a - d_a), ("%d/%d", w_sum - d_a - 1 - d_n))
+        cells = (("%s", w_m - d_m), ("1/%s", w_r - 2 - d_m), ("%s", w_n - d_n),
+                 ("%s", w_a - d_a), ("%s/%s", w_sum - d_a - 1 - d_n))
         flags = ("yes", "yes", _YES[block.feasible], _YES[block.a_lt_n])
         template = "  ".join(
             [*(field + " " * pad for field, pad in cells), *map(str.ljust, flags, w_flags)]
         ) + f"  {_YES[block.feasible]}\n"
         if block.feasible:
             feasible_ms.extend(block.m)
-        m, n, a = block.m, block.n, block.a
-        yield "".join(map(template.__mod__, zip(m, m, n, a, a, n)))
+        for m, n, a in _slices(block):
+            yield _fill(template, (m, m, n, a, a, n))
     yield f"feasible m: {{{', '.join(map(str, feasible_ms))}}}\n"
 
 
@@ -134,15 +191,18 @@ def cmd_feasible(args: argparse.Namespace) -> int:
         raise CliError(f"--max-m must be <= {MAX_M_LIMIT}, got {args.max_m}")
     scan = enumerate_feasible(args.max_m)
     if args.format == "json":
-        # each block is filled into the report of its verdict by one C-level
-        # map, 64 reports a piece by json_array, so the document is never held
-        # whole; json.dumps with indent would run the pure-Python encoder
-        sys.stdout.write(_FEASIBLE_HEAD % args.max_m)
-        sys.stdout.writelines(json_array(chain.from_iterable(
-            map(_FEASIBLE_REPORTS[block.feasible].__mod__, zip(block.m, block.m, block.n, block.a))
-            for block in scan.blocks()
-        )))
-        sys.stdout.write(_FEASIBLE_TAIL)
+        # the reports array, laid out as json.dumps(indent=2) lays it out, a
+        # piece at a time, so the document is never held whole; every report
+        # follows ",\n", but the first, whose "," the array's "[" replaces
+        write = sys.stdout.write
+        write(_FEASIBLE_HEAD % args.max_m + "[")
+        skip = 1
+        for block in scan.blocks():
+            template = ",\n" + _FEASIBLE_REPORTS[block.feasible]
+            for m, n, a in _slices(block):
+                write(_fill(template, (m, m, n, a))[skip:])
+                skip = 0
+        write("\n  ]" + _FEASIBLE_TAIL)
         return 0
     # a cell never gets shorter as m grows, and yes/no never outgrows its
     # header: the m, n and a of the last report fix every width

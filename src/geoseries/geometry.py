@@ -445,9 +445,9 @@ def build_staircase_scene(q: StaircaseParams, layers: int) -> Scene:
 class LayerAudit(Record):
     """One layer's exact tallies: its polygon counts, its colored and total
     areas and their ratio, against the areas the formulas expect of it; ok is
-    False where a count or an area differs.  A layer audit_scene makes keeps its
-    five areas as reduced (num, den) pairs outside its fields, and makes each
-    Fraction on first use."""
+    False where a count or an area differs, or a polygon lies off its place.  A
+    layer audit_scene makes keeps its five areas as reduced (num, den) pairs
+    outside its fields, and makes each Fraction on first use."""
 
     layer_index: int
     polygon_count: int
@@ -543,10 +543,98 @@ def _points_text(points) -> str:
     return "(" + ", ".join([f"({fmt(pt.x)}, {fmt(pt.y)})" for pt in points]) + ")"
 
 
+def _piece(xs, ys, bottom: int, top: int):
+    """(bottom left, bottom right, top left, top right) x of a polygon whose vertices
+    lie on the lines y = bottom and y = top, running left to right along the first,
+    then right to left along the second; else the index of its first vertex on
+    neither line, or None if they do not run so.
+
+    A triangle, every polygon of both pictures, takes a fast path: with each vertex
+    on one of two lines, two share a line, and its positive area fixes its order.
+    All three heights are compared, so that a triangle at three heights fails."""
+    if len(xs) == 3:
+        (x0, x1, x2), (y0, y1, y2) = xs, ys
+        # the two vertices at one height and the one left; at three heights, none
+        if y0 == y1:
+            lo, hi, lone, y_pair, y_lone = x0, x1, x2, y0, y2
+        elif y1 == y2:
+            lo, hi, lone, y_pair, y_lone = x1, x2, x0, y1, y0
+        elif y2 == y0:
+            lo, hi, lone, y_pair, y_lone = x2, x0, x1, y2, y1
+        else:
+            y_pair = None
+        if y_pair == bottom and y_lone == top:
+            return (lo, hi, lone, lone) if lo < hi else (hi, lo, lone, lone)
+        if y_pair == top and y_lone == bottom:
+            return (lone, lone, lo, hi) if lo < hi else (lone, lone, hi, lo)
+    on_top = []
+    for j, y in enumerate(ys):
+        if y != bottom and y != top:
+            return j
+        on_top.append(y == top)
+    # rotated to where the one run of bottom vertices starts: x ascends along it,
+    # then descends along the one run of top vertices
+    starts = [j for j in range(len(xs)) if on_top[j - 1] and not on_top[j]]
+    if len(starts) == 1:
+        xs, on_top = xs[starts[0]:] + xs[:starts[0]], on_top[starts[0]:] + on_top[:starts[0]]
+        t = on_top.index(True)
+        if all(map(int.__lt__, xs[:t - 1], xs[1:t])) and all(map(int.__gt__, xs[t:-1], xs[t + 1:])):
+            return xs[0], xs[t - 1], xs[-1], xs[t]
+    return None
+
+
+def _placement(k: int, polys, d: int, bottom: int, top: int, ends, name) -> list[str]:
+    """The mismatches of layer k's polygons against the band they must tile: its
+    lines y = bottom / d and y = top / d, and its ends, where they meet the
+    outline's edges, at x = ends / d, (bottom left, bottom right, top left, top
+    right).  name(poly) is a polygon's "polygons[i]".
+
+    Every vertex must lie on a line (band containment), and every polygon run
+    left to right along the bottom line and back along the top one (shape), so
+    that it is the convex hull of its intervals on them.  Sorted by those, each
+    must lie left of the next on both lines (disjointness), and all between the
+    band's ends (band ends).  With the layer's area, that is an exact tiling.
+    A polygon whose denominator d does not divide is compared over the lcm."""
+    dc = _lcm([d, *[poly.den for poly in polys]])
+    if dc != d:
+        f = dc // d
+        bottom, top, ends = bottom * f, top * f, [e * f for e in ends]
+    pieces, mismatches = [], []
+    for poly in polys:
+        xs, ys = poly.xs, poly.ys
+        if poly.den != dc:
+            f = dc // poly.den
+            xs, ys = tuple([x * f for x in xs]), tuple([y * f for y in ys])
+        piece = _piece(xs, ys, bottom, top)
+        if type(piece) is tuple:
+            pieces.append((piece, poly))
+            continue
+        low, high = fmt_parts(bottom, dc), fmt_parts(top, dc)
+        mismatches.append(f"layer {k}: {name(poly)} " + (
+            f"does not run left to right along y = {low}, then right to left along y = {high} "
+            "(shape)" if piece is None else f"vertex {piece} at y = {fmt_parts(ys[piece], dc)} "
+            f"is off the band's lines y = {low} and y = {high} (band containment)"))
+    if mismatches:
+        return mismatches
+    pieces.sort(key=itemgetter(0))
+    for (left, poly), (right, other) in zip(pieces, pieces[1:]):
+        if left[1] > right[0] or left[3] > right[2]:
+            mismatches.append(f"layer {k}: {name(other)} overlaps {name(poly)}: it does not lie "
+                              "right of it on both band lines (disjointness)")
+    (first, poly), (last, other) = pieces[0], pieces[-1]
+    if first[0] < ends[0] or first[2] < ends[2]:
+        mismatches.append(f"layer {k}: {name(poly)} reaches past the outline's left edge "
+                          "(band ends)")
+    if last[1] > ends[1] or last[3] > ends[3]:
+        mismatches.append(f"layer {k}: {name(other)} reaches past the outline's right edge "
+                          "(band ends)")
+    return mismatches
+
+
 def audit_scene(scene: Scene) -> AuditReport:
-    """Check the params, the outline and each layer's polygon counts and area
-    sums against the construction formulas, exactly; where a polygon lies is
-    not checked.
+    """Check the params, the outline, each layer's polygon counts and area
+    sums against the construction formulas, and where its polygons lie,
+    exactly.
 
     Only the ratio is read; _construction derives the rest from it, and
     every other echoed param must equal its derived value.  The scene must
@@ -559,15 +647,22 @@ def audit_scene(scene: Scene) -> AuditReport:
     over one denominator, checked against them exactly (see _equals); a passing
     sum is reported as its expectation, never reduced.  tiled_area is the
     expectations' closed-form sum plus each failing layer's area less its own.
-    Never raises on mismatch: failures come back as a report with ok=False
-    and one message per broken equality.  A missing ratio, a malformed
+    A layer whose counts and areas hold must tile its band, band 1 shrunk
+    toward A by lam^(k-1), exactly (see _placement).  Never raises on
+    mismatch: failures come back as a report with ok=False and one message
+    per broken equality or misplaced polygon.  A missing ratio, a malformed
     echoed param (see _echoed_ratio), or a layers_rendered below 1 or too
     deep for the ratio (see check_depth), raises ValueError, as a scene file
     holding it does.
     """
     kind, echo = scene.construction_kind, scene.params_echo
-    ratio, echoed, (derived, outline, (*_, a, b), layer1, figure) = _echoed_ratio(kind, echo)
+    ratio, echoed, (derived, outline, frame, layer1, figure) = _echoed_ratio(kind, echo)
     check_depth(scene.layers_rendered, ratio, "layers_rendered")
+    d1, _, apex, top, a, b = frame
+    # band 1's ends, x over d1: C and B on its bottom line, and on its top one, as
+    # A = (0, apex / d1), those shrunk toward A; integers for both kinds
+    ends = [int(pt.x * d1) for pt in outline[:2]]
+    ends += [e * (apex - top) // apex for e in ends]
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     want_count, want_colored_count, want_colored, want_total = layer1
@@ -598,6 +693,14 @@ def audit_scene(scene: Scene) -> AuditReport:
     fraction_1 = ((f := want_colored / want_total).numerator, f.denominator)
     wants = zip(_powers(want_colored.numerator, want_colored.denominator, aa, bb),
                 _powers(want_total.numerator, want_total.denominator, aa, bb))
+    index: dict[int, int] = {}  # id of a polygon -> its index, made on a first misplaced one
+
+    def name(poly: Polygon) -> str:
+        if not index:
+            index.update((id(p), i) for i, p in enumerate(scene.polygons))
+        return f"polygons[{index[id(poly)]}]"
+
+    u = v = 1  # lam^(k-1) = u/v at layer k
     for (k, polys), (want_c, want_t) in zip(by_layer.items(), wants):
         colored_count, colored_num, total_num, den = _area_sums(polys)
         colored_ok = _equals(colored_num, den, *want_c)
@@ -621,6 +724,10 @@ def audit_scene(scene: Scene) -> AuditReport:
                 f"expected {fmt_reduced(*want_t)} (layer area formula)"
             )
             tiled += Fraction(*total) - Fraction(*want_t)
+        if len(mismatches) == before:  # band k is band 1 shrunk toward A by u/v
+            mismatches += _placement(k, polys, d1 * v, apex * (v - u), apex * v + (top - apex) * u,
+                                     [e * u for e in ends], name)
+        u, v = u * a, v * b
         fraction = (fraction_1 if colored_ok and total_ok else (0, 1) if not polys
                     else _reduced(colored[0] * total[1], colored[1] * total[0]))
         layer = object.__new__(LayerAudit)

@@ -721,12 +721,8 @@ class TestVerify:
             for poly in doc["polygons"][1:]
         )
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the audit does not yet check where a polygon lies (ROADMAP item 4)",
-    )
     @pytest.mark.parametrize(
-        "scene, tamper",
+        "scene, tamper, mismatch",
         [
             (
                 ("layered", "--m", "3"),
@@ -734,28 +730,40 @@ class TestVerify:
                     [str(Fraction(x) + 10), str(Fraction(y) - 3)]
                     for x, y in polygons[3]["vertices"]
                 ]),
+                "polygons[3] vertex 0 at y = -3 is off the band's lines y = 0 and y = 1/3 "
+                "(band containment)",
             ),
-            (("layered", "--m", "3"), lambda polygons: polygons[3].update(polygons[2])),
+            (
+                ("layered", "--m", "3"),
+                lambda polygons: polygons[3].update(polygons[2]),
+                "polygons[3] overlaps polygons[2]: it does not lie right of it on both band "
+                "lines (disjointness)",
+            ),
             (
                 ("layered", "--m", "3"),
                 lambda polygons: polygons[1].update(vertices=[
                     [str(-Fraction(x)), y] for x, y in reversed(polygons[1]["vertices"])
                 ]),
+                "polygons[2] overlaps polygons[1]: it does not lie right of it on both band "
+                "lines (disjointness)",
             ),
             (
                 ("staircase", "--s", "3/5"),
                 lambda polygons: polygons[2].update(vertices=[
                     ["7/3", "0"] if v == ["3/2", "0"] else v for v in polygons[2]["vertices"]
                 ]),
+                "polygons[2] overlaps polygons[1]: it does not lie right of it on both band "
+                "lines (disjointness)",
             ),
         ],
         ids=["translated", "duplicated", "mirrored", "slid-vertex"],
     )
-    def test_polygon_off_its_place_fails_the_audit(self, capsys, tmp_path, scene, tamper):
+    def test_polygon_off_its_place_fails_the_audit(self, capsys, tmp_path, scene, tamper,
+                                                   mismatch):
         # each keeps every layer's counts and area sums: a translated triangle,
         # a copy of its neighbour, a layer-1 triangle mirrored across x = 0
         # onto its partner, and the staircase blank piece's base vertex slid
-        # along the base
+        # along the base; each fails one check of layer 1's placement
         run(
             capsys,
             "render", "--construction", *scene,
@@ -767,8 +775,11 @@ class TestVerify:
         tamper(doc["polygons"])
         assert json.dumps(doc) != before
         scene_path.write_text(json.dumps(doc))
-        code, _, _ = run(capsys, "verify", "--from-scene", str(scene_path))
-        assert code == 1
+        code, out, err = run(capsys, "verify", "--from-scene", str(scene_path))
+        assert (code, err) == (1, "")
+        diagnostic = json.loads(out)
+        assert diagnostic["mismatches"] == [f"layer 1: {mismatch}"]
+        assert [layer["ok"] for layer in diagnostic["layers"]] == [False, True, True]
 
 
 RENDER_SCENE = ("--construction", "layered", "--m", "3", "--layers", "3")

@@ -18,9 +18,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geoseries import feasibility
-from geoseries.cli import main
+from geoseries.cli import _fill, main
 from geoseries.feasibility import enumerate_feasible
 from geoseries.rational import fmt
 
@@ -98,6 +100,32 @@ class ByteCounter(io.TextIOBase):
 
     def flush(self):
         pass
+
+
+class PieceCounter(ByteCounter):
+    """A ByteCounter that also keeps the longest single write."""
+
+    def __init__(self):
+        super().__init__()
+        self.longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+# longest piece `feasible` may write at once: a larger piece raises the peak
+# memory of a caller that holds stdout in memory
+MAX_PIECE = 256 * 1024
+
+
+@pytest.mark.parametrize("fmt_name", ["table", "json"])
+def test_no_piece_is_over_the_cap(monkeypatch, fmt_name):
+    counter = PieceCounter()
+    monkeypatch.setattr("sys.stdout", counter)
+    assert main(["feasible", "--max-m", "1000000", "--format", fmt_name]) == 0
+    assert counter.written > 50 * MAX_PIECE
+    assert 0 < counter.longest <= MAX_PIECE, f"a {counter.longest}-character piece"
 
 
 def test_json_output_is_not_held_whole(monkeypatch):
@@ -337,3 +365,46 @@ def test_writers_follow_the_scan(capsys, monkeypatch, max_m):
     reports = {r["candidate_m"]: r for r in json.loads(text)["reports"]}
     assert reports[7]["passes_bound"] is reports[7]["feasible"] is True
     assert reports[5]["passes_bound"] is reports[5]["feasible"] is False
+
+
+@st.composite
+def fills(draw):
+    """(template, columns): 1 to 200 rows, fewer and more than _fill copies into
+    place, 1 to 6 holes between ASCII texts with no "%", each hole's column a
+    new one of 1- to 20-digit numbers, ascending, or one already passed, the
+    same object again."""
+    rows = draw(st.integers(1, 200))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        if columns and draw(st.booleans()):
+            columns.append(draw(st.sampled_from(columns)))
+            continue
+        width = draw(st.integers(1, 20))
+        low, high = 0 if width == 1 else 10 ** (width - 1), 10**width - 1
+        if draw(st.booleans()) and high - low >= rows:  # a range, as a block's m and n are
+            first = draw(st.integers(low, high - rows + 1))
+            columns.append(range(first, first + rows))
+        else:  # a list, as a block's a is
+            numbers = st.lists(st.integers(low, high), min_size=rows, max_size=rows)
+            columns.append(sorted(draw(numbers)))
+    text = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="%"),
+                   max_size=8)
+    return "%s".join(draw(text) for _ in range(len(columns) + 1)), tuple(columns)
+
+
+@given(fills())
+def test_fill_equals_the_row_by_row_format(case):
+    template, columns = case
+    assert _fill(template, columns) == "".join(template % row for row in zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[9] + [10] * 99, [99] * 99 + [100], [10] * 50 + [5] + [10] * 49, [11] * 99 + [110, 11]],
+    ids=["first-shorter", "last-longer", "middle-shorter", "middle-longer"],
+)
+def test_fill_refuses_a_column_whose_digit_counts_differ(column):
+    with pytest.raises(ValueError, match="digit count"):
+        _fill("m %s.\n", (column,))
+    with pytest.raises(ValueError, match="digit count"):
+        _fill("%s %s\n", ([7] * len(column), column))
