@@ -22,6 +22,7 @@ from .geometry import (
     ARRAY,
     FILL,
     MAX_POLYGONS,
+    MAX_SCENE_DIGITS,
     audit_scene,
     build_layered_scene,
     build_staircase_scene,
@@ -262,33 +263,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--from-scene takes its scene from the file, not from {', '.join(given)}"
             )
         path = _path(args.from_scene, "--from-scene")
+        # int() is quadratic in a number's digits: hold Python's limit on them at MAX_SCENE_DIGITS
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_SCENE_DIGITS)
         try:
-            size = path.stat().st_size
-            if size > MAX_SCENE_FILE_BYTES:
-                raise CliError(
-                    f"scene file {args.from_scene} holds {size} bytes, over the cap of "
-                    f"{MAX_SCENE_FILE_BYTES}"
-                )
-            with open(path, "rb") as file:
-                data = _read_capped(file, size)
-            if len(data) > MAX_SCENE_FILE_BYTES:  # a pipe or a device: stat gives no size
-                raise CliError(
-                    f"scene file {args.from_scene} holds more than {MAX_SCENE_FILE_BYTES} "
-                    "bytes, the cap"
-                )
-            # each buffer is dropped once the next is made: the bytes, the text
-            # and the document held together peak at over 3x the file's size
-            text = data.decode("utf-8")
-            del data
-            doc = json.loads(text)
-            del text
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError: not UTF-8, not JSON, or an integer too long to convert
-            raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
-        try:
-            scene = scene_from_json(doc)
-        except ValueError as exc:
-            raise CliError(f"invalid scene file {args.from_scene}: {exc}") from exc
+            try:
+                size = path.stat().st_size
+                if size > MAX_SCENE_FILE_BYTES:
+                    raise CliError(
+                        f"scene file {args.from_scene} holds {size} bytes, over the cap of "
+                        f"{MAX_SCENE_FILE_BYTES}"
+                    )
+                with open(path, "rb") as file:
+                    data = _read_capped(file, size)
+                if len(data) > MAX_SCENE_FILE_BYTES:  # a pipe or a device: stat gives no size
+                    raise CliError(
+                        f"scene file {args.from_scene} holds more than {MAX_SCENE_FILE_BYTES} "
+                        "bytes, the cap"
+                    )
+                # each buffer is dropped once the next is made: the bytes, the text
+                # and the document held together peak at over 3x the file's size
+                text = data.decode("utf-8")
+                del data
+                doc = json.loads(text)
+                del text
+            except (OSError, ValueError, RecursionError) as exc:
+                # ValueError: not UTF-8, not JSON, or an integer over MAX_SCENE_DIGITS digits
+                raise CliError(f"cannot read scene file {args.from_scene}: {exc}") from exc
+            try:
+                scene = scene_from_json(doc)
+            except ValueError as exc:
+                raise CliError(f"invalid scene file {args.from_scene}: {exc}") from exc
+        finally:
+            sys.set_int_max_str_digits(limit)
     else:
         scene = _build_scene(args)
     report = audit_scene(scene)

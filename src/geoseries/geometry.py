@@ -20,8 +20,8 @@ integer running products, and the apex copy left after L layers has area
 x^L times the figure's.  A built picture holds each layer-1 coordinate
 once, as a term (c0, c1) over a denominator d, and one rule gives layer
 k: with lam^(k-1) = u/v, the term's value is (c0 v + c1 u) / (d v), and
-its limit c0 / d.  The builder, the scene writer and render all read
-layer k through that rule (see _Layer1, _scales and _values).
+its limit c0 / d.  The builder, the scene writer, render and the audit's
+band k all read layer k through that rule (see _Layer1, _values, _walk).
 
 Coordinates are held as plain integers: a polygon keeps integer x and y
 numerators over one positive denominator `den`, which the builders share
@@ -493,25 +493,6 @@ class AuditReport(Record):
         return json.loads("".join(report_json_chunks(self)))
 
 
-def _area_sums(polygons) -> tuple[int, int, int, int]:
-    """(colored count, colored, total, den): polygons' exact colored and total areas
-    are colored/den and total/den, not reduced.
-
-    The shoelace sums are added in plain ints over the lcm d of the
-    polygons' denominators; in a built scene a layer has one, so no sum is
-    rescaled.
-    """
-    d = _lcm([poly.den for poly in polygons])
-    count = colored = total = 0
-    for poly in polygons:
-        cross = poly.cross if poly.den == d else poly.cross * (d // poly.den) ** 2
-        total += cross
-        if poly.role == ROLE_COLORED:
-            count += 1
-            colored += cross
-    return count, colored, total, 2 * d * d
-
-
 def _equals(num: int, den: int, qn: int, qd: int) -> bool:
     """num/den == qn/qd, den > 0: qn/qd is reduced, so den must be a multiple of qd."""
     k, rest = divmod(den, qd)
@@ -583,52 +564,60 @@ def _piece(xs, ys, bottom: int, top: int):
     return None
 
 
-def _placement(k: int, polys, d: int, bottom: int, top: int, ends, name) -> list[str]:
-    """The mismatches of layer k's polygons against the band they must tile: its
-    lines y = bottom / d and y = top / d, and its ends, where they meet the
-    outline's edges, at x = ends / d, (bottom left, bottom right, top left, top
-    right).  name(poly) is a polygon's "polygons[i]".
+def _walk(k: int, items, d: int, band) -> tuple[int, int, int, int, list[str]]:
+    """(colored count, colored, total, den, misplaced) of layer k's polygons, given
+    as (i, polygons[i]), in one walk: their exact colored and total areas are
+    colored/den and total/den, not reduced, and misplaced their mismatches against
+    the band they must tile, (bottom, top, *ends) over d: its lines y = bottom / d
+    and y = top / d, and its ends on the outline's edges, (bottom left, bottom
+    right, top left, top right).
 
     Every vertex must lie on a line (band containment), and every polygon run
     left to right along the bottom line and back along the top one (shape), so
     that it is the convex hull of its intervals on them.  Sorted by those, each
     must lie left of the next on both lines (disjointness), and all between the
     band's ends (band ends).  With the layer's area, that is an exact tiling.
-    A polygon whose denominator d does not divide is compared over the lcm."""
-    dc = _lcm([d, *[poly.den for poly in polys]])
+    All is in plain ints over dc, the lcm of d and the polygons' denominators
+    (d in a built or written scene), and den = 2 dc^2.
+    """
+    dc = _lcm([d, *[poly.den for _, poly in items]])
     if dc != d:
-        f = dc // d
-        bottom, top, ends = bottom * f, top * f, [e * f for e in ends]
+        band = [e * (dc // d) for e in band]
+    bottom, top, *ends = band
+    count = colored = total = 0
     pieces, mismatches = [], []
-    for poly in polys:
-        xs, ys = poly.xs, poly.ys
+    for i, poly in items:
+        xs, ys, cross = poly.xs, poly.ys, poly.cross
         if poly.den != dc:
             f = dc // poly.den
-            xs, ys = tuple([x * f for x in xs]), tuple([y * f for y in ys])
+            xs, ys, cross = tuple([x * f for x in xs]), tuple([y * f for y in ys]), cross * f * f
+        total += cross
+        if poly.role == ROLE_COLORED:
+            count += 1
+            colored += cross
         piece = _piece(xs, ys, bottom, top)
         if type(piece) is tuple:
-            pieces.append((piece, poly))
+            pieces.append((piece, i))
             continue
         low, high = fmt_parts(bottom, dc), fmt_parts(top, dc)
-        mismatches.append(f"layer {k}: {name(poly)} " + (
+        mismatches.append(f"layer {k}: polygons[{i}] " + (
             f"does not run left to right along y = {low}, then right to left along y = {high} "
             "(shape)" if piece is None else f"vertex {piece} at y = {fmt_parts(ys[piece], dc)} "
             f"is off the band's lines y = {low} and y = {high} (band containment)"))
-    if mismatches:
-        return mismatches
-    pieces.sort(key=itemgetter(0))
-    for (left, poly), (right, other) in zip(pieces, pieces[1:]):
-        if left[1] > right[0] or left[3] > right[2]:
-            mismatches.append(f"layer {k}: {name(other)} overlaps {name(poly)}: it does not lie "
-                              "right of it on both band lines (disjointness)")
-    (first, poly), (last, other) = pieces[0], pieces[-1]
-    if first[0] < ends[0] or first[2] < ends[2]:
-        mismatches.append(f"layer {k}: {name(poly)} reaches past the outline's left edge "
-                          "(band ends)")
-    if last[1] > ends[1] or last[3] > ends[3]:
-        mismatches.append(f"layer {k}: {name(other)} reaches past the outline's right edge "
-                          "(band ends)")
-    return mismatches
+    if pieces and not mismatches:
+        pieces.sort(key=itemgetter(0))
+        for (left, i), (right, j) in zip(pieces, pieces[1:]):
+            if left[1] > right[0] or left[3] > right[2]:
+                mismatches.append(f"layer {k}: polygons[{j}] overlaps polygons[{i}]: it does not "
+                                  "lie right of it on both band lines (disjointness)")
+        (first, i), (last, j) = pieces[0], pieces[-1]
+        if first[0] < ends[0] or first[2] < ends[2]:
+            mismatches.append(f"layer {k}: polygons[{i}] reaches past the outline's left edge "
+                              "(band ends)")
+        if last[1] > ends[1] or last[3] > ends[3]:
+            mismatches.append(f"layer {k}: polygons[{j}] reaches past the outline's right edge "
+                              "(band ends)")
+    return count, colored, total, 2 * dc * dc, mismatches
 
 
 def audit_scene(scene: Scene) -> AuditReport:
@@ -647,22 +636,25 @@ def audit_scene(scene: Scene) -> AuditReport:
     over one denominator, checked against them exactly (see _equals); a passing
     sum is reported as its expectation, never reduced.  tiled_area is the
     expectations' closed-form sum plus each failing layer's area less its own.
-    A layer whose counts and areas hold must tile its band, band 1 shrunk
-    toward A by lam^(k-1), exactly (see _placement).  Never raises on
-    mismatch: failures come back as a report with ok=False and one message
-    per broken equality or misplaced polygon.  A missing ratio, a malformed
-    echoed param (see _echoed_ratio), or a layers_rendered below 1 or too
-    deep for the ratio (see check_depth), raises ValueError, as a scene file
-    holding it does.
+    One walk of the polygons picks out the outline and groups each layer's
+    with their indices; _walk then walks a layer once, for its counts, sums
+    and placement: a layer whose counts and areas hold must tile its band,
+    band 1 shrunk toward A by lam^(k-1) and valued by _values, exactly.  Never
+    raises on mismatch: failures come back as a report with ok=False and one
+    message per broken equality or misplaced polygon.  A missing ratio, a
+    malformed echoed param (see _echoed_ratio), or a layers_rendered below 1
+    or too deep for the ratio (see check_depth), raises ValueError, as a
+    scene file holding it does.
     """
     kind, echo = scene.construction_kind, scene.params_echo
     ratio, echoed, (derived, outline, frame, layer1, figure) = _echoed_ratio(kind, echo)
     check_depth(scene.layers_rendered, ratio, "layers_rendered")
     d1, _, apex, top, a, b = frame
-    # band 1's ends, x over d1: C and B on its bottom line, and on its top one, as
-    # A = (0, apex / d1), those shrunk toward A; integers for both kinds
+    # band 1 over d1 as terms: its bottom and top lines' y, then its ends' x, C and B
+    # on its bottom line and, as A = (0, apex / d1), those shrunk toward A on its top
     ends = [int(pt.x * d1) for pt in outline[:2]]
     ends += [e * (apex - top) // apex for e in ends]
+    band = ((apex, -apex), (apex, top - apex), *[(0, e) for e in ends])
     # layer 1 holds want_count polygons, want_colored_count of them colored,
     # with colored area want_colored and layer area want_total
     want_count, want_colored_count, want_colored, want_total = layer1
@@ -674,43 +666,38 @@ def audit_scene(scene: Scene) -> AuditReport:
         for key, want in derived.items()
         if key in echoed and echoed[key] != parse(want)
     ]
-    outlines = [poly.vertices for poly in scene.polygons if poly.role == ROLE_OUTLINE]
+    outlines = []
+    by_layer: dict[int, list] = {k: [] for k in range(1, scene.layers_rendered + 1)}
+    for i, poly in enumerate(scene.polygons):
+        if poly.role == ROLE_OUTLINE:
+            outlines.append(poly.vertices)
+        elif (items := by_layer.get(poly.layer_index)) is None:
+            raise ValueError("non-outline polygon without a valid layer index")
+        else:
+            items.append((i, poly))
     if len(outlines) != 1 or outlines[0] not in [outline[i:] + outline[:i] for i in range(3)]:
         got = _points_text(outlines[0]) if len(outlines) == 1 else f"{len(outlines)} polygons"
         mismatches.append(
             f"outline: {got} != one polygon with the master triangle's vertices "
             f"(C, B, A) = {_points_text(outline)}, in this cyclic order"
         )
-    by_layer: dict[int, list[Polygon]] = {k: [] for k in range(1, scene.layers_rendered + 1)}
-    for poly in scene.polygons:
-        if poly.role == ROLE_OUTLINE:
-            continue
-        if poly.layer_index is None or not 1 <= poly.layer_index <= scene.layers_rendered:
-            raise ValueError("non-outline polygon without a valid layer index")
-        by_layer[poly.layer_index].append(poly)
     layers = []
     tiled = want_total * partial_sum_closed(x, scene.layers_rendered - 1)
     fraction_1 = ((f := want_colored / want_total).numerator, f.denominator)
     wants = zip(_powers(want_colored.numerator, want_colored.denominator, aa, bb),
                 _powers(want_total.numerator, want_total.denominator, aa, bb))
-    index: dict[int, int] = {}  # id of a polygon -> its index, made on a first misplaced one
-
-    def name(poly: Polygon) -> str:
-        if not index:
-            index.update((id(p), i) for i, p in enumerate(scene.polygons))
-        return f"polygons[{index[id(poly)]}]"
-
     u = v = 1  # lam^(k-1) = u/v at layer k
-    for (k, polys), (want_c, want_t) in zip(by_layer.items(), wants):
-        colored_count, colored_num, total_num, den = _area_sums(polys)
+    for (k, items), (want_c, want_t) in zip(by_layer.items(), wants):
+        colored_count, colored_num, total_num, den, misplaced = _walk(k, items, d1 * v,
+                                                                      _values(band, u, v))
         colored_ok = _equals(colored_num, den, *want_c)
         total_ok = _equals(total_num, den, *want_t)
         colored = want_c if colored_ok else _reduced(colored_num, den)
         total = want_t if total_ok else _reduced(total_num, den)
         before = len(mismatches)
-        if len(polys) != want_count or colored_count != want_colored_count:
+        if len(items) != want_count or colored_count != want_colored_count:
             mismatches.append(
-                f"layer {k}: polygon counts ({len(polys)}, {colored_count} colored) "
+                f"layer {k}: polygon counts ({len(items)}, {colored_count} colored) "
                 f"!= expected ({want_count}, {want_colored_count} colored)"
             )
         if not colored_ok:
@@ -724,14 +711,13 @@ def audit_scene(scene: Scene) -> AuditReport:
                 f"expected {fmt_reduced(*want_t)} (layer area formula)"
             )
             tiled += Fraction(*total) - Fraction(*want_t)
-        if len(mismatches) == before:  # band k is band 1 shrunk toward A by u/v
-            mismatches += _placement(k, polys, d1 * v, apex * (v - u), apex * v + (top - apex) * u,
-                                     [e * u for e in ends], name)
+        if len(mismatches) == before:  # a layer that fails its counts or areas is not placed
+            mismatches += misplaced
         u, v = u * a, v * b
-        fraction = (fraction_1 if colored_ok and total_ok else (0, 1) if not polys
+        fraction = (fraction_1 if colored_ok and total_ok else (0, 1) if not items
                     else _reduced(colored[0] * total[1], colored[1] * total[0]))
         layer = object.__new__(LayerAudit)
-        layer.__dict__.update(layer_index=k, polygon_count=len(polys), colored_count=colored_count,
+        layer.__dict__.update(layer_index=k, polygon_count=len(items), colored_count=colored_count,
                               ok=len(mismatches) == before,
                               _parts=(colored, total, fraction, want_c, want_t))
         layers.append(layer)
@@ -954,6 +940,9 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an in
 # m^L for layered r = 1/m, at most 2 x MAX_DENOMINATOR_BITS (its labels
 # add a few bits)
 MAX_SCENE_DENOMINATOR_BITS = 4 * MAX_DENOMINATOR_BITS
+# most digits of a number in a scene file: those of a MAX_SCENE_DENOMINATOR_BITS-bit
+# number (log10(2) < 0.30103), about twice the most a built scene file's have
+MAX_SCENE_DIGITS = MAX_SCENE_DENOMINATOR_BITS * 30103 // 100000 + 1
 
 
 def _typed(value, kind: type, path: str, optional: bool = False):

@@ -24,6 +24,7 @@ from geoseries.construction import StaircaseParams
 from geoseries.feasibility import derive_config
 from geoseries.geometry import (
     MAX_SCENE_DENOMINATOR_BITS,
+    MAX_SCENE_DIGITS,
     build_layered_scene,
     build_staircase_scene,
     scene_to_json,
@@ -590,7 +591,7 @@ class TestVerify:
         [
             (b"[" * 1200, "maximum recursion depth exceeded"),
             ('{"schema": 1, "construction_kind": "caf\xe9"}'.encode("latin-1"), "'utf-8' codec"),
-            (b'{"schema": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b'{"schema": ' + b"9" * 5000 + b"}", f"Exceeds the limit ({MAX_SCENE_DIGITS} digits)"),
         ],
         ids=["nested-arrays", "not-utf-8", "long-integer"],
     )
@@ -601,6 +602,69 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read scene file {scene_path}: {reason}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["label", "vertex", "schema", "param"])
+    def test_a_number_of_a_million_digits_is_refused_within_a_second(self, tmp_path, where):
+        # with Python's limit on a number's digits lifted, int() of 10^6 digits
+        # takes seconds, as its time is quadratic; the reader holds its own limit
+        doc = scene_to_json(build_layered_scene(derive_config(3), 3))
+        big = "1" * 10**6
+        if where == "label":
+            doc["labels"][0]["x"] = big
+        elif where == "vertex":
+            doc["polygons"][2]["vertices"][1][0] = big
+        elif where == "param":
+            doc["params"]["n"] = big
+        text = json.dumps(doc)
+        if where == "schema":
+            text = text.replace('"schema": 1', '"schema": ' + big, 1)
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        src = str(Path(geoseries.__file__).resolve().parent.parent)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "geoseries.cli", "verify", "--from-scene", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout, done.stderr.count("\n")) == (2, "", 1)
+        cap = f"Exceeds the limit ({MAX_SCENE_DIGITS} digits) for integer string conversion"
+        assert done.stderr.startswith({
+            "label": f"error: invalid scene file {path}: labels[0]: {cap}",
+            "vertex": f"error: invalid scene file {path}: polygons[2].vertices[1]: {cap}",
+            "schema": f"error: cannot read scene file {path}: {cap}",
+            "param": f"error: invalid scene file {path}: params.n must be an integer >= 1",
+        }[where])
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_digit_cap_is_the_readers_not_the_interpreters(self, capsys, tmp_path, extra):
+        # a label's x of MAX_SCENE_DIGITS digits, more than Python's default limit
+        # of 4300, is read, and one of a digit more is refused; either way
+        # Python's limit is as it was once verify returns
+        doc = scene_to_json(build_layered_scene(derive_config(3), 3))
+        doc["labels"][0]["x"] = "1" * (MAX_SCENE_DIGITS + extra)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "verify", "--from-scene", str(path))
+        assert sys.get_int_max_str_digits() == limit
+        if extra:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: invalid scene file {path}: labels[0]: Exceeds the "
+                                  f"limit ({MAX_SCENE_DIGITS} digits)")
+        else:
+            assert (code, err) == (0, "")
+            assert out.endswith("check: pass\n")
+
+    def test_the_depth_cap_scene_file_reads_and_passes(self, capsys, tmp_path):
+        out = tmp_path / "cap.svg"
+        args = ("--construction", "layered", "--m", "3", "--layers", "2048")
+        assert main(["render", *args, "--out", str(out), "--emit-scene"]) == 0
+        capsys.readouterr()
+        code, table, err = run(capsys, "verify", "--from-scene", str(out.with_suffix(".json")))
+        assert (code, err) == (0, "")
+        assert table.endswith("check: pass\n")
 
     def test_verify_needs_a_construction_or_a_scene_file(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -755,15 +819,26 @@ class TestVerify:
                 "polygons[2] overlaps polygons[1]: it does not lie right of it on both band "
                 "lines (disjointness)",
             ),
+            (
+                ("layered", "--m", "3"),
+                lambda polygons: polygons.reverse() or polygons[12].update(vertices=[
+                    [str(Fraction(x) + 10), str(Fraction(y) - 3)]
+                    for x, y in polygons[12]["vertices"]
+                ]),
+                "polygons[12] vertex 0 at y = -3 is off the band's lines y = 0 and y = 1/3 "
+                "(band containment)",
+            ),
         ],
-        ids=["translated", "duplicated", "mirrored", "slid-vertex"],
+        ids=["translated", "duplicated", "mirrored", "slid-vertex", "translated-in-reverse"],
     )
     def test_polygon_off_its_place_fails_the_audit(self, capsys, tmp_path, scene, tamper,
                                                    mismatch):
         # each keeps every layer's counts and area sums: a translated triangle,
         # a copy of its neighbour, a layer-1 triangle mirrored across x = 0
         # onto its partner, and the staircase blank piece's base vertex slid
-        # along the base; each fails one check of layer 1's placement
+        # along the base; each fails one check of layer 1's placement.  Last,
+        # the first translated in a file listing its polygons in reverse, the
+        # outline last: it is named by its index in that file
         run(
             capsys,
             "render", "--construction", *scene,

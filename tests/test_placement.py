@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geoseries.construction import StaircaseParams
@@ -284,6 +284,22 @@ def test_an_apex_slid_past_the_outline_fails_band_ends(shift):
     assert f"the outline's {'right' if shift > 0 else 'left'} edge" in mismatch
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_base_slid_past_the_outline_fails_band_ends(shift):
+    # the base of layer 2's last (or first) upward triangle slid by 1/D past the
+    # outline's edge along the bottom line: the area holds, the apex stays, and
+    # the top line is still within the edges
+    scene = built("layered", 3, 3)
+    ups = [(i, p) for i, p in layer_items(scene, 2) if sorted(p.ys)[0] == sorted(p.ys)[1]]
+    i, poly = (max if shift > 0 else min)(ups, key=lambda item: min(item[1].xs))
+    low = min(poly.ys)
+    xs = tuple(x + shift if y == low else x for x, y in zip(poly.xs, poly.ys))
+    slid = Polygon.over(xs, poly.ys, poly.den, poly.role, 2)
+    assert slid.area == poly.area
+    mismatch = only_mismatch(replaced(scene, i, slid), 2, i, "band ends")
+    assert f"the outline's {'right' if shift > 0 else 'left'} edge" in mismatch
+
+
 def test_a_polygon_off_the_layers_denominator_is_compared_over_the_lcm():
     # a layer-2 polygon over 7 D, which does not divide D: at its place it passes,
     # and with a vertex 1/(7 D) off its line it fails band containment
@@ -335,6 +351,11 @@ def motions(draw):
     st.integers(0, 10**6),
     st.booleans(),
 )
+# layer 1's first upward triangle and its downward neighbour, each replaced by a
+# copy of the other: two downward triangles overlap only on the top line, as their
+# bottom intervals are one point, and two upward ones only on the bottom line
+@example(("layered", 2), 1, ("copy", 0), 1, False)
+@example(("layered", 2), 1, ("copy", 1), 0, False)
 def test_a_moved_polygon_fails_unless_it_maps_onto_itself(picture, layers, motion, i, back):
     scene = built(*picture, layers)
     polygons = scene.polygons

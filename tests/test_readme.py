@@ -7,7 +7,7 @@ import shlex
 from pathlib import Path
 
 from geoseries.cli import MAX_M_LIMIT, MAX_SCENE_FILE_BYTES, main
-from geoseries.geometry import MAX_POLYGONS, MAX_SCENE_DENOMINATOR_BITS
+from geoseries.geometry import MAX_POLYGONS, MAX_SCENE_DENOMINATOR_BITS, MAX_SCENE_DIGITS
 from geoseries.rational import MAX_DENOMINATOR_BITS
 from geoseries.render import MAX_CANVAS_WIDTH_PX
 
@@ -43,6 +43,7 @@ def test_readme_states_every_cap_the_code_uses():
         ("vertices", 3 * MAX_POLYGONS),
         ("bytes", MAX_SCENE_FILE_BYTES),
         ("lcm", MAX_SCENE_DENOMINATOR_BITS),
+        ("digits", MAX_SCENE_DIGITS),
         ("--width", MAX_CANVAS_WIDTH_PX),
     ]:
         number = re.compile(rf"(?<![\d.]){value}(?!\d)")
